@@ -7,6 +7,12 @@ uniforms from the generator, so a ``(law, depth, caps, seed)`` tuple
 reproduces the same tree bit for bit.  Trees are plain data and are
 never mutated after growth; share them freely across threads.
 
+The same generation loop grows size-biased trees (see ``spine``): one
+frontier particle per generation, the spine particle, takes its brood
+from a size-biased draw made after the plain block and picks the next
+spine particle among its children.  Everything else grows under the
+plain law, so spined growth needs no engine of its own.
+
 The additive martingale along a grown tree is
 
     W_n = sum over generation-n nodes of exp(-alpha * S) / m(alpha)^n,
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -88,20 +95,26 @@ def generation_sizes(tree: LabelledTree) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _brood_sizes(law: Law, ai: np.ndarray) -> np.ndarray:
+    """Brood size of each atom index (heavy tail: index ``i`` has ``i + 2``)."""
+    if isinstance(law, FiniteLaw):
+        return law._tables.counts[ai]
+    return (ai + 2).astype(np.int64)
+
+
 def _draw_offspring(
     law: Law, z: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Atom/count choices for ``z`` parents; one uniform block of length z."""
     u = rng.random(z)
     if isinstance(law, FiniteLaw):
-        t = law._tables
         ai = np.minimum(
-            np.searchsorted(t.cum_p, u, side="right"), len(law.atoms) - 1
+            np.searchsorted(law._tables.cum_p, u, side="right"), len(law.atoms) - 1
         ).astype(np.int64)
-        return ai, t.counts[ai]
-    cdf = law._cdf
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-    return idx, (idx + 2).astype(np.int64)
+    else:
+        cdf = law._cdf
+        ai = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    return ai, _brood_sizes(law, ai)
 
 
 def _offspring_displacements(
@@ -140,16 +153,22 @@ def _assemble_tree(
     )
 
 
-def grow_tree(
-    law: Law, depth: int, caps: GrowthCaps, rng: np.random.Generator
-) -> LabelledTree:
-    """Grow a tree to ``depth`` generations under the given law.
+def _grow(
+    law: Law,
+    depth: int,
+    caps: GrowthCaps,
+    rng: np.random.Generator,
+    spine_brood: Callable[[np.random.Generator], tuple[int, int]] | None = None,
+) -> tuple[LabelledTree, np.ndarray | None]:
+    """The generation loop behind ``grow_tree`` and ``grow_spined_tree``.
 
-    Raises ``PopulationCapError`` carrying the partial tree (complete
-    through the last finished generation) if ``caps.max_nodes`` would be
-    exceeded.
+    Returns the tree and, when ``spine_brood`` is given, the ray: node
+    ids of the spine particle per generation.  ``spine_brood(rng)`` gives
+    the spine particle's size-biased atom index and the slot of the
+    child that carries the spine on; it is called once per generation,
+    after the plain uniform block, and its atom overrides the plain draw
+    for the spine particle.  ``law`` must already be validated.
     """
-    law = validate_law(law)
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth}")
     if depth > caps.max_depth:
@@ -165,6 +184,8 @@ def grow_tree(
     frontier_pos = pos_chunks[0]
     node_count = 1
     extinct_at: int | None = None
+    ray = None if spine_brood is None else np.zeros(depth + 1, dtype=np.int64)
+    spine = 0  # frontier offset of the spine particle
 
     for g in range(depth):
         z = frontier_idx.size
@@ -172,6 +193,10 @@ def grow_tree(
             generation_index.append(np.empty(0, dtype=np.int64))
             continue
         ai, counts = _draw_offspring(law, z, rng)
+        if spine_brood is not None:
+            atom, slot = spine_brood(rng)
+            ai[spine] = atom
+            counts = _brood_sizes(law, ai)
         total = int(counts.sum())
         if node_count + total > caps.max_nodes:
             partial = _assemble_tree(
@@ -185,14 +210,30 @@ def grow_tree(
         disp_chunks.append(disp)
         pos_chunks.append(pos)
         generation_index.append(idx)
+        if spine_brood is not None:
+            spine = int(counts[:spine].sum()) + slot
+            ray[g + 1] = node_count + spine
         node_count += total
         if total == 0 and extinct_at is None:
             extinct_at = g + 1
         frontier_idx, frontier_pos = idx, pos
 
-    return _assemble_tree(
+    tree = _assemble_tree(
         parent_chunks, disp_chunks, pos_chunks, generation_index, depth, extinct_at
     )
+    return tree, ray
+
+
+def grow_tree(
+    law: Law, depth: int, caps: GrowthCaps, rng: np.random.Generator
+) -> LabelledTree:
+    """Grow a tree to ``depth`` generations under the given law.
+
+    Raises ``PopulationCapError`` carrying the partial tree (complete
+    through the last finished generation) if ``caps.max_nodes`` would be
+    exceeded.
+    """
+    return _grow(validate_law(law), depth, caps, rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Exit codes (exhaustive): 0 success; 1 any validation failure, including
 malformed flags and model files; 2 resource refusal (enumeration too
 large, node cap hit, excessive Monte Carlo discards, tilted-mass
-overflow, fixed-point non-convergence), with partial artifacts written
-and flagged on stderr where they exist; 3 an exact identity check
-failed, which signals an implementation bug, never a property of the
-law under study.
+overflow or underflow to zero, fixed-point non-convergence), with
+partial artifacts written and flagged on stderr where they exist; 3 an
+exact identity check failed, which signals an implementation bug, never
+a property of the law under study.
 
 All randomness flows from --seed; simulate, spine and mc refuse to run
 without it, so no run ever depends on the wall clock.  Replicate
@@ -25,7 +25,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import click
@@ -41,9 +40,11 @@ from .errors import (
     PopulationCapError,
     TooLargeError,
     ValidationError,
+    ZeroMassError,
 )
 from .mc import (
     McConfig,
+    _ordered_map,
     mc_extinction,
     mc_importance_identity,
     mc_mean_w,
@@ -216,7 +217,7 @@ def _dispatch(argv=None) -> int:
     except ValidationError as e:
         click.echo(f"error: {e}", err=True)
         return 1
-    except (ResourceError, MassOverflowError, NoConvergenceError) as e:
+    except (ResourceError, MassOverflowError, ZeroMassError, NoConvergenceError) as e:
         click.echo(f"refused: {e}", err=True)
         return 2
     except BrwError as e:
@@ -322,16 +323,6 @@ def verify_cmd(model_path, alpha_text, depth, out, fmt):
 # ---------------------------------------------------------------------------
 
 
-def _ordered_parallel(workers: int, fn, count: int):
-    """Evaluate fn(0..count-1), yielding results in index order."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, range(count))
-    else:
-        for r in range(count):
-            yield fn(r)
-
-
 @cli.command("simulate")
 @click.option("--model", "model_path", default=None)
 @click.option("--alpha", "alpha_text", default=None)
@@ -374,7 +365,7 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
 
     all_rows: list[tuple] = []
     code = 0
-    for r, (rows, capped_at) in enumerate(_ordered_parallel(workers, one, reps)):
+    for r, (rows, capped_at) in enumerate(_ordered_map(workers, one, reps)):
         all_rows.extend(rows)
         if capped_at is not None:
             click.echo(
@@ -445,7 +436,7 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
 
     all_rows: list[tuple] = []
     code = 0
-    for r, (rows, capped_at) in enumerate(_ordered_parallel(workers, one, reps)):
+    for r, (rows, capped_at) in enumerate(_ordered_map(workers, one, reps)):
         if capped_at is not None:
             click.echo(
                 f"replicate {r} hit max-nodes {caps.max_nodes} at generation "

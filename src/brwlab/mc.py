@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,6 +96,18 @@ class McSummary:
     values: np.ndarray | None = None
 
 
+def _ordered_map(workers: int, fn: Callable[[int], object], count: int) -> Iterator:
+    """Yield ``fn(0), ..., fn(count - 1)`` in index order, on a thread pool
+    when ``workers > 1``.  Sequentially, results are computed only as they
+    are consumed, so a caller that stops early skips the rest."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, range(count))
+    else:
+        for r in range(count):
+            yield fn(r)
+
+
 def _run_replicates(
     cfg: McConfig,
     one: Callable[[np.random.Generator], object],
@@ -111,11 +123,7 @@ def _run_replicates(
         except PopulationCapError:
             return _DISCARDED
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            raw = list(pool.map(run, range(cfg.replicates)))
-    else:
-        raw = [run(r) for r in range(cfg.replicates)]
+    raw = list(_ordered_map(cfg.workers, run, cfg.replicates))
     kept = [(r, v) for r, v in enumerate(raw) if v is not _DISCARDED]
     discarded = cfg.replicates - len(kept)
     if discarded > _DISCARD_LIMIT * cfg.replicates:

@@ -425,12 +425,20 @@ def _tilt_weight(atom: Atom, alpha: float) -> float:
 
 
 def tilted_mass(law: Law, alpha: float) -> float:
-    """``m(alpha) = E[sum_i exp(-alpha x_i)]``."""
+    """``m(alpha) = E[sum_i exp(-alpha x_i)]``.
+
+    Raises ``DomainError`` for a non-finite ``alpha``, ``MassOverflowError``
+    when the sum overflows and ``ZeroMassError`` when it underflows to 0.
+    """
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     if isinstance(law, LogDivergentLaw):
         return law._exact.mean  # all displacements are zero
     total = stable_sum(a.probability * _tilt_weight(a, alpha) for a in law.atoms)
     if math.isinf(total):
         raise MassOverflowError(f"tilted mass overflowed at alpha={alpha!r}")
+    if total == 0.0:
+        raise ZeroMassError(f"tilted mass underflowed to 0 at alpha={alpha!r}")
     return total
 
 
@@ -560,8 +568,6 @@ def size_biased_law(law: FiniteLaw, alpha: float) -> FiniteLaw:
         raise DomainError("size-biasing is defined for finite laws only")
     law = validate_law(law)
     m = tilted_mass(law, alpha)
-    if m <= 0.0:
-        raise ZeroMassError(f"tilted mass {m!r} at alpha={alpha!r}")
     atoms = tuple(
         Atom(a.probability * _tilt_weight(a, alpha) / m, a.displacements)
         for a in law.atoms
@@ -581,8 +587,6 @@ def spine_step_law(law: FiniteLaw, alpha: float) -> list[tuple[float, float]]:
         raise DomainError("the spine step law is defined for finite laws only")
     law = validate_law(law)
     m = tilted_mass(law, alpha)
-    if m <= 0.0:
-        raise ZeroMassError(f"tilted mass {m!r} at alpha={alpha!r}")
     buckets: dict[float, list[float]] = {}
     for a in law.atoms:
         for x in a.displacements:

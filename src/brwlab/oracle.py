@@ -445,10 +445,15 @@ def check_spine_step_mean(
     outcomes = 0
     for t, ray, p in enumerate_spined_trees(law, alpha, depth, cap):
         outcomes += 1
-        positions = ray_positions(law, t, ray)
-        for j in levels:
-            step = positions[j + 1] - positions[j]
-            marginals[j].setdefault(step, []).append(p)
+        # key each step by the displacement itself: differences of float
+        # positions split one displacement value across several keys
+        node = t
+        for j, slot in enumerate(ray):
+            a, children = node
+            if j in marginals:
+                step = law.atoms[a].displacements[slot]
+                marginals[j].setdefault(step, []).append(p)
+            node = children[slot]
     disc = 0.0
     for j in levels:
         masses = {x: math.fsum(terms) for x, terms in marginals[j].items()}

@@ -9,11 +9,12 @@ plain law yields a tree plus ray whose joint density against the plain
 law, evaluated at generation ``n``, is ``exp(-alpha S(xi_n)) / m^n``
 where ``S(xi_n)`` is the ray position.
 
-Random number order for ``grow_spined_tree`` (fixed, so a seed pins the
-outcome): at each spine level, first one uniform for the size-biased
-atom, then one uniform for the child choice, then the whole subtree of
-each non-chosen sibling is grown breadth first, siblings in birth
-order, before the next spine level starts.
+``grow_spined_tree`` runs the plain generation loop of ``brw``, so the
+whole tree grows breadth first.  Random number order (fixed, so a seed
+pins the outcome): each generation first draws the plain block of one
+uniform per frontier particle, then one uniform for the spine
+particle's size-biased atom and one for its child choice.  The spine
+particle's plain uniform is drawn and ignored.
 
 ``sample_spine_walk`` draws only the ray positions (no tree) using two
 uniform blocks of length ``depth``; its step law is ``spine_step_law``
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .brw import GrowthCaps, LabelledTree, _draw_offspring, _offspring_displacements
+from .brw import GrowthCaps, LabelledTree, _grow
 from .errors import DomainError, LevelOutOfRangeError, PopulationCapError
 from .offspring import (
     FiniteLaw,
@@ -121,91 +122,18 @@ def spine_positions(spined: SpinedTree) -> np.ndarray:
     return spined.tree.position[spined.ray]
 
 
-class _Arena:
-    """Mutable chunked tree-under-construction with a node budget."""
-
-    def __init__(self, caps: GrowthCaps):
-        self.parent = [np.array([-1], dtype=np.int64)]
-        self.disp = [np.array([math.nan])]
-        self.pos = [np.array([0.0])]
-        self.gen = [np.zeros(1, dtype=np.int64)]
-        self.count = 1
-        self.caps = caps
-
-    def append(
-        self,
-        parents: np.ndarray,
-        disp: np.ndarray,
-        pos: np.ndarray,
-        generation: int,
-        level: int,
-    ) -> np.ndarray:
-        total = len(parents)
-        if self.count + total > self.caps.max_nodes:
-            raise PopulationCapError(None, level, self.caps.max_nodes)
-        ids = np.arange(self.count, self.count + total, dtype=np.int64)
-        self.parent.append(parents)
-        self.disp.append(disp)
-        self.pos.append(pos)
-        self.gen.append(np.full(total, generation, dtype=np.int64))
-        self.count += total
-        return ids
-
-    def finish(self, depth: int) -> LabelledTree:
-        generation = np.concatenate(self.gen)
-        index = [
-            np.flatnonzero(generation == n).astype(np.int64) for n in range(depth + 1)
-        ]
-        extinct = None  # a spined tree always carries its ray to full depth
-        return LabelledTree(
-            parent=np.concatenate(self.parent).astype(np.int64),
-            displacement=np.concatenate(self.disp),
-            position=np.concatenate(self.pos),
-            generation=generation,
-            generation_index=index,
-            depth_grown=depth,
-            extinct_at=extinct,
-        )
-
-
-def _grow_subtree(
-    arena: _Arena,
-    law: Law,
-    root_id: int,
-    root_pos: float,
-    root_gen: int,
-    depth: int,
-    rng: np.random.Generator,
-) -> None:
-    """Grow ``depth`` further generations below one node, breadth first."""
-    frontier_ids = np.array([root_id], dtype=np.int64)
-    frontier_pos = np.array([root_pos])
-    for g in range(depth):
-        z = frontier_ids.size
-        if z == 0:
-            return
-        ai, counts = _draw_offspring(law, z, rng)
-        total = int(counts.sum())
-        disp = _offspring_displacements(law, ai, counts, total)
-        pos = np.repeat(frontier_pos, counts) + disp
-        ids = arena.append(
-            np.repeat(frontier_ids, counts), disp, pos, root_gen + g + 1, root_gen + g + 1
-        )
-        frontier_ids, frontier_pos = ids, pos
-
-
 def _spine_brood(
     law: Law, tables: _SpineTables, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Displacements of one size-biased brood and the chosen child's slot."""
+) -> tuple[int, int]:
+    """Atom index of one size-biased brood and the chosen child's slot."""
     u_atom = rng.random()
     u_child = rng.random()
     row = _pick(tables.atom_cum, u_atom)
+    atom = int(tables.atom_ids[row])
     if isinstance(law, FiniteLaw):
-        child = _pick(tables.child_cum[row], u_child)
-        return tables.child_disp[row], child
-    count = int(tables.atom_ids[row]) + 2
-    return np.zeros(count), min(int(u_child * count), count - 1)
+        return atom, _pick(tables.child_cum[row], u_child)
+    count = atom + 2
+    return atom, min(int(u_child * count), count - 1)
 
 
 def grow_spined_tree(
@@ -220,38 +148,15 @@ def grow_spined_tree(
     least one atom with children, which ``validate_law`` guarantees.
     """
     law = validate_law(law)
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth}")
-    if depth > caps.max_depth:
-        raise DomainError(f"depth {depth} exceeds caps.max_depth {caps.max_depth}")
     tables = _spine_tables(law, float(alpha))
-
-    arena = _Arena(caps)
-    ray = np.empty(depth + 1, dtype=np.int64)
-    ray[0] = 0
-    log_weight = np.zeros(depth + 1)
-    spine_id, spine_pos = 0, 0.0
-
-    for k in range(depth):
-        disp, chosen = _spine_brood(law, tables, rng)
-        pos = spine_pos + disp
-        ids = arena.append(
-            np.full(len(disp), spine_id, dtype=np.int64), disp, pos, k + 1, k + 1
-        )
-        ray[k + 1] = ids[chosen]
-        log_weight[k + 1] = (
-            log_weight[k] - alpha * float(disp[chosen]) - tables.log_m
-        )
-        for slot in range(len(disp)):
-            if slot == chosen:
-                continue
-            _grow_subtree(
-                arena, law, int(ids[slot]), float(pos[slot]), k + 1, depth - k - 1, rng
-            )
-        spine_id, spine_pos = int(ray[k + 1]), float(pos[chosen])
-
+    try:
+        tree, ray = _grow(law, depth, caps, rng, lambda r: _spine_brood(law, tables, r))
+    except PopulationCapError as e:
+        raise PopulationCapError(None, e.generation, e.cap) from None
+    log_weight = -alpha * tree.position[ray] - np.arange(depth + 1) * tables.log_m
+    log_weight[0] = 0.0
     return SpinedTree(
-        tree=arena.finish(depth),
+        tree=tree,
         ray=ray,
         spine_log_weight=log_weight,
         alpha=float(alpha),

@@ -306,12 +306,28 @@ def test_mc_values_out(capsys, tmp_path):
         ["mc", "--estimator", "triviality_scan", "--model", MODEL, "--alpha", "1", "--depth", "2", "--reps", "10", "--seed", "1"],
         ["classify", "--model", MODEL, "--alpha", "1", "--format", "yaml"],
         ["not-a-command"],
+        ["classify", "--model", MODEL, "--alpha", "nan"],
+        ["classify", "--model", MODEL, "--alpha", "inf"],
+        ["classify", "--model", MODEL, "--alpha", "-inf"],
     ],
 )
 def test_validation_failures_exit_one(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+def test_vanishing_tilted_mass_is_a_resource_refusal(command, tmp_path, capsys):
+    # exp(-1e308) underflows to 0, so m(1) == 0 and size-biasing is undefined
+    far = tmp_path / "far.json"
+    far.write_text('{"type": "finite", "atoms": [{"p": 0.5, "x": []}, {"p": 0.5, "x": [1e308, 1e308]}]}')
+    args = [command, "--model", str(far), "--alpha", "1"]
+    if command == "simulate":
+        args += ["--depth", "2", "--reps", "2", "--seed", "1"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("refused:")
 
 
 def test_malformed_model_file_exits_one(tmp_path, capsys):

@@ -4,12 +4,15 @@ identity checks, and agreement between the sampler and the enumerator."""
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brwlab import (
     ENUM_CAP,
+    Atom,
+    FiniteLaw,
     GrowthCaps,
     TooLargeError,
     check_inverse_martingale,
@@ -24,6 +27,7 @@ from brwlab import (
     enumerate_trees,
     generation_positions,
     generation_sizes,
+    grow_spined_tree,
     grow_tree,
     iter_rays,
     outcome_probability,
@@ -174,8 +178,12 @@ def test_unit_mean_every_level(pair_law):
 
 
 def test_spine_step_mean_matches_drift(quad_law):
-    r = check_spine_step_mean(quad_law, 1.0, 2)
-    assert r.passed
+    # (0.1 + 0.2) - 0.1 != 0.2 in floating point: steps of the second law
+    # must be read from the atoms, not from differences of positions
+    tenths = FiniteLaw((Atom(0.3, ()), Atom(0.3, (0.1,)), Atom(0.4, (0.2, 0.7))))
+    for law in (quad_law, tenths):
+        r = check_spine_step_mean(law, 1.0, 2)
+        assert r.passed, r.max_discrepancy
 
 
 @given(finite_laws(max_atoms=3), st.sampled_from([0.0, 1.0, -0.5]))
@@ -234,3 +242,42 @@ def test_sampler_frequencies_match_enumerator(pair_law):
     for name, p in want.items():
         band = 4 * math.sqrt(p * (1 - p) / n)
         assert abs(counts[name] / n - p) < band, (name, counts[name] / n, p)
+
+
+def _spined_pair_outcome(spined, depth: int) -> tuple:
+    """Oracle outcome and ray slots of a grown pair-law (tree, ray) pair."""
+    tree, ray = spined.tree, spined.ray
+
+    def outcome(node, levels):
+        if levels == 0:
+            return None
+        kids = np.flatnonzero(tree.parent == node)
+        # pair law: atom 0 is childless, atom 1 has two children
+        return (1 if kids.size else 0, tuple(outcome(k, levels - 1) for k in kids))
+
+    # siblings get consecutive ids, so a slot is the offset from the first
+    slots = tuple(
+        int(ray[k] - np.flatnonzero(tree.parent == ray[k - 1])[0])
+        for k in range(1, depth + 1)
+    )
+    return outcome(0, depth), slots
+
+
+def test_spined_sampler_matches_enumerated_joint_law(pair_law):
+    """Empirical depth-2 (outcome, ray) frequencies of the spined sampler
+    sit inside 4-sigma binomial bands around the enumerated size-biased
+    probabilities, which checks where the spine brood is attached and
+    not only the ray marginal."""
+    alpha, depth, n = 1.0, 2, 10_000
+    want = {(t, ray): p for t, ray, p in enumerate_spined_trees(pair_law, alpha, depth)}
+    caps = GrowthCaps()
+    counts = Counter(
+        _spined_pair_outcome(
+            grow_spined_tree(pair_law, alpha, depth, caps, replicate_rng(321, r)), depth
+        )
+        for r in range(n)
+    )
+    assert set(counts) <= set(want)
+    for key, p in want.items():
+        band = 4 * math.sqrt(p * (1 - p) / n)
+        assert abs(counts[key] / n - p) < band, (key, counts[key] / n, p)
