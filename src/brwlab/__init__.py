@@ -9,11 +9,13 @@ exactly (exhaustive enumeration at small depth) and statistically
 """
 
 from .brw import (
+    BatchGrowth,
     GrowthCaps,
     LabelledTree,
     MartingaleTrajectory,
     NodeRecord,
     generation_sizes,
+    grow_batch,
     grow_tree,
     log_sum_exp,
     martingale_trajectory,

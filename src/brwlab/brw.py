@@ -2,10 +2,11 @@
 
 Trees are stored arena style: parallel arrays indexed by node id, plus an
 index of node ids per generation.  Growth is breadth first, one
-generation at a time; each generation consumes exactly one block of
-uniforms from the generator, so a ``(law, depth, caps, seed)`` tuple
-reproduces the same tree bit for bit.  Trees are plain data and are
-never mutated after growth; share them freely across threads.
+generation at a time; each non-empty generation consumes exactly one
+block of ``Z_n`` uniforms from the generator, so a ``(law, depth, caps,
+seed)`` tuple reproduces the same tree bit for bit.  Trees are plain
+data and are never mutated after growth; share them freely across
+threads.
 
 The same generation loop grows size-biased trees (see ``spine``): one
 frontier particle per generation, the spine particle, takes its brood
@@ -13,20 +14,37 @@ from a size-biased draw made after the plain block and picks the next
 spine particle among its children.  Everything else grows under the
 plain law, so spined growth needs no engine of its own.
 
+``grow_batch`` is the many-replicate case for statistics that need only
+``Z_n`` and ``W_n``.  It advances a batch of replicates one generation
+at a time, keeping per frontier particle only its position, laid out
+replicate by replicate.  Each replicate still draws its own block from
+its own generator, the block ``grow_tree`` draws; the blocks are
+concatenated and every later step (atom choice, brood sizes,
+displacement gather, repeat, per-replicate sums) runs once for the
+whole batch.  Uniforms become broods in one place, ``_broods``, for
+trees and batches alike.  A batch whose frontier passes
+``_BATCH_PARTICLES`` particles splits in two; beyond that size one
+replicate's arrays amortise numpy's per-call cost on their own.  Peak
+memory is the larger of that budget and one replicate's frontier, less
+than its grown tree would hold.  A replicate's results never depend on
+which batch it ran in.
+
 The additive martingale along a grown tree is
 
     W_n = sum over generation-n nodes of exp(-alpha * S) / m(alpha)^n,
 
-computed in log space with max subtraction (``log_w``); empty
-generations give ``-inf``, and trajectories keep running past extinction
-so downstream consumers see explicit zeros.
+computed in log space with max subtraction (``log_w``) by one segmented
+reduction over the generations of a tree or the replicates of a batch,
+so both paths give the same bits; empty generations give ``-inf``, and
+trajectories keep running past extinction so downstream consumers see
+explicit zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,18 +120,14 @@ def _brood_sizes(law: Law, ai: np.ndarray) -> np.ndarray:
     return (ai + 2).astype(np.int64)
 
 
-def _draw_offspring(
-    law: Law, z: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Atom/count choices for ``z`` parents; one uniform block of length z."""
-    u = rng.random(z)
-    if isinstance(law, FiniteLaw):
-        ai = np.minimum(
-            np.searchsorted(law._tables.cum_p, u, side="right"), len(law.atoms) - 1
-        ).astype(np.int64)
-    else:
-        cdf = law._cdf
-        ai = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+def _broods(law: Law, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Atom index and brood size per parent, one uniform each.
+
+    The one place where uniforms become broods: tree growth feeds it one
+    replicate's block, batched growth the blocks of many replicates
+    concatenated."""
+    cdf = law._tables.cum_p if isinstance(law, FiniteLaw) else law._cdf
+    ai = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1).astype(np.int64)
     return ai, _brood_sizes(law, ai)
 
 
@@ -128,6 +142,15 @@ def _offspring_displacements(
     t = law._tables
     first_slot = np.cumsum(counts) - counts
     return t.flat_disp[np.repeat(t.offsets[ai] - first_slot, counts) + np.arange(total)]
+
+
+def _check_growth(depth: int, caps: GrowthCaps) -> None:
+    if depth < 0:
+        raise DomainError(f"depth must be nonnegative, got {depth}")
+    if depth > caps.max_depth:
+        raise DomainError(f"depth {depth} exceeds caps.max_depth {caps.max_depth}")
+    if caps.max_nodes < 1:
+        raise DomainError("caps.max_nodes must allow at least the root")
 
 
 def _assemble_tree(
@@ -169,13 +192,7 @@ def _grow(
     after the plain uniform block, and its atom overrides the plain draw
     for the spine particle.  ``law`` must already be validated.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth}")
-    if depth > caps.max_depth:
-        raise DomainError(f"depth {depth} exceeds caps.max_depth {caps.max_depth}")
-    if caps.max_nodes < 1:
-        raise DomainError("caps.max_nodes must allow at least the root")
-
+    _check_growth(depth, caps)
     parent_chunks = [np.array([-1], dtype=np.int64)]
     disp_chunks = [np.array([math.nan])]
     pos_chunks = [np.array([0.0])]
@@ -192,7 +209,7 @@ def _grow(
         if z == 0:
             generation_index.append(np.empty(0, dtype=np.int64))
             continue
-        ai, counts = _draw_offspring(law, z, rng)
+        ai, counts = _broods(law, rng.random(z))
         if spine_brood is not None:
             atom, slot = spine_brood(rng)
             ai[spine] = atom
@@ -241,14 +258,23 @@ def grow_tree(
 # ---------------------------------------------------------------------------
 
 
+def _segment_log_sum_exp(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``log_sum_exp`` of each consecutive run of ``values``; the runs have
+    the given sizes, all positive.  A run's result depends on its own
+    values only, so trees and batches of trees agree bit for bit."""
+    starts = np.cumsum(sizes) - sizes
+    peak = np.maximum.reduceat(values, starts)
+    with np.errstate(invalid="ignore"):
+        total = np.add.reduceat(np.exp(values - np.repeat(peak, sizes)), starts)
+        out = peak + np.log(total)
+    return np.where(peak == _NEG_INF, _NEG_INF, out)
+
+
 def log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) with max subtraction; -inf on empty input."""
     if values.size == 0:
         return _NEG_INF
-    peak = float(np.max(values))
-    if math.isinf(peak) and peak < 0:
-        return _NEG_INF
-    return peak + math.log(float(np.sum(np.exp(values - peak))))
+    return float(_segment_log_sum_exp(values, np.array([values.size]))[0])
 
 
 @dataclass(frozen=True)
@@ -265,13 +291,154 @@ def martingale_trajectory(
     tree: LabelledTree, alpha: float, log_m: float
 ) -> MartingaleTrajectory:
     """``log W_n`` for every grown generation; ``-inf`` where extinct."""
-    depth = tree.depth_grown
-    log_w = np.empty(depth + 1)
-    population = np.empty(depth + 1, dtype=np.int64)
-    for n, idx in enumerate(tree.generation_index):
-        population[n] = idx.size
-        if idx.size == 0:
-            log_w[n] = _NEG_INF
-        else:
-            log_w[n] = log_sum_exp(-alpha * tree.position[idx]) - n * log_m
+    population = np.array(generation_sizes(tree), dtype=np.int64)
+    log_w = np.full(population.size, _NEG_INF)
+    alive = np.flatnonzero(population)
+    if alive.size:
+        order = np.concatenate(tree.generation_index)
+        lse = _segment_log_sum_exp(-alpha * tree.position[order], population[alive])
+        log_w[alive] = lse - alive * log_m
     return MartingaleTrajectory(alpha, log_m, log_w, population)
+
+
+# ---------------------------------------------------------------------------
+# batched growth
+# ---------------------------------------------------------------------------
+
+# A batch whose combined frontier passes _BATCH_PARTICLES splits in two;
+# past that size one replicate's arrays already amortise numpy's per-call
+# cost.  A run starts batches of at most _BATCH_REPLICATES roots, which
+# bounds the generators alive at once (about 1 kB each).
+_BATCH_PARTICLES = 1 << 16
+_BATCH_REPLICATES = 4096
+
+
+@dataclass(frozen=True)
+class BatchGrowth:
+    """What ``grow_batch`` keeps of each replicate, rows in replicate order.
+
+    ``population[r, j]`` and ``log_w[r, j]`` are ``Z_n`` and ``log W_n``
+    of replicate ``r`` at generation ``n = generations[j]``; past the last
+    generation a replicate completed they read 0 and ``-inf``.
+    ``capped_at[r]`` is the generation whose growth would have passed
+    ``caps.max_nodes`` (-1 for none), the ``generation`` of the
+    ``PopulationCapError`` that ``grow_tree`` raises on the same stream.
+    ``stops[r] = (g, Z_g, u)`` for a replicate that stopped at generation
+    ``g`` with more than ``stop_above`` particles; ``u`` is the next
+    uniform of its stream.
+    """
+
+    generations: tuple[int, ...]
+    population: np.ndarray
+    log_w: np.ndarray | None
+    capped_at: np.ndarray
+    stops: dict[int, tuple[int, int, float]]
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Live replicates of a batch, in replicate order, and their frontier:
+    ``z`` particles each, with positions laid out replicate by replicate."""
+
+    ids: np.ndarray
+    rngs: list[np.random.Generator]
+    z: np.ndarray
+    nodes: np.ndarray
+    pos: np.ndarray | None
+
+    def take(self, keep: np.ndarray) -> "_Batch":
+        pos = None if self.pos is None else self.pos[np.repeat(keep, self.z)]
+        rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+        return _Batch(self.ids[keep], rngs, self.z[keep], self.nodes[keep], pos)
+
+    def halves(self) -> tuple["_Batch", "_Batch"]:
+        first = np.arange(self.ids.size) < self.ids.size // 2
+        return self.take(first), self.take(~first)
+
+
+def grow_batch(
+    law: Law,
+    depth: int,
+    caps: GrowthCaps,
+    rng_for: Callable[[int], np.random.Generator],
+    replicates: int,
+    alpha: float | None = None,
+    log_m: float = 0.0,
+    generations: Sequence[int] | None = None,
+    stop_above: int | None = None,
+) -> BatchGrowth:
+    """Grow plain trees ``0..replicates-1`` to ``depth`` and keep only
+    their generation sizes and, given ``alpha``, ``log W_n``.
+
+    Replicate ``r`` draws from ``rng_for(r)`` exactly what ``grow_tree``
+    draws, one ``random(Z_n)`` block per non-empty generation, and hits
+    the node cap at the same generation; its numbers equal those of
+    ``grow_tree`` plus ``martingale_trajectory`` bit for bit, whatever
+    the other replicates of its batch.  ``generations`` picks the
+    generations recorded (default: all).  With ``stop_above``, a
+    replicate holding more particles at the start of a generation stops
+    there and draws one more uniform instead (see ``BatchGrowth.stops``).
+    """
+    law = validate_law(law)
+    _check_growth(depth, caps)
+    gens = tuple(range(depth + 1)) if generations is None else tuple(generations)
+    column = np.full(depth + 1, -1, dtype=np.int64)
+    column[list(gens)] = np.arange(len(gens))
+    population = np.zeros((replicates, len(gens)), dtype=np.int64)
+    log_w = None if alpha is None else np.full((replicates, len(gens)), _NEG_INF)
+    capped_at = np.full(replicates, -1, dtype=np.int64)
+    stops: dict[int, tuple[int, int, float]] = {}
+
+    def record(b: _Batch, n: int) -> None:
+        j = column[n]
+        if j < 0 or b.ids.size == 0:
+            return
+        population[b.ids, j] = b.z
+        if log_w is not None:
+            log_w[b.ids, j] = _segment_log_sum_exp(-alpha * b.pos, b.z) - n * log_m
+
+    def step(b: _Batch, g: int) -> _Batch:
+        """Grow generation ``g + 1``; drop replicates that stop, hit the
+        cap or die out."""
+        if stop_above is not None and (b.z > stop_above).any():
+            over = b.z > stop_above
+            for i in np.flatnonzero(over):
+                stops[int(b.ids[i])] = (g, int(b.z[i]), b.rngs[i].random())
+            b = b.take(~over)
+            if b.ids.size == 0:
+                return b
+        u = np.concatenate([rng.random(z) for rng, z in zip(b.rngs, b.z.tolist())])
+        ai, counts = _broods(law, u)
+        totals = np.add.reduceat(counts, np.cumsum(b.z) - b.z)
+        capped = b.nodes + totals > caps.max_nodes
+        if capped.any():
+            capped_at[b.ids[capped]] = g + 1
+            counts[np.repeat(capped, b.z)] = 0
+            totals[capped] = 0
+        pos = None
+        if b.pos is not None:
+            disp = _offspring_displacements(law, ai, counts, int(totals.sum()))
+            pos = np.repeat(b.pos, counts) + disp
+        b = _Batch(b.ids, b.rngs, totals, b.nodes + totals, pos)
+        if not totals.all():
+            b = b.take(totals > 0)
+        record(b, g + 1)
+        return b
+
+    for lo in range(0, replicates, _BATCH_REPLICATES):
+        ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
+        ones = np.ones(ids.size, dtype=np.int64)
+        pos = None if alpha is None else np.zeros(ids.size)
+        root = _Batch(ids, [rng_for(int(r)) for r in ids], ones, ones, pos)
+        record(root, 0)
+        pending = [(root, 0)]
+        while pending:
+            b, g = pending.pop()
+            while g < depth and b.ids.size:
+                if b.ids.size > 1 and b.z.sum() > _BATCH_PARTICLES:
+                    first, second = b.halves()
+                    pending += [(second, g), (first, g)]
+                    break
+                b = step(b, g)
+                g += 1
+    return BatchGrowth(gens, population, log_w, capped_at, stops)

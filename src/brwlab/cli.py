@@ -30,7 +30,9 @@ from dataclasses import asdict
 import click
 import numpy as np
 
-from .brw import GrowthCaps, grow_tree, martingale_trajectory
+# grow_tree is unused here but stays bound: perfbench/tracing.py patches
+# brwlab.cli.grow_tree
+from .brw import GrowthCaps, grow_batch, grow_tree, martingale_trajectory  # noqa: F401
 from .errors import (
     BrwError,
     DomainError,
@@ -163,8 +165,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise DomainError(f"cannot write {out}: {e}") from None
 
 
 def _load_model(path: str):
@@ -181,6 +186,9 @@ def _load_model(path: str):
 # ---------------------------------------------------------------------------
 # command group and exit-code dispatch
 # ---------------------------------------------------------------------------
+
+
+_FORMATS = click.Choice(["json", "csv"])
 
 
 @click.group(name="brwlab")
@@ -202,11 +210,8 @@ def _dispatch(argv=None) -> int:
         return int(e.code or 0)
     except click.exceptions.Exit as e:
         return int(e.exit_code)
-    except click.UsageError as e:
-        click.echo(f"error: {e.format_message()}", err=True)
-        return 1
     except click.ClickException as e:
-        e.show()
+        click.echo(f"error: {e.format_message()}", err=True)
         return 1
     except TooLargeError as e:
         click.echo(
@@ -223,6 +228,9 @@ def _dispatch(argv=None) -> int:
     except BrwError as e:
         click.echo(f"error: {e}", err=True)
         return 1
+    except MemoryError:
+        click.echo("refused: out of memory; lower --reps, --depth or --max-nodes", err=True)
+        return 2
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +255,7 @@ _PROFILE_FIELDS = [
 @click.option("--model", "model_path", default=None, help="Model JSON path.")
 @click.option("--alpha", "alpha_text", default=None, help="Alpha list or a:b:n grid.")
 @click.option("--out", default=None, help="Output path (default stdout).")
-@click.option("--format", "fmt", default="json", help="json or csv.")
+@click.option("--format", "fmt", type=_FORMATS, default="json", help="json or csv.")
 def classify_cmd(model_path, alpha_text, out, fmt):
     """Tilted-mass profile and martingale-limit classification per alpha."""
     law = _load_model(_require(model_path, "--model"))
@@ -261,11 +269,9 @@ def classify_cmd(model_path, alpha_text, out, fmt):
         profiles.append(p)
     if fmt == "json":
         _emit(_json_text({"model": model_path, "profiles": profiles}), out)
-    elif fmt == "csv":
+    else:
         rows = [[p[k] for k in _PROFILE_FIELDS] for p in profiles]
         _emit(_csv_text(_PROFILE_FIELDS, rows), out)
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +290,7 @@ def _verify_exit_code(rows: list[dict]) -> int:
 @click.option("--alpha", "alpha_text", default=None)
 @click.option("--depth", type=int, default=None)
 @click.option("--out", default=None)
-@click.option("--format", "fmt", default="json")
+@click.option("--format", "fmt", type=_FORMATS, default="json")
 def verify_cmd(model_path, alpha_text, depth, out, fmt):
     """Run all six exact identity checks by exhaustive enumeration."""
     law = _load_model(_require(model_path, "--model"))
@@ -308,19 +314,24 @@ def verify_cmd(model_path, alpha_text, depth, out, fmt):
             )
     if fmt == "json":
         _emit(_json_text(rows), out)
-    elif fmt == "csv":
-        _emit(_csv_text(_VERIFY_FIELDS, [[r[k] for k in _VERIFY_FIELDS] for r in rows]), out)
     else:
-        raise DomainError(f"unknown format {fmt!r}")
+        _emit(_csv_text(_VERIFY_FIELDS, [[r[k] for k in _VERIFY_FIELDS] for r in rows]), out)
     code = _verify_exit_code(rows)
     if code:
-        click.echo("identity check failure: this is an implementation bug", err=True)
+        click.echo("error: identity check failure: this is an implementation bug", err=True)
         sys.exit(code)
 
 
 # ---------------------------------------------------------------------------
 # simulate and spine
 # ---------------------------------------------------------------------------
+
+
+def _refuse_if(refusal: str | None) -> None:
+    """After the (partial) artifact is written, report a cap hit; exit 2."""
+    if refusal is not None:
+        click.echo(refusal, err=True)
+        sys.exit(2)
 
 
 @cli.command("simulate")
@@ -332,12 +343,14 @@ def verify_cmd(model_path, alpha_text, depth, out, fmt):
 @click.option("--max-nodes", type=int, default=None)
 @click.option("--workers", type=int, default=1)
 @click.option("--out", default=None)
-@click.option("--format", "fmt", default="csv")
+@click.option("--format", "fmt", type=_FORMATS, default="csv")
 def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out, fmt):
     """Grow plain trees; long-format per-generation trajectory artifact.
 
     A replicate that hits the node cap contributes the generations it
     completed; the run stops there, flags it on stderr, and exits 2.
+    Replicates grow in batches on one thread; --workers is validated but
+    does not change how plain trees are grown.
     """
     law = _load_model(_require(model_path, "--model"))
     alpha = _single_alpha(_require(alpha_text, "--alpha"))
@@ -349,41 +362,25 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
     caps = _caps(max_nodes)
     log_m = math.log(tilted_mass(law, alpha))
 
-    def one(r: int):
-        rng = replicate_rng(seed, r)
-        capped_at = None
-        try:
-            tree = grow_tree(law, depth, caps, rng)
-        except PopulationCapError as e:
-            tree, capped_at = e.partial, e.generation
-        traj = martingale_trajectory(tree, alpha, log_m)
-        rows = [
-            (r, n, int(traj.population[n]), float(traj.log_w[n]))
-            for n in range(tree.depth_grown + 1)
-        ]
-        return rows, capped_at
-
+    grown = grow_batch(law, depth, caps, lambda r: replicate_rng(seed, r), reps, alpha, log_m)
     all_rows: list[tuple] = []
-    code = 0
-    for r, (rows, capped_at) in enumerate(_ordered_map(workers, one, reps)):
-        all_rows.extend(rows)
-        if capped_at is not None:
-            click.echo(
-                f"replicate {r} hit max-nodes {caps.max_nodes} growing generation "
-                f"{capped_at}; partial trajectory written, later replicates dropped",
-                err=True,
+    refusal = None
+    for r, capped_at in enumerate(grown.capped_at.tolist()):
+        last = depth if capped_at < 0 else capped_at - 1
+        rows = zip(grown.population[r, : last + 1].tolist(), grown.log_w[r, : last + 1].tolist())
+        all_rows.extend((r, n, z, w) for n, (z, w) in enumerate(rows))
+        if capped_at >= 0:
+            refusal = (
+                f"refused: replicate {r} hit max-nodes {caps.max_nodes} growing generation "
+                f"{capped_at}; partial trajectory written, later replicates dropped"
             )
-            code = 2
             break
     header = ["replicate", "n", "Z_n", "log_w"]
     if fmt == "csv":
         _emit(_csv_text(header, all_rows), out)
-    elif fmt == "json":
-        _emit(_json_text([dict(zip(header, row)) for row in all_rows]), out)
     else:
-        raise DomainError(f"unknown format {fmt!r}")
-    if code:
-        sys.exit(code)
+        _emit(_json_text([dict(zip(header, row)) for row in all_rows]), out)
+    _refuse_if(refusal)
 
 
 @cli.command("spine")
@@ -395,7 +392,7 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
 @click.option("--max-nodes", type=int, default=None)
 @click.option("--workers", type=int, default=1)
 @click.option("--out", default=None)
-@click.option("--format", "fmt", default="csv")
+@click.option("--format", "fmt", type=_FORMATS, default="csv")
 def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out, fmt):
     """Grow size-biased (tree, ray) pairs; per-level ray artifact.
 
@@ -435,27 +432,22 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
         return rows, None
 
     all_rows: list[tuple] = []
-    code = 0
+    refusal = None
     for r, (rows, capped_at) in enumerate(_ordered_map(workers, one, reps)):
         if capped_at is not None:
-            click.echo(
-                f"replicate {r} hit max-nodes {caps.max_nodes} at generation "
-                f"{capped_at}; run truncated before this replicate",
-                err=True,
+            refusal = (
+                f"refused: replicate {r} hit max-nodes {caps.max_nodes} at generation "
+                f"{capped_at}; run truncated before this replicate"
             )
-            code = 2
             break
         all_rows.extend(rows)
     header = ["replicate", "k", "S(v_k)", "spine_log_weight", "log_w"]
     if fmt == "csv":
         _emit(_csv_text(header, all_rows), out)
-    elif fmt == "json":
+    else:
         keys = ["replicate", "k", "S", "spine_log_weight", "log_w"]
         _emit(_json_text([dict(zip(keys, row)) for row in all_rows]), out)
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
-    if code:
-        sys.exit(code)
+    _refuse_if(refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +482,7 @@ _SUMMARY_FIELDS = [
 @click.option("--max-nodes", type=int, default=None)
 @click.option("--workers", type=int, default=1)
 @click.option("--out", default=None)
-@click.option("--format", "fmt", default="json")
+@click.option("--format", "fmt", type=_FORMATS, default="json")
 @click.option("--values-out", default=None, help="Also write per-replicate values CSV.")
 def mc_cmd(
     model_path,
@@ -545,7 +537,7 @@ def mc_cmd(
         }
         if fmt == "json":
             _emit(_json_text(payload), out)
-        elif fmt == "csv":
+        else:
             rows = list(
                 zip(
                     report.grid,
@@ -562,8 +554,6 @@ def mc_cmd(
                 ),
                 out,
             )
-        else:
-            raise DomainError(f"unknown format {fmt!r}")
         if keep:
             rows = [
                 (rep, d, float(report.values[i, j]))
@@ -601,10 +591,8 @@ def mc_cmd(
     }
     if fmt == "json":
         _emit(_json_text(payload), out)
-    elif fmt == "csv":
-        _emit(_csv_text(_SUMMARY_FIELDS, [[payload[k] for k in _SUMMARY_FIELDS]]), out)
     else:
-        raise DomainError(f"unknown format {fmt!r}")
+        _emit(_csv_text(_SUMMARY_FIELDS, [[payload[k] for k in _SUMMARY_FIELDS]]), out)
     if keep:
         rows = [
             (rep, float(summary.values[i])) for i, rep in enumerate(summary.kept)

@@ -7,23 +7,33 @@ the node cap are discarded, and a run refusing more than 1% of its
 replicates aborts with ``ExcessiveDiscardError`` rather than report a
 biased estimate.
 
+Engines: ``mc_mean_w``, ``mc_triviality_scan`` and ``mc_extinction``
+need only generation sizes and martingale values, so they grow their
+replicates with ``brw.grow_batch`` on one thread and ignore
+``workers``; extinction counts particles only.  ``mc_spine_slope`` and
+``mc_importance_identity`` grow one tree or walk per replicate, on a
+thread pool when ``workers > 1``.
+
 Agreement bands are four standard errors wide.  A failed band on a
 sound implementation is a once-per-tens-of-thousands event, so ``passed
 = False`` flags a defect, not noise; ``unreliable = True`` marks runs
 whose estimand has heavy tails (the mean-of-W check outside the
-nontrivial-limit regime), where the band is not meaningful.
+nontrivial-limit regime), where the band is not meaningful, and
+mean-of-W runs that discarded any replicate: the discarded trees are the
+largest ones, so the estimate is biased low.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .brw import GrowthCaps, LabelledTree, _draw_offspring, grow_tree, martingale_trajectory
+from .brw import GrowthCaps, LabelledTree, grow_batch, grow_tree, martingale_trajectory
 from .errors import DomainError, ExcessiveDiscardError, PopulationCapError
 from .offspring import (
     Classification,
@@ -108,6 +118,15 @@ def _ordered_map(workers: int, fn: Callable[[int], object], count: int) -> Itera
             yield fn(r)
 
 
+def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
+    """Kept replicate ids and discarded count, given which replicates hit
+    the node cap; too many discards abort the run."""
+    discarded = int(np.count_nonzero(capped))
+    if discarded > _DISCARD_LIMIT * cfg.replicates:
+        raise ExcessiveDiscardError(discarded, cfg.replicates)
+    return np.flatnonzero(~capped), discarded
+
+
 def _run_replicates(
     cfg: McConfig,
     one: Callable[[np.random.Generator], object],
@@ -124,11 +143,13 @@ def _run_replicates(
             return _DISCARDED
 
     raw = list(_ordered_map(cfg.workers, run, cfg.replicates))
-    kept = [(r, v) for r, v in enumerate(raw) if v is not _DISCARDED]
-    discarded = cfg.replicates - len(kept)
-    if discarded > _DISCARD_LIMIT * cfg.replicates:
-        raise ExcessiveDiscardError(discarded, cfg.replicates)
-    return [v for _, v in kept], [r for r, _ in kept], discarded
+    kept, discarded = _screen(cfg, np.array([v is _DISCARDED for v in raw], dtype=bool))
+    return [raw[r] for r in kept], kept.tolist(), discarded
+
+
+def _streams(cfg: McConfig) -> Callable[[int], np.random.Generator]:
+    """The run's per-replicate generators, for ``grow_batch``."""
+    return lambda r: replicate_rng(cfg.master_seed, r)
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, float, int]:
@@ -173,25 +194,29 @@ def _summary(estimator, law_values, discarded, cfg, reference, kept, keep_values
 
 
 def mc_mean_w(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) -> McSummary:
-    """Sample mean of ``W_depth``; reference ``E[W_n] = 1`` exactly."""
+    """Sample mean of ``W_depth``; reference ``E[W_n] = 1`` exactly.
+
+    Discarded replicates are the largest trees, so any discard biases
+    the estimate low and marks it unreliable."""
     law = validate_law(law)
     profile = classify(law, alpha)
-
-    def one(rng):
-        tree = grow_tree(law, cfg.depth, cfg.caps, rng)
-        traj = martingale_trajectory(tree, alpha, profile.log_m)
-        return _safe_exp(traj.log_w[cfg.depth])
-
-    values, kept, discarded = _run_replicates(cfg, one)
-    unreliable = profile.classification is not Classification.NONTRIVIAL
-    note = (
-        ""
-        if not unreliable
-        else f"classification {profile.classification.name}: W_n is heavy-tailed "
-        "or degenerate here, the four-sigma band is not a reliable gate"
-    )
-    return _summary("mean_w", values, discarded, cfg, 1.0, kept, keep_values,
-                    unreliable=unreliable, note=note)
+    grown = grow_batch(law, cfg.depth, cfg.caps, _streams(cfg), cfg.replicates, alpha,
+                       profile.log_m, generations=(cfg.depth,))
+    kept, discarded = _screen(cfg, grown.capped_at >= 0)
+    values = [_safe_exp(x) for x in grown.log_w[kept, 0].tolist()]
+    notes = []
+    if profile.classification is not Classification.NONTRIVIAL:
+        notes.append(
+            f"classification {profile.classification.name}: W_n is heavy-tailed "
+            "or degenerate here, the four-sigma band is not a reliable gate"
+        )
+    if discarded:
+        notes.append(
+            f"{discarded} capped replicates discarded: they are the largest "
+            "trees, so the estimate is biased low"
+        )
+    return _summary("mean_w", values, discarded, cfg, 1.0, kept.tolist(), keep_values,
+                    unreliable=bool(notes), note="; ".join(notes))
 
 
 def mc_spine_slope(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) -> McSummary:
@@ -225,19 +250,17 @@ def mc_extinction(law: Law, cfg: McConfig, keep_values: bool = False) -> McSumma
     for _ in range(cfg.depth):
         f_iter.append(pgf_eval(law, f_iter[-1]))
 
-    def one(rng):
-        z = 1
-        for g in range(cfg.depth):
-            if z == 0:
-                return 1.0
-            if z > _ANALYTIC_SWITCH:
-                return 1.0 if rng.random() < f_iter[cfg.depth - g] ** z else 0.0
-            _, counts = _draw_offspring(law, z, rng)
-            z = int(counts.sum())
-        return 1.0 if z == 0 else 0.0
-
-    values, kept, discarded = _run_replicates(cfg, one)
-    return _summary("extinction", values, discarded, cfg, f_iter[cfg.depth], kept, keep_values)
+    # growth counts only and is never capped: at most _ANALYTIC_SWITCH
+    # parents per generation draw broods
+    uncapped = GrowthCaps(max_nodes=sys.maxsize, max_depth=cfg.depth)
+    grown = grow_batch(law, cfg.depth, uncapped, _streams(cfg), cfg.replicates,
+                       generations=(cfg.depth,), stop_above=_ANALYTIC_SWITCH)
+    extinct = grown.population[:, 0] == 0
+    for r, (g, z, u) in grown.stops.items():
+        extinct[r] = u < f_iter[cfg.depth - g] ** z
+    values = extinct.astype(np.float64).tolist()
+    return _summary("extinction", values, 0, cfg, f_iter[cfg.depth], range(cfg.replicates),
+                    keep_values)
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +326,16 @@ def mc_triviality_scan(
     if not grid or any(d < 0 for d in grid) or tuple(sorted(set(grid))) != grid:
         raise DomainError("depth grid must be sorted, distinct, nonnegative")
     profile = classify(law, alpha)
-    depth_max = grid[-1]
-    cols = np.asarray(grid, dtype=np.int64)
-
-    def one(rng):
-        tree = grow_tree(law, depth_max, cfg.caps, rng)
-        traj = martingale_trajectory(tree, alpha, profile.log_m)
-        return traj.log_w[cols]
-
-    rows, kept, discarded = _run_replicates(cfg, one)
-    matrix = np.vstack(rows) if rows else np.empty((0, len(grid)))
+    grown = grow_batch(law, grid[-1], cfg.caps, _streams(cfg), cfg.replicates, alpha,
+                       profile.log_m, generations=grid)
+    kept, discarded = _screen(cfg, grown.capped_at >= 0)
+    matrix = grown.log_w[kept]
     medians, means, survivors, fractions = [], [], [], []
     for j in range(len(grid)):
         col = matrix[:, j]
         alive = col[np.isfinite(col)]
         survivors.append(int(alive.size))
-        fractions.append(alive.size / len(rows) if rows else float("nan"))
+        fractions.append(alive.size / kept.size if kept.size else float("nan"))
         medians.append(float(np.median(alive)) if alive.size else float("nan"))
         means.append(float(np.mean(alive)) if alive.size else float("nan"))
     verdict = _scan_verdict(medians)
@@ -341,14 +358,14 @@ def mc_triviality_scan(
         means=tuple(means),
         survivors=tuple(survivors),
         fractions=tuple(fractions),
-        n=len(rows),
+        n=int(kept.size),
         discarded=discarded,
         master_seed=cfg.master_seed,
         verdict=verdict,
         classification=cls.name,
         agrees=agrees,
         values=matrix if keep_values else None,
-        kept=tuple(kept),
+        kept=tuple(kept.tolist()),
     )
 
 

@@ -72,6 +72,10 @@ BOUNDARY_TOL = 1e-9
 SERIES_TOL = 1e-9
 FIXED_POINT_TOL = 1e-14
 MAX_FIXED_POINT_ITER = 100_000
+N_MAX_LIMIT = 10_000_000  # heavy-tail truncation; the sampling table holds n_max floats
+# past about 1900, (log 2)^-a overflows; long before that the law is binary
+# to double precision and the tail integral takes mpmath half a second
+TAIL_EXPONENT_LIMIT = 1000.0
 
 _SERIES_HORIZON = 1 << 20
 
@@ -218,10 +222,12 @@ def _head(p: int, b: float, lo: int, hi: int) -> float:
 
 
 def _log_family_exact(a: float, n_max: int) -> _LogFamilyExact:
-    if not math.isfinite(a) or a <= 1.0:
-        raise DomainError(f"tail_exponent must be a finite real > 1, got {a!r}")
-    if n_max < 4:
-        raise DomainError(f"n_max must be at least 4, got {n_max}")
+    if not 1.0 < a <= TAIL_EXPONENT_LIMIT:
+        raise DomainError(
+            f"tail_exponent must lie in (1, {TAIL_EXPONENT_LIMIT:g}], got {a!r}"
+        )
+    if not 4 <= n_max <= N_MAX_LIMIT:
+        raise DomainError(f"n_max must lie in [4, {N_MAX_LIMIT}], got {n_max}")
     N = _SERIES_HORIZON
     tz, ez = _tail_sq(a, N + 1)
     z = _head(2, a, 2, N) + tz
@@ -316,7 +322,11 @@ def law_from_json(obj: dict) -> Law:
             a = float(obj["a"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"log_divergent model needs numeric 'a' ({exc})")
-        n_max = int(obj.get("n_max", 1_000_000))
+        n_max = obj.get("n_max", 1_000_000)
+        if isinstance(n_max, float) and n_max.is_integer():
+            n_max = int(n_max)
+        if isinstance(n_max, bool) or not isinstance(n_max, int):
+            raise DomainError(f"log_divergent model needs an integer 'n_max', got {n_max!r}")
         return LogDivergentLaw(a, n_max)
     raise DomainError(f"unknown model type {kind!r}")
 

@@ -152,17 +152,23 @@ def iter_rays(t: Outcome) -> Iterator[Ray]:
 
 @dataclass(frozen=True)
 class _TiltTables:
-    m: float
-    theta: tuple[float, ...]
-    weights: tuple[tuple[float, ...], ...]  # exp(-alpha x) per atom slot
+    """The two factors a spined brood contributes, per atom and slot."""
+
+    biased: tuple[float, ...]  # size-biased atom probability p * theta / m
+    pick: tuple[tuple[float, ...], ...]  # child choice exp(-alpha x) / theta
 
 
 def _tilt_tables(law: FiniteLaw, alpha: float) -> _TiltTables:
-    weights = tuple(
-        tuple(math.exp(-alpha * x) for x in atom.displacements) for atom in law.atoms
-    )
-    theta = tuple(math.fsum(w) for w in weights)
-    return _TiltTables(tilted_mass(law, alpha), theta, weights)
+    m = tilted_mass(law, alpha)
+    biased, pick = [], []
+    for atom in law.atoms:
+        weights = [math.exp(-alpha * x) for x in atom.displacements]
+        theta = math.fsum(weights)
+        biased.append(atom.probability * theta / m)
+        # theta == 0 when every weight underflows; the atom then has no
+        # size-biased mass and its child choice is never made
+        pick.append(tuple(w / theta if theta else 0.0 for w in weights))
+    return _TiltTables(tuple(biased), tuple(pick))
 
 
 def outcome_probability(law: FiniteLaw, t: Outcome) -> float:
@@ -183,10 +189,7 @@ def _spined_probability(
         return 1.0
     a, children = t
     slot = ray[0]
-    atom = law.atoms[a]
-    biased_atom = atom.probability * tables.theta[a] / tables.m
-    child_pick = tables.weights[a][slot] / tables.theta[a]
-    p = biased_atom * child_pick
+    p = tables.biased[a] * tables.pick[a][slot]
     for j, child in enumerate(children):
         if j == slot:
             p *= _spined_probability(law, tables, child, ray[1:])

@@ -1,21 +1,27 @@
-"""Tree growth under the plain law and log-domain martingale trajectories."""
+"""Tree growth under the plain law, batched growth, and log-domain martingale trajectories."""
 
 import math
 
 import numpy as np
 import pytest
 
+import brwlab.brw as brw_mod
 from brwlab import (
+    Atom,
     DomainError,
+    FiniteLaw,
     GrowthCaps,
+    LogDivergentLaw,
     PopulationCapError,
     generation_sizes,
+    grow_batch,
     grow_tree,
     log_sum_exp,
     martingale_trajectory,
     replicate_rng,
     tilted_mass,
 )
+from conftest import binary_zero_law, coin_pair_law, quad_or_twin_law
 
 CAPS = GrowthCaps()
 
@@ -123,3 +129,97 @@ def test_log_sum_exp_basics():
     big = np.array([1000.0, 1000.0 + math.log(3)])
     assert log_sum_exp(big) == pytest.approx(1000.0 + math.log(4))
     assert log_sum_exp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# batched growth against tree growth
+# ---------------------------------------------------------------------------
+
+NON_DYADIC = FiniteLaw((Atom(0.3, ()), Atom(0.3, (0.1,)), Atom(0.4, (0.2, 0.7))))
+
+# (law, alpha, depth, max_nodes); depths reach frontiers past 10^4
+# particles, caps of a few hundred nodes make replicates hit them
+PARITY_CASES = {
+    "coin_pair": (coin_pair_law(), 1.0, 10, 1_000_000),
+    "quad_or_twin": (quad_or_twin_law(), 5.0, 9, 1_000_000),
+    "binary": (binary_zero_law(), 0.7, 11, 1_000_000),
+    "heavy_tail": (LogDivergentLaw(1.5, n_max=100), 0.0, 3, 1_000_000),
+    "non_dyadic": (NON_DYADIC, 0.5, 14, 1_000_000),
+    "cap_hit": (coin_pair_law(), 1.0, 10, 450),
+}
+
+
+def _tree_reference(law, alpha, depth, caps, seed, reps):
+    """Per-replicate (Z_n, log W_n, capped generation or -1) from trees."""
+    log_m = math.log(tilted_mass(law, alpha))
+    out = []
+    for r in range(reps):
+        try:
+            tree, capped_at = grow_tree(law, depth, caps, replicate_rng(seed, r)), -1
+        except PopulationCapError as e:
+            tree, capped_at = e.partial, e.generation
+        traj = martingale_trajectory(tree, alpha, log_m)
+        out.append((traj.population, traj.log_w, capped_at))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+@pytest.mark.parametrize("seed", [1, 29, 2**63 + 5])
+def test_batch_matches_tree_growth_exactly(case, seed, monkeypatch):
+    law, alpha, depth, max_nodes = PARITY_CASES[case]
+    caps = GrowthCaps(max_nodes=max_nodes)
+    log_m = math.log(tilted_mass(law, alpha))
+    reps = 24
+
+    def batch():
+        return grow_batch(law, depth, caps, lambda r: replicate_rng(seed, r), reps, alpha, log_m)
+
+    grown = batch()
+    assert grown.generations == tuple(range(depth + 1))
+    for r, (population, log_w, capped_at) in enumerate(
+        _tree_reference(law, alpha, depth, caps, seed, reps)
+    ):
+        done = population.size
+        assert grown.capped_at[r] == capped_at
+        assert np.array_equal(grown.population[r, :done], population)
+        assert np.array_equal(grown.log_w[r, :done], log_w)  # -inf after extinction too
+        assert not grown.population[r, done:].any()
+    if case == "cap_hit":
+        assert (grown.capped_at > 0).any() and (grown.capped_at < 0).any()
+    if case == "coin_pair":
+        assert np.isneginf(grown.log_w[:, -1]).any()
+
+    # batch composition: every replicate alone gives the same arrays
+    monkeypatch.setattr(brw_mod, "_BATCH_PARTICLES", 1)
+    alone = batch()
+    assert np.array_equal(alone.population, grown.population)
+    assert np.array_equal(alone.log_w, grown.log_w)
+    assert np.array_equal(alone.capped_at, grown.capped_at)
+
+
+def test_batch_records_chosen_generations_and_counts_only(pair_law):
+    full = grow_batch(pair_law, 8, CAPS, lambda r: replicate_rng(4, r), 30, 1.0, 0.3)
+    some = grow_batch(pair_law, 8, CAPS, lambda r: replicate_rng(4, r), 30, 1.0, 0.3,
+                      generations=(0, 5, 8))
+    assert np.array_equal(some.population, full.population[:, [0, 5, 8]])
+    assert np.array_equal(some.log_w, full.log_w[:, [0, 5, 8]])
+    counts = grow_batch(pair_law, 8, CAPS, lambda r: replicate_rng(4, r), 30)
+    assert counts.log_w is None
+    assert np.array_equal(counts.population, full.population)
+
+
+def test_batch_stop_draws_the_next_uniform(pair_law, monkeypatch):
+    monkeypatch.setattr(brw_mod, "_BATCH_REPLICATES", 7)  # several root batches
+    grown = grow_batch(pair_law, 12, CAPS, lambda r: replicate_rng(8, r), 40, stop_above=5)
+    assert grown.stops
+    for r, (g, z, u) in grown.stops.items():
+        rng = replicate_rng(8, r)
+        tree = grow_tree(pair_law, g, CAPS, rng)
+        assert generation_sizes(tree)[-1] == z > 5
+        assert max(generation_sizes(tree)[:-1]) <= 5
+        assert rng.random() == u
+        assert not grown.population[r, g + 1 :].any()
+    for r in set(range(40)) - set(grown.stops):
+        tree = grow_tree(pair_law, 12, CAPS, replicate_rng(8, r))
+        assert max(generation_sizes(tree)[:-1]) <= 5
+        assert list(grown.population[r]) == generation_sizes(tree)

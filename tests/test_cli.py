@@ -1,13 +1,17 @@
 """Command-line contract: subcommands, artifact formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import brwlab.cli as cli_mod
 from brwlab import CheckResult, McSummary
@@ -330,6 +334,28 @@ def test_vanishing_tilted_mass_is_a_resource_refusal(command, tmp_path, capsys):
     assert err.startswith("refused:")
 
 
+def test_out_of_memory_is_a_resource_refusal(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "grow_batch", exhausted)
+    code, _, err = run_cli(
+        ["simulate", "--model", MODEL, "--alpha", "1", "--depth", "2", "--reps", "2", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("refused:") and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["classify", "--model", MODEL, "--alpha", "1", "--out", str(tmp_path / "no" / "out.json")],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: cannot write")
+
+
 def test_malformed_model_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -370,3 +396,147 @@ def test_entry_point_round_trip():
     assert proc.returncode == 0
     for sub in ("classify", "verify", "simulate", "spine", "mc"):
         assert sub in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# totality: every argv ends in a documented exit code and message
+# ---------------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+    st.sampled_from(["", "1", "x", None, True]),
+)
+_LAW_SHAPED = st.fixed_dictionaries(
+    {
+        "type": st.sampled_from(["finite", "log_divergent", "bogus", 7]),
+        "atoms": st.one_of(
+            st.lists(
+                st.one_of(
+                    st.fixed_dictionaries(
+                        {"p": _NUMBERS, "x": st.one_of(st.lists(_NUMBERS, max_size=2), _NUMBERS)}
+                    ),
+                    _NUMBERS,
+                ),
+                max_size=3,
+            ),
+            _NUMBERS,
+        ),
+        "a": _NUMBERS,
+        "n_max": st.one_of(st.integers(-5, 300), st.sampled_from([2.5, 1e400, 10**12, "9", None])),
+    }
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_VALID_LAWS = [
+    {"type": "finite", "atoms": [{"p": 0.2, "x": []}, {"p": 0.8, "x": [0.0, 1.0]}]},
+    {"type": "finite", "atoms": [{"p": 1.0, "x": [0.0, 0.0]}]},
+    {"type": "finite", "atoms": [{"p": 0.5, "x": [0.0, 1.0]}, {"p": 0.5, "x": [1.0]}]},
+    {"type": "log_divergent", "a": 1.5, "n_max": 200},
+]
+_VALID = {
+    "--model": st.sampled_from([json.dumps(law) for law in _VALID_LAWS]),
+    "--alpha": st.sampled_from(["0", "1", "-0.5", "5", "2.5"]),
+    "--depth": st.integers(0, 3).map(str),
+    "--reps": st.integers(2, 5).map(str),
+    "--seed": st.integers(0, 5).map(str),
+    "--max-nodes": st.integers(1, 40).map(str),
+    "--workers": st.integers(1, 4).map(str),
+    "--format": st.sampled_from(["json", "csv"]),
+    "--estimator": st.sampled_from(
+        ["mean_w", "spine_slope", "extinction", "triviality_scan", "importance"]
+    ),
+    "--functional": st.sampled_from(["one", "indicator_z:1", "min_z:2", "exp_neg_max:0.5"]),
+    "--depth-grid": st.sampled_from(["1,2", "0,3", "2"]),
+    "--out": st.just("OUT"),
+    "--values-out": st.just("VALUES"),
+}
+_INVALID = {
+    "--model": st.one_of(
+        st.builds(json.dumps, _LAW_SHAPED),
+        st.builds(json.dumps, _JSON),
+        st.sampled_from(["{not json", "", "[]", "null", '{"type": "finite", "atoms": []}']),
+        st.text(max_size=8),
+    ),
+    "--alpha": st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1:2", "0:1:0", "-1:1:-2", "", "zebra", "1e400"]),
+    ),
+    "--depth": st.integers(-2, -1).map(str),
+    "--reps": st.integers(-2, 1).map(str),
+    "--seed": st.sampled_from(["-1", str(2**64)]),
+    "--max-nodes": st.integers(-1, 0).map(str),
+    "--workers": st.integers(-1, 0).map(str),
+    "--format": st.just("yaml"),
+    "--estimator": st.just("bogus"),
+    "--functional": st.sampled_from(["min_z:0", "exp_neg_max:nan", "junk"]),
+    "--depth-grid": st.sampled_from(["2,1", "1,1", "-1,2", "a", ""]),
+    "--out": st.sampled_from(["DIR", "DIR/missing/out"]),
+    "--values-out": st.sampled_from(["DIR", "DIR/missing/values"]),
+}
+_SAMPLER_OPTIONS = ["--alpha", "--depth", "--reps", "--seed", "--max-nodes", "--workers"]
+_SUBCOMMAND_OPTIONS = {
+    "classify": ["--alpha", "--format", "--out"],
+    "verify": ["--alpha", "--depth", "--format", "--out"],
+    "simulate": [*_SAMPLER_OPTIONS, "--format", "--out"],
+    "spine": [*_SAMPLER_OPTIONS, "--format", "--out"],
+    "mc": [flag for flag in _VALID if flag != "--model"],
+}
+
+
+@st.composite
+def _invocation(draw):
+    """(argv, model file text): at most one flag value is invalid, a few
+    flags go missing, and now and then a stray token is inserted."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_OPTIONS)))
+    flags = ["--model", *_SUBCOMMAND_OPTIONS[command]]
+    broken = draw(st.sampled_from([None, None, None, *flags]))
+    argv, model_text = [command], ""
+    for flag in flags:
+        if draw(st.integers(0, 19)) == 0 or (flag.endswith("out") and draw(st.booleans())):
+            continue
+        if flag == broken:
+            value = draw(_INVALID[flag])
+        elif flag == "--alpha" and command in ("classify", "verify"):
+            value = draw(st.sampled_from(["0", "1,-0.5", "0:1:3"]))
+        else:
+            value = draw(_VALID[flag])
+        if flag == "--model":
+            model_text, value = value, "MODEL"
+        argv += [flag, value]
+    if command == "verify" and "--depth" in argv:
+        # enumeration cost grows doubly exponentially with depth
+        i = argv.index("--depth") + 1
+        argv[i] = str(min(int(argv[i]), 2))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "--depth"])))
+    return argv, model_text
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(invocation=_invocation())
+def test_cli_is_total(invocation):
+    argv, model_text = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"MODEL": "model.json", "OUT": "out", "VALUES": "values", "DIR": ""}
+        for token, name in paths.items():
+            argv = [a.replace(token, str(Path(tmp) / name)) for a in argv]
+        Path(tmp, "model.json").write_text(model_text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _dispatch(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3)
+    message = err.getvalue()
+    assert "Traceback" not in message
+    if code:
+        lines = message.strip().split("\n")
+        assert len(lines) == 1, message
+        assert lines[0].startswith(("error:", "refused:", "TOO_LARGE:")), message

@@ -240,6 +240,17 @@ def test_excessive_discards_raise(quad_law):
         mc_mean_w(quad_law, 1.0, cfg)
 
 
+def test_mean_w_with_discards_is_unreliable(pair_law):
+    # a 900-node cap drops the two largest of 400 depth-10 trees (<= 1%),
+    # which biases E[W] low even though the classification is NONTRIVIAL
+    cfg = McConfig(replicates=400, depth=10, master_seed=3, caps=GrowthCaps(max_nodes=900))
+    s = mc_mean_w(pair_law, 1.0, cfg, keep_values=True)
+    assert s.discarded == 2 and s.n == 398
+    assert s.unreliable
+    assert "2 capped replicates discarded" in s.note
+    assert len(s.kept) == 398 and len(s.values) == 398
+
+
 def test_summary_records_values_when_asked(pair_law):
     cfg = McConfig(replicates=50, depth=3, master_seed=6)
     s = mc_mean_w(pair_law, 1.0, cfg, keep_values=True)

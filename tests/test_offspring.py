@@ -110,6 +110,16 @@ def test_json_rejects_malformed_payloads():
             law_from_json(payload)
 
 
+def test_json_heavy_tail_parameters_must_be_in_range():
+    for a, n_max in [(1.5, bad) for bad in (None, "9", 2.5, 1e400, float("nan"), True, 3, 10**12)] + [
+        (1.0889035741470033e40, 4),
+        (1001.0, 100),
+    ]:
+        with pytest.raises(DomainError):
+            validate_law(law_from_json({"type": "log_divergent", "a": a, "n_max": n_max}))
+    assert law_from_json({"type": "log_divergent", "a": 1.5, "n_max": 1e6}).n_max == 10**6
+
+
 # ---------------------------------------------------------------------------
 # pgf and extinction
 # ---------------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_checks_handle_negative_alpha(quad_law):
         assert r.passed, (r.check, r.max_discrepancy)
 
 
+def test_spined_checks_survive_underflowing_tilt_weights():
+    # at alpha 746 exp(-alpha) underflows, so the one-child atom has
+    # theta == 0 and no size-biased mass
+    law = FiniteLaw((Atom(0.5, (0.0, 1.0)), Atom(0.5, (1.0,))))
+    for check in (check_spine_density, check_spine_step_mean):
+        assert check(law, 746.0, 2).passed
+
+
 def test_inverse_martingale_handles_extinction(pair_law, binary_law):
     # survival-adjusted identity: exact even when a positive fraction of
     # trees dies, and the plain martingale identity on laws that cannot die
