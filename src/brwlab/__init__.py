@@ -97,10 +97,12 @@ from .oracle import (
 from .rng import replicate_rng, replicate_seed, splitmix64
 from .spine import (
     SpinedTree,
+    grow_spined_batch,
     grow_spined_tree,
     rn_log_weight,
     sample_spine_walk,
     spine_positions,
+    spine_walk_ends,
 )
 
 __version__ = "0.1.0"

@@ -10,24 +10,29 @@ threads.
 
 The same generation loop grows size-biased trees (see ``spine``): one
 frontier particle per generation, the spine particle, takes its brood
-from a size-biased draw made after the plain block and picks the next
-spine particle among its children.  Everything else grows under the
-plain law, so spined growth needs no engine of its own.
+from a size-biased draw, made from two uniforms drawn after the plain
+block, and picks the next spine particle among its children.
+Everything else grows under the plain law, so spined growth needs no
+engine of its own.
 
 ``grow_batch`` is the many-replicate case for statistics that need only
-``Z_n`` and ``W_n``.  It advances a batch of replicates one generation
-at a time, keeping per frontier particle only its position, laid out
-replicate by replicate.  Each replicate still draws its own block from
-its own generator, the block ``grow_tree`` draws; the blocks are
-concatenated and every later step (atom choice, brood sizes,
-displacement gather, repeat, per-replicate sums) runs once for the
-whole batch.  Uniforms become broods in one place, ``_broods``, for
-trees and batches alike.  A batch whose frontier passes
-``_BATCH_PARTICLES`` particles splits in two; beyond that size one
-replicate's arrays amortise numpy's per-call cost on their own.  Peak
-memory is the larger of that budget and one replicate's frontier, less
-than its grown tree would hold.  A replicate's results never depend on
-which batch it ran in.
+``Z_n``, ``W_n``, the ray and the last generation's largest position.
+It advances a batch of replicates one generation at a time, keeping per
+frontier particle only its position, laid out replicate by replicate.
+Each replicate still draws its own block from its own generator, the
+block ``grow_tree`` (or, for spined batches, ``grow_spined_tree``)
+draws; the blocks are concatenated and every later step (atom choice,
+the spine particles' size-biased broods, brood sizes, displacement
+gather, repeat, per-replicate sums) runs once for the whole batch.
+Uniforms become broods in one place, ``_broods``, for trees and batches
+alike, and spine broods in one place, the ``spine_brood`` hook that
+``spine`` supplies.  A batch whose frontier passes ``_BATCH_PARTICLES``
+particles splits in two; beyond that size one replicate's arrays
+amortise numpy's per-call cost on their own.  A generation whose broods
+hold more than ``_BATCH_CHILDREN`` children is placed in pieces, each
+when growth reaches it.  Peak memory is therefore a few such budgets
+plus one replicate's frontier, less than its grown tree would hold.  A
+replicate's results never depend on which batch or piece it ran in.
 
 The additive martingale along a grown tree is
 
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,21 +182,27 @@ def _assemble_tree(
     )
 
 
+# spine_brood(u_atom, u_child) -> (atom index, child slot), one pair per
+# spine particle; ``spine`` builds it from the size-biased tables
+SpineBrood = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
 def _grow(
     law: Law,
     depth: int,
     caps: GrowthCaps,
     rng: np.random.Generator,
-    spine_brood: Callable[[np.random.Generator], tuple[int, int]] | None = None,
+    spine_brood: SpineBrood | None = None,
 ) -> tuple[LabelledTree, np.ndarray | None]:
     """The generation loop behind ``grow_tree`` and ``grow_spined_tree``.
 
     Returns the tree and, when ``spine_brood`` is given, the ray: node
-    ids of the spine particle per generation.  ``spine_brood(rng)`` gives
-    the spine particle's size-biased atom index and the slot of the
-    child that carries the spine on; it is called once per generation,
-    after the plain uniform block, and its atom overrides the plain draw
-    for the spine particle.  ``law`` must already be validated.
+    ids of the spine particle per generation.  Spined growth draws one
+    block of ``Z_n + 2`` uniforms per generation; ``spine_brood`` turns
+    the last two into the spine particle's size-biased atom index and
+    the slot of the child that carries the spine on, and that atom
+    overrides the plain draw for the spine particle.  ``law`` must
+    already be validated.
     """
     _check_growth(depth, caps)
     parent_chunks = [np.array([-1], dtype=np.int64)]
@@ -209,17 +221,20 @@ def _grow(
         if z == 0:
             generation_index.append(np.empty(0, dtype=np.int64))
             continue
-        ai, counts = _broods(law, rng.random(z))
-        if spine_brood is not None:
-            atom, slot = spine_brood(rng)
-            ai[spine] = atom
-            counts = _brood_sizes(law, ai)
+        if spine_brood is None:
+            ai, counts = _broods(law, rng.random(z))
+        else:
+            u = rng.random(z + 2)
+            ai, counts = _broods(law, u[:z])
+            atom, slot = spine_brood(u[z : z + 1], u[z + 1 :])
+            ai[spine] = atom[0]
+            counts[spine] = _brood_sizes(law, atom)[0]
         total = int(counts.sum())
         if node_count + total > caps.max_nodes:
-            partial = _assemble_tree(
+            grown = _assemble_tree(
                 parent_chunks, disp_chunks, pos_chunks, generation_index, g, None
             )
-            raise PopulationCapError(partial, g + 1, caps.max_nodes)
+            raise PopulationCapError(grown, g + 1, caps.max_nodes)
         disp = _offspring_displacements(law, ai, counts, total)
         pos = np.repeat(frontier_pos, counts) + disp
         idx = np.arange(node_count, node_count + total, dtype=np.int64)
@@ -228,7 +243,7 @@ def _grow(
         pos_chunks.append(pos)
         generation_index.append(idx)
         if spine_brood is not None:
-            spine = int(counts[:spine].sum()) + slot
+            spine = int(counts[:spine].sum()) + int(slot[0])
             ray[g + 1] = node_count + spine
         node_count += total
         if total == 0 and extinct_at is None:
@@ -307,9 +322,13 @@ def martingale_trajectory(
 
 # A batch whose combined frontier passes _BATCH_PARTICLES splits in two;
 # past that size one replicate's arrays already amortise numpy's per-call
-# cost.  A run starts batches of at most _BATCH_REPLICATES roots, which
-# bounds the generators alive at once (about 1 kB each).
+# cost.  A generation whose children pass _BATCH_CHILDREN (only broods far
+# larger than the frontier reach it: heavy tails) is placed in pieces of
+# about that many children, each when the depth-first walk reaches it.  A
+# run starts batches of at most _BATCH_REPLICATES roots, which bounds the
+# generators alive at once (about 1 kB each).
 _BATCH_PARTICLES = 1 << 16
+_BATCH_CHILDREN = 1 << 18
 _BATCH_REPLICATES = 4096
 
 
@@ -325,7 +344,10 @@ class BatchGrowth:
     ``PopulationCapError`` that ``grow_tree`` raises on the same stream.
     ``stops[r] = (g, Z_g, u)`` for a replicate that stopped at generation
     ``g`` with more than ``stop_above`` particles; ``u`` is the next
-    uniform of its stream.
+    uniform of its stream.  Given ``alpha``, ``max_position[r]`` is the
+    largest position at generation ``depth`` (``-inf`` when there is
+    none), and for spined growth ``ray_position[r, j]`` is the spine
+    particle's position at generation ``generations[j]``.
     """
 
     generations: tuple[int, ...]
@@ -333,23 +355,29 @@ class BatchGrowth:
     log_w: np.ndarray | None
     capped_at: np.ndarray
     stops: dict[int, tuple[int, int, float]]
+    max_position: np.ndarray | None = None
+    ray_position: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class _Batch:
     """Live replicates of a batch, in replicate order, and their frontier:
-    ``z`` particles each, with positions laid out replicate by replicate."""
+    ``z`` particles each, with positions laid out replicate by replicate,
+    and for spined growth the spine particle's offset in each replicate's
+    frontier."""
 
     ids: np.ndarray
     rngs: list[np.random.Generator]
     z: np.ndarray
     nodes: np.ndarray
     pos: np.ndarray | None
+    spine: np.ndarray | None
 
     def take(self, keep: np.ndarray) -> "_Batch":
         pos = None if self.pos is None else self.pos[np.repeat(keep, self.z)]
+        spine = None if self.spine is None else self.spine[keep]
         rngs = [rng for rng, k in zip(self.rngs, keep) if k]
-        return _Batch(self.ids[keep], rngs, self.z[keep], self.nodes[keep], pos)
+        return _Batch(self.ids[keep], rngs, self.z[keep], self.nodes[keep], pos, spine)
 
     def halves(self) -> tuple["_Batch", "_Batch"]:
         first = np.arange(self.ids.size) < self.ids.size // 2
@@ -366,79 +394,132 @@ def grow_batch(
     log_m: float = 0.0,
     generations: Sequence[int] | None = None,
     stop_above: int | None = None,
+    spine_brood: SpineBrood | None = None,
 ) -> BatchGrowth:
-    """Grow plain trees ``0..replicates-1`` to ``depth`` and keep only
-    their generation sizes and, given ``alpha``, ``log W_n``.
+    """Grow trees ``0..replicates-1`` to ``depth`` and keep only their
+    generation sizes and, given ``alpha``, ``log W_n`` and the largest
+    last-generation position.
 
     Replicate ``r`` draws from ``rng_for(r)`` exactly what ``grow_tree``
     draws, one ``random(Z_n)`` block per non-empty generation, and hits
     the node cap at the same generation; its numbers equal those of
     ``grow_tree`` plus ``martingale_trajectory`` bit for bit, whatever
-    the other replicates of its batch.  ``generations`` picks the
-    generations recorded (default: all).  With ``stop_above``, a
-    replicate holding more particles at the start of a generation stops
-    there and draws one more uniform instead (see ``BatchGrowth.stops``).
+    the other replicates of its batch.  With ``spine_brood`` (which
+    needs ``alpha``) the trees are spined and the blocks are those of
+    ``grow_spined_tree``, ``random(Z_n + 2)``, whose last two uniforms
+    go to ``spine_brood`` for the whole batch in one call; the ray
+    positions are kept too.  ``generations`` picks the generations
+    recorded (default: all).  With ``stop_above``, a replicate holding
+    more particles at the start of a generation stops there and draws
+    one more uniform instead (see ``BatchGrowth.stops``).
     """
     law = validate_law(law)
     _check_growth(depth, caps)
+    if spine_brood is not None and alpha is None:
+        raise DomainError("spined batch growth needs alpha")
     gens = tuple(range(depth + 1)) if generations is None else tuple(generations)
     column = np.full(depth + 1, -1, dtype=np.int64)
     column[list(gens)] = np.arange(len(gens))
     population = np.zeros((replicates, len(gens)), dtype=np.int64)
     log_w = None if alpha is None else np.full((replicates, len(gens)), _NEG_INF)
+    max_position = None if alpha is None else np.full(replicates, _NEG_INF)
+    ray_position = None
+    if spine_brood is not None:
+        ray_position = np.full((replicates, len(gens)), math.nan)
     capped_at = np.full(replicates, -1, dtype=np.int64)
     stops: dict[int, tuple[int, int, float]] = {}
 
     def record(b: _Batch, n: int) -> None:
+        if b.ids.size == 0:
+            return
+        if n == depth and max_position is not None:
+            max_position[b.ids] = np.maximum.reduceat(b.pos, np.cumsum(b.z) - b.z)
         j = column[n]
-        if j < 0 or b.ids.size == 0:
+        if j < 0:
             return
         population[b.ids, j] = b.z
         if log_w is not None:
             log_w[b.ids, j] = _segment_log_sum_exp(-alpha * b.pos, b.z) - n * log_m
+        if ray_position is not None:
+            ray_position[b.ids, j] = b.pos[np.cumsum(b.z) - b.z + b.spine]
 
-    def step(b: _Batch, g: int) -> _Batch:
-        """Grow generation ``g + 1``; drop replicates that stop, hit the
-        cap or die out."""
+    def children(b: _Batch, g: int) -> list[Callable[[], _Batch]]:
+        """Draw the broods of generation ``g + 1`` of ``b``; return one call
+        per piece that places the piece's particles and records them.
+        Replicates that stop, hit the cap or die out are dropped."""
         if stop_above is not None and (b.z > stop_above).any():
             over = b.z > stop_above
             for i in np.flatnonzero(over):
                 stops[int(b.ids[i])] = (g, int(b.z[i]), b.rngs[i].random())
             b = b.take(~over)
             if b.ids.size == 0:
-                return b
-        u = np.concatenate([rng.random(z) for rng, z in zip(b.rngs, b.z.tolist())])
+                return []
+        edges = np.concatenate(([0], np.cumsum(b.z)))
+        first = edges[:-1]
+        if spine_brood is None:
+            u = np.concatenate([rng.random(z) for rng, z in zip(b.rngs, b.z.tolist())])
+        else:
+            u = np.concatenate([rng.random(z + 2) for rng, z in zip(b.rngs, b.z.tolist())])
+            end = edges[1:] + 2 * np.arange(1, b.ids.size + 1)
+            atom, slot = spine_brood(u[end - 2], u[end - 1])
+            plain = np.ones(u.size, dtype=bool)
+            plain[end - 2] = plain[end - 1] = False
+            u = u[plain]
         ai, counts = _broods(law, u)
-        totals = np.add.reduceat(counts, np.cumsum(b.z) - b.z)
+        if spine_brood is not None:
+            at = first + b.spine
+            ai[at] = atom
+            counts[at] = _brood_sizes(law, atom)
+        totals = np.add.reduceat(counts, first)
         capped = b.nodes + totals > caps.max_nodes
         if capped.any():
             capped_at[b.ids[capped]] = g + 1
             counts[np.repeat(capped, b.z)] = 0
             totals[capped] = 0
-        pos = None
-        if b.pos is not None:
-            disp = _offspring_displacements(law, ai, counts, int(totals.sum()))
-            pos = np.repeat(b.pos, counts) + disp
-        b = _Batch(b.ids, b.rngs, totals, b.nodes + totals, pos)
-        if not totals.all():
-            b = b.take(totals > 0)
-        record(b, g + 1)
-        return b
+        spine = None
+        if spine_brood is not None:
+            below = np.cumsum(counts) - counts
+            spine = below[at] - below[first] + slot
+
+        def place(lo: int, hi: int) -> _Batch:
+            p = slice(edges[lo], edges[hi])
+            z = totals[lo:hi]
+            pos = None
+            if b.pos is not None:
+                disp = _offspring_displacements(law, ai[p], counts[p], int(z.sum()))
+                pos = np.repeat(b.pos[p], counts[p]) + disp
+            piece = _Batch(b.ids[lo:hi], b.rngs[lo:hi], z, b.nodes[lo:hi] + z, pos,
+                           None if spine is None else spine[lo:hi])
+            if not z.all():
+                piece = piece.take(z > 0)
+            record(piece, g + 1)
+            return piece
+
+        cuts = [0, b.ids.size]
+        if totals.sum() > _BATCH_CHILDREN:
+            window = (np.cumsum(totals) - totals) // _BATCH_CHILDREN
+            cuts[1:1] = (np.flatnonzero(np.diff(window)) + 1).tolist()
+        return [partial(place, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     for lo in range(0, replicates, _BATCH_REPLICATES):
         ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
         ones = np.ones(ids.size, dtype=np.int64)
         pos = None if alpha is None else np.zeros(ids.size)
-        root = _Batch(ids, [rng_for(int(r)) for r in ids], ones, ones, pos)
+        spine = None if spine_brood is None else np.zeros(ids.size, dtype=np.int64)
+        root = _Batch(ids, [rng_for(int(r)) for r in ids], ones, ones, pos, spine)
         record(root, 0)
-        pending = [(root, 0)]
+        # depth first over batches and unplaced pieces; a parent's arrays
+        # are freed with the call that places its last piece
+        pending: list[tuple[int, _Batch | Callable[[], _Batch]]] = [(0, root)]
         while pending:
-            b, g = pending.pop()
-            while g < depth and b.ids.size:
-                if b.ids.size > 1 and b.z.sum() > _BATCH_PARTICLES:
-                    first, second = b.halves()
-                    pending += [(second, g), (first, g)]
-                    break
-                b = step(b, g)
-                g += 1
-    return BatchGrowth(gens, population, log_w, capped_at, stops)
+            g, b = pending.pop()
+            if not isinstance(b, _Batch):
+                b = b()
+            if g == depth or b.ids.size == 0:
+                continue
+            if b.ids.size > 1 and b.z.sum() > _BATCH_PARTICLES:
+                first, second = b.halves()
+                pending += [(g, second), (g, first)]
+            else:
+                pending += [(g + 1, piece) for piece in reversed(children(b, g))]
+    return BatchGrowth(gens, population, log_w, capped_at, stops, max_position, ray_position)

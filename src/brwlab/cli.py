@@ -11,7 +11,8 @@ a property of the law under study.
 All randomness flows from --seed; simulate, spine and mc refuse to run
 without it, so no run ever depends on the wall clock.  Replicate
 streams are split deterministically from the seed, which makes output
-files byte-identical across reruns and across --workers settings.
+files byte-identical across reruns.  --workers is accepted and
+validated for compatibility; every subcommand runs on one thread.
 
 Artifacts: stdout by default, --out to write a file.  JSON renders
 non-finite floats as the strings "Infinity", "-Infinity", "NaN"; CSV
@@ -30,8 +31,8 @@ from dataclasses import asdict
 import click
 import numpy as np
 
-# grow_tree is unused here but stays bound: perfbench/tracing.py patches
-# brwlab.cli.grow_tree
+# grow_tree, martingale_trajectory and grow_spined_tree are unused here but
+# stay bound: perfbench/tracing.py patches them in this module
 from .brw import GrowthCaps, grow_batch, grow_tree, martingale_trajectory  # noqa: F401
 from .errors import (
     BrwError,
@@ -39,14 +40,12 @@ from .errors import (
     MassOverflowError,
     NoConvergenceError,
     ResourceError,
-    PopulationCapError,
     TooLargeError,
     ValidationError,
     ZeroMassError,
 )
 from .mc import (
     McConfig,
-    _ordered_map,
     mc_extinction,
     mc_importance_identity,
     mc_mean_w,
@@ -57,7 +56,7 @@ from .mc import (
 from .offspring import classify, extinction_probability, law_from_json, tilted_mass
 from .oracle import run_verify
 from .rng import replicate_rng
-from .spine import grow_spined_tree, spine_positions
+from .spine import grow_spined_batch, grow_spined_tree  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +349,7 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
     A replicate that hits the node cap contributes the generations it
     completed; the run stops there, flags it on stderr, and exits 2.
     Replicates grow in batches on one thread; --workers is validated but
-    does not change how plain trees are grown.
+    has no effect.
     """
     law = _load_model(_require(model_path, "--model"))
     alpha = _single_alpha(_require(alpha_text, "--alpha"))
@@ -399,7 +398,9 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
     Columns: ray position, cumulative log change-of-measure weight along
     the ray, and the embedded tree's log martingale value.  A replicate
     that hits the node cap is flagged and the run exits 2 (a partial
-    spined tree has no consistent reading, so it contributes no rows).
+    spined tree has no consistent reading, so it contributes no rows,
+    and later replicates are dropped).  Replicates grow in batches on
+    one thread; --workers is validated but has no effect.
     """
     law = _load_model(_require(model_path, "--model"))
     alpha = _single_alpha(_require(alpha_text, "--alpha"))
@@ -409,38 +410,21 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
     if depth < 0 or reps < 1 or workers < 1:
         raise DomainError("need depth >= 0, reps >= 1, workers >= 1")
     caps = _caps(max_nodes)
-    log_m = math.log(tilted_mass(law, alpha))
 
-    def one(r: int):
-        rng = replicate_rng(seed, r)
-        try:
-            spined = grow_spined_tree(law, alpha, depth, caps, rng)
-        except PopulationCapError as e:
-            return None, e.generation
-        traj = martingale_trajectory(spined.tree, alpha, log_m)
-        positions = spine_positions(spined)
-        rows = [
-            (
-                r,
-                k,
-                float(positions[k]),
-                float(spined.spine_log_weight[k]),
-                float(traj.log_w[k]),
-            )
-            for k in range(depth + 1)
-        ]
-        return rows, None
-
+    grown, log_weight = grow_spined_batch(
+        law, alpha, depth, caps, lambda r: replicate_rng(seed, r), reps
+    )
     all_rows: list[tuple] = []
     refusal = None
-    for r, (rows, capped_at) in enumerate(_ordered_map(workers, one, reps)):
-        if capped_at is not None:
+    for r, capped_at in enumerate(grown.capped_at.tolist()):
+        if capped_at >= 0:
             refusal = (
                 f"refused: replicate {r} hit max-nodes {caps.max_nodes} at generation "
                 f"{capped_at}; run truncated before this replicate"
             )
             break
-        all_rows.extend(rows)
+        columns = (grown.ray_position[r], log_weight[r], grown.log_w[r])
+        all_rows.extend((r, k, *row) for k, row in enumerate(zip(*(c.tolist() for c in columns))))
     header = ["replicate", "k", "S(v_k)", "spine_log_weight", "log_w"]
     if fmt == "csv":
         _emit(_csv_text(header, all_rows), out)
@@ -502,7 +486,9 @@ def mc_cmd(
     """Seeded Monte Carlo estimators with reference values and 4-sigma bands.
 
     A failed band is reported in the payload (exit stays 0); identity
-    failures are the verify subcommand's business.
+    failures are the verify subcommand's business.  Every estimator runs
+    its replicates in batches on one thread; --workers is validated but
+    has no effect.
     """
     law = _load_model(_require(model_path, "--model"))
     estimator = _require(estimator, "--estimator")

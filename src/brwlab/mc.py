@@ -7,34 +7,45 @@ the node cap are discarded, and a run refusing more than 1% of its
 replicates aborts with ``ExcessiveDiscardError`` rather than report a
 biased estimate.
 
-Engines: ``mc_mean_w``, ``mc_triviality_scan`` and ``mc_extinction``
-need only generation sizes and martingale values, so they grow their
-replicates with ``brw.grow_batch`` on one thread and ignore
-``workers``; extinction counts particles only.  ``mc_spine_slope`` and
-``mc_importance_identity`` grow one tree or walk per replicate, on a
-thread pool when ``workers > 1``.
+Engines: every estimator runs on one thread and ignores ``workers``,
+which is validated and kept for compatibility.  ``mc_mean_w``,
+``mc_triviality_scan`` and ``mc_extinction`` grow plain replicates with
+``brw.grow_batch``; extinction counts particles only.
+``mc_importance_identity`` grows its size-biased sample with
+``spine.grow_spined_batch`` and its plain-law reference with
+``grow_batch``, and ``mc_spine_slope`` draws its walks with
+``spine.spine_walk_ends``; each replicate still draws from its own
+stream exactly what one tree or walk grown alone would.
 
 Agreement bands are four standard errors wide.  A failed band on a
 sound implementation is a once-per-tens-of-thousands event, so ``passed
 = False`` flags a defect, not noise; ``unreliable = True`` marks runs
 whose estimand has heavy tails (the mean-of-W check outside the
 nontrivial-limit regime), where the band is not meaningful, and
-mean-of-W runs that discarded any replicate: the discarded trees are the
-largest ones, so the estimate is biased low.
+mean-of-W and importance runs that discarded any replicate: the
+discarded trees are the largest ones, so the estimate is biased.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .brw import GrowthCaps, LabelledTree, grow_batch, grow_tree, martingale_trajectory
-from .errors import DomainError, ExcessiveDiscardError, PopulationCapError
+# grow_tree, martingale_trajectory and grow_spined_tree are unused here but
+# stay bound: perfbench/tracing.py patches them in this module
+from .brw import (  # noqa: F401
+    BatchGrowth,
+    GrowthCaps,
+    LabelledTree,
+    grow_batch,
+    grow_tree,
+    martingale_trajectory,
+)
+from .errors import DomainError, ExcessiveDiscardError
 from .offspring import (
     Classification,
     FiniteLaw,
@@ -50,7 +61,7 @@ from .oracle import (
     generation_positions,
 )
 from .rng import replicate_rng
-from .spine import grow_spined_tree, sample_spine_walk
+from .spine import grow_spined_batch, grow_spined_tree, spine_walk_ends  # noqa: F401
 
 # population size at which survival is resolved analytically instead of
 # by per-individual simulation (the remaining-survival law is exact)
@@ -59,8 +70,6 @@ _ANALYTIC_SWITCH = 256
 _DISCARD_LIMIT = 0.01
 
 _ORACLE_REF_CAP = 200_000
-
-_DISCARDED = object()
 
 
 def _safe_exp(x: float) -> float:
@@ -106,18 +115,6 @@ class McSummary:
     values: np.ndarray | None = None
 
 
-def _ordered_map(workers: int, fn: Callable[[int], object], count: int) -> Iterator:
-    """Yield ``fn(0), ..., fn(count - 1)`` in index order, on a thread pool
-    when ``workers > 1``.  Sequentially, results are computed only as they
-    are consumed, so a caller that stops early skips the rest."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, range(count))
-    else:
-        for r in range(count):
-            yield fn(r)
-
-
 def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
     """Kept replicate ids and discarded count, given which replicates hit
     the node cap; too many discards abort the run."""
@@ -125,26 +122,6 @@ def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
     if discarded > _DISCARD_LIMIT * cfg.replicates:
         raise ExcessiveDiscardError(discarded, cfg.replicates)
     return np.flatnonzero(~capped), discarded
-
-
-def _run_replicates(
-    cfg: McConfig,
-    one: Callable[[np.random.Generator], object],
-    index_offset: int = 0,
-) -> tuple[list, list[int], int]:
-    """Per-replicate results in replicate order: (kept values, kept ids,
-    discarded count).  Cap-hit replicates are discarded."""
-
-    def run(r: int):
-        rng = replicate_rng(cfg.master_seed, r + index_offset)
-        try:
-            return one(rng)
-        except PopulationCapError:
-            return _DISCARDED
-
-    raw = list(_ordered_map(cfg.workers, run, cfg.replicates))
-    kept, discarded = _screen(cfg, np.array([v is _DISCARDED for v in raw], dtype=bool))
-    return [raw[r] for r in kept], kept.tolist(), discarded
 
 
 def _streams(cfg: McConfig) -> Callable[[int], np.random.Generator]:
@@ -229,11 +206,10 @@ def mc_spine_slope(law: Law, alpha: float, cfg: McConfig, keep_values: bool = Fa
     if not math.isfinite(profile.drift):
         raise DomainError("drift undefined (tilted mass overflow); no slope reference")
 
-    def one(rng):
-        return float(sample_spine_walk(law, alpha, cfg.depth, rng)[-1]) / cfg.depth
-
-    values, kept, discarded = _run_replicates(cfg, one)
-    return _summary("spine_slope", values, discarded, cfg, profile.drift, kept, keep_values)
+    ends = spine_walk_ends(law, alpha, cfg.depth, _streams(cfg), cfg.replicates)
+    values = (ends / cfg.depth).tolist()
+    return _summary("spine_slope", values, 0, cfg, profile.drift, range(cfg.replicates),
+                    keep_values)
 
 
 def mc_extinction(law: Law, cfg: McConfig, keep_values: bool = False) -> McSummary:
@@ -441,6 +417,22 @@ def functional_on_outcome(fn: Functional, law: FiniteLaw, t, depth: int) -> floa
     return _functional_value(fn, len(positions), max_pos)
 
 
+def _functional_values(fn: Functional, grown: BatchGrowth) -> np.ndarray:
+    """``F`` of each replicate of a batch grown to its last generation
+    with ``alpha``; 0 for a replicate extinct there."""
+    z = grown.population[:, -1].tolist()
+    top = grown.max_position.tolist()
+    return np.array([_functional_value(fn, n, x) if n else 0.0 for n, x in zip(z, top)])
+
+
+def _importance_discards(sized: int, plain: int) -> list[str]:
+    """The note on discarded replicates of an importance run, if any."""
+    if not sized + plain:
+        return []
+    return [f"{sized + plain} capped replicates discarded ({sized} size-biased, {plain} "
+            "plain reference): they are the largest trees, so the estimate is biased"]
+
+
 def mc_importance_identity(
     law: Law,
     alpha: float,
@@ -459,19 +451,19 @@ def mc_importance_identity(
     The reference is exact (exhaustive enumeration) when the outcome
     count is small enough, otherwise a plain-law Monte Carlo using the
     replicate index range just above this run's (so the two samples never
-    share a stream); the band then uses both standard errors.
+    share a stream); the band then uses both standard errors.  Discarded
+    replicates, in either sample, are the largest trees, so any discard
+    marks the estimate unreliable.
     """
     law = validate_law(law)
     profile = classify(law, alpha)
-
-    def one(rng):
-        spined = grow_spined_tree(law, alpha, cfg.depth, cfg.caps, rng)
-        traj = martingale_trajectory(spined.tree, alpha, profile.log_m)
-        return functional_on_tree(functional, spined.tree) * _safe_exp(
-            -traj.log_w[cfg.depth]
-        )
-
-    values, kept, discarded = _run_replicates(cfg, one)
+    gens = (cfg.depth,)
+    sized, _ = grow_spined_batch(law, alpha, cfg.depth, cfg.caps, _streams(cfg),
+                                 cfg.replicates, gens)
+    kept, discarded = _screen(cfg, sized.capped_at >= 0)
+    f = _functional_values(functional, sized)[kept].tolist()
+    values = [v * _safe_exp(-x) for v, x in zip(f, sized.log_w[kept, 0].tolist())]
+    name = f"importance[{functional.name}]"
 
     exact_ref = isinstance(law, FiniteLaw) and count_outcomes(law, cfg.depth) <= min(
         _ORACLE_REF_CAP, ENUM_CAP
@@ -482,20 +474,21 @@ def mc_importance_identity(
             if generation_positions(law, t, cfg.depth):
                 terms.append(p * functional_on_outcome(functional, law, t, cfg.depth))
         ref = math.fsum(terms)
-        return _summary(
-            f"importance[{functional.name}]", values, discarded, cfg, ref, kept,
-            keep_values, note="reference: exhaustive enumeration of E[F; alive]",
-        )
+        notes = ["reference: exhaustive enumeration of E[F; alive]",
+                 *_importance_discards(discarded, 0)]
+        return _summary(name, values, discarded, cfg, ref, kept.tolist(), keep_values,
+                        unreliable=len(notes) > 1, note="; ".join(notes))
 
-    def plain(rng):
-        tree = grow_tree(law, cfg.depth, cfg.caps, rng)
-        alive = tree.generation_index[tree.depth_grown].size > 0
-        return functional_on_tree(functional, tree) if alive else 0.0
+    def plain_stream(r: int) -> np.random.Generator:
+        return replicate_rng(cfg.master_seed, r + cfg.replicates)
 
-    ref_values, _, ref_discarded = _run_replicates(cfg, plain, index_offset=cfg.replicates)
-    ref, ref_se, _ = _mean_se(ref_values)
+    plain = grow_batch(law, cfg.depth, cfg.caps, plain_stream, cfg.replicates, alpha,
+                       profile.log_m, gens)
+    ref_kept, ref_discarded = _screen(cfg, plain.capped_at >= 0)
+    ref, ref_se, _ = _mean_se(_functional_values(functional, plain)[ref_kept])
+    notes = [f"reference: plain-law Monte Carlo of E[F; alive], se {ref_se:.3g}",
+             *_importance_discards(discarded, ref_discarded)]
     return _summary(
-        f"importance[{functional.name}]", values, discarded + ref_discarded, cfg,
-        ref, kept, keep_values, se_extra=ref_se,
-        note=f"reference: plain-law Monte Carlo of E[F; alive], se {ref_se:.3g}",
+        name, values, discarded + ref_discarded, cfg, ref, kept.tolist(), keep_values,
+        unreliable=len(notes) > 1, note="; ".join(notes), se_extra=ref_se,
     )

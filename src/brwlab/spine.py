@@ -11,26 +11,32 @@ where ``S(xi_n)`` is the ray position.
 
 ``grow_spined_tree`` runs the plain generation loop of ``brw``, so the
 whole tree grows breadth first.  Random number order (fixed, so a seed
-pins the outcome): each generation first draws the plain block of one
-uniform per frontier particle, then one uniform for the spine
-particle's size-biased atom and one for its child choice.  The spine
-particle's plain uniform is drawn and ignored.
+pins the outcome): each generation draws one block of ``Z_n + 2``
+uniforms.  The first ``Z_n`` are the plain draws, one per frontier
+particle; the last two give the spine particle's size-biased atom and
+its child choice.  The spine particle's plain uniform is drawn and
+ignored.  ``grow_spined_batch`` grows many spined replicates at once on
+``brw.grow_batch`` from the same blocks, so each replicate's numbers
+equal those of ``grow_spined_tree`` bit for bit.  Uniforms become spine
+broods in one place, ``_spine_brood``, for trees and batches alike.
 
-``sample_spine_walk`` draws only the ray positions (no tree) using two
-uniform blocks of length ``depth``; its step law is ``spine_step_law``
-from the offspring module and its mean step is the drift
-``-m'(alpha)/m(alpha)``.
+``sample_spine_walk`` draws only the ray positions (no tree) from one
+block of ``2 * depth`` uniforms: the first half picks the atoms, the
+second half the children.  Its step law is ``spine_step_law`` from the
+offspring module and its mean step is the drift ``-m'(alpha)/m(alpha)``.
+``spine_walk_ends`` runs many walks at once and keeps their endpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .brw import GrowthCaps, LabelledTree, _grow
+from .brw import BatchGrowth, GrowthCaps, LabelledTree, _grow, grow_batch
 from .errors import DomainError, LevelOutOfRangeError, PopulationCapError
 from .offspring import (
     FiniteLaw,
@@ -47,14 +53,17 @@ class _SpineTables:
 
     ``atom_cum`` runs over atoms with at least one child (childless
     atoms have zero size-biased mass); ``atom_ids`` maps back to the
-    original atom index.  ``child_cum[a]`` is the within-brood cdf of
-    the distinguished-child choice for table row ``a``.
+    original atom index.  Finite laws also get one row per atom, padded
+    to the widest brood: ``child_disp[a]`` holds the displacements, and
+    ``child_cum[a]`` the within-brood cdf of the distinguished-child
+    choice without its last entry, padded with ``inf``, so that the
+    chosen slot is the number of entries at or below a uniform.
     """
 
     atom_cum: np.ndarray
     atom_ids: np.ndarray
-    child_cum: tuple[np.ndarray, ...]
-    child_disp: tuple[np.ndarray, ...]
+    child_cum: np.ndarray
+    child_disp: np.ndarray
     log_m: float
 
 
@@ -62,17 +71,21 @@ class _SpineTables:
 def _spine_tables(law: Law, alpha: float) -> _SpineTables:
     m = tilted_mass(law, alpha)
     if isinstance(law, FiniteLaw):
-        rows = []
+        width = max(atom.count for atom in law.atoms)
+        child_cum = np.full((len(law.atoms), width - 1), np.inf)
+        child_disp = np.zeros((len(law.atoms), width))
+        atom_ids, biased = [], []
         for a, atom in enumerate(law.atoms):
             if atom.count == 0:
                 continue
             w = np.exp(-alpha * np.asarray(atom.displacements))
             theta = float(w.sum())
-            rows.append((a, atom.probability * theta / m, np.cumsum(w) / theta, w))
-        atom_ids = np.array([r[0] for r in rows], dtype=np.int64)
-        atom_cum = np.cumsum([r[1] for r in rows])
-        child_cum = tuple(r[2] for r in rows)
-        child_disp = tuple(np.asarray(law.atoms[r[0]].displacements) for r in rows)
+            atom_ids.append(a)
+            biased.append(atom.probability * theta / m)
+            child_cum[a, : atom.count - 1] = (np.cumsum(w) / theta)[:-1]
+            child_disp[a, : atom.count] = atom.displacements
+        atom_ids = np.array(atom_ids, dtype=np.int64)
+        atom_cum = np.cumsum(biased)
     else:
         # heavy-tail family: displacements are all zero, so the biased
         # count law is n p_n / mean and the child choice is uniform
@@ -82,14 +95,34 @@ def _spine_tables(law: Law, alpha: float) -> _SpineTables:
         biased = probs * counts
         atom_cum = np.cumsum(biased / biased.sum())
         atom_ids = np.arange(len(cdf), dtype=np.int64)
-        child_cum = ()
-        child_disp = ()
+        child_cum = child_disp = np.empty((0, 0))
     atom_cum[-1] = 1.0
     return _SpineTables(atom_cum, atom_ids, child_cum, child_disp, math.log(m))
 
 
-def _pick(cum: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+def _spine_brood(
+    law: Law, tables: _SpineTables, u_atom: np.ndarray, u_child: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Atom index of each size-biased brood and its chosen child's slot,
+    one ``(u_atom, u_child)`` pair each, for arrays of any shape."""
+    row = np.searchsorted(tables.atom_cum, u_atom, side="right")
+    atom = tables.atom_ids[np.minimum(row, tables.atom_cum.size - 1)]
+    if isinstance(law, FiniteLaw):
+        slot = np.zeros(atom.shape, dtype=np.int64)
+        for column in tables.child_cum.T:
+            slot += column[atom] <= u_child
+        return atom, slot
+    count = atom + 2
+    return atom, np.minimum((u_child * count).astype(np.int64), count - 1)
+
+
+def _spine_log_weight(
+    ray_position: np.ndarray, alpha: float, log_m: float, generations: np.ndarray
+) -> np.ndarray:
+    """``-alpha * S(xi_k) - k * log m`` for ray positions at generations ``k``."""
+    log_weight = -alpha * ray_position - generations * log_m
+    log_weight[..., generations == 0] = 0.0
+    return log_weight
 
 
 @dataclass
@@ -122,20 +155,6 @@ def spine_positions(spined: SpinedTree) -> np.ndarray:
     return spined.tree.position[spined.ray]
 
 
-def _spine_brood(
-    law: Law, tables: _SpineTables, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Atom index of one size-biased brood and the chosen child's slot."""
-    u_atom = rng.random()
-    u_child = rng.random()
-    row = _pick(tables.atom_cum, u_atom)
-    atom = int(tables.atom_ids[row])
-    if isinstance(law, FiniteLaw):
-        return atom, _pick(tables.child_cum[row], u_child)
-    count = atom + 2
-    return atom, min(int(u_child * count), count - 1)
-
-
 def grow_spined_tree(
     law: Law, alpha: float, depth: int, caps: GrowthCaps, rng: np.random.Generator
 ) -> SpinedTree:
@@ -150,11 +169,12 @@ def grow_spined_tree(
     law = validate_law(law)
     tables = _spine_tables(law, float(alpha))
     try:
-        tree, ray = _grow(law, depth, caps, rng, lambda r: _spine_brood(law, tables, r))
+        tree, ray = _grow(law, depth, caps, rng, partial(_spine_brood, law, tables))
     except PopulationCapError as e:
         raise PopulationCapError(None, e.generation, e.cap) from None
-    log_weight = -alpha * tree.position[ray] - np.arange(depth + 1) * tables.log_m
-    log_weight[0] = 0.0
+    log_weight = _spine_log_weight(
+        tree.position[ray], alpha, tables.log_m, np.arange(depth + 1)
+    )
     return SpinedTree(
         tree=tree,
         ray=ray,
@@ -164,36 +184,79 @@ def grow_spined_tree(
     )
 
 
+def grow_spined_batch(
+    law: Law,
+    alpha: float,
+    depth: int,
+    caps: GrowthCaps,
+    rng_for: Callable[[int], np.random.Generator],
+    replicates: int,
+    generations: Sequence[int] | None = None,
+) -> tuple[BatchGrowth, np.ndarray]:
+    """Grow spined replicates ``0..replicates-1`` together on
+    ``brw.grow_batch``; also return ``spine_log_weight`` per replicate and
+    recorded generation.
+
+    Replicate ``r`` equals ``grow_spined_tree(..., rng_for(r))`` followed
+    by ``martingale_trajectory(..., log m)`` bit for bit, and a replicate
+    that hits the node cap reports the generation that tree would raise
+    ``PopulationCapError`` at in ``capped_at``.
+    """
+    law = validate_law(law)
+    tables = _spine_tables(law, float(alpha))
+    grown = grow_batch(
+        law, depth, caps, rng_for, replicates, alpha, tables.log_m, generations,
+        spine_brood=partial(_spine_brood, law, tables),
+    )
+    gens = np.array(grown.generations, dtype=np.int64)
+    return grown, _spine_log_weight(grown.ray_position, alpha, tables.log_m, gens)
+
+
+def _walk(law: Law, tables: _SpineTables, u: np.ndarray) -> np.ndarray:
+    """Ray positions from rows of ``2 * depth`` uniforms, one walk per row."""
+    depth = u.shape[-1] // 2
+    out = np.zeros(u.shape[:-1] + (depth + 1,))
+    if isinstance(law, FiniteLaw):
+        atom, slot = _spine_brood(law, tables, u[..., :depth], u[..., depth:])
+        np.cumsum(tables.child_disp[atom, slot], axis=-1, out=out[..., 1:])
+    return out
+
+
 def sample_spine_walk(
     law: Law, alpha: float, depth: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Positions ``S(xi_0..depth)`` of the ray alone, no tree.
 
     The steps are drawn independently (the ray position is a random walk
-    with the spine step law), two uniform blocks of length ``depth``.
+    with the spine step law) from one block of ``2 * depth`` uniforms.
     """
     law = validate_law(law)
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth}")
+    return _walk(law, _spine_tables(law, float(alpha)), rng.random(2 * depth))
+
+
+# spine_walk_ends draws walks in blocks of about this many uniforms
+_WALK_UNIFORMS = 1 << 16
+
+
+def spine_walk_ends(
+    law: Law,
+    alpha: float,
+    depth: int,
+    rng_for: Callable[[int], np.random.Generator],
+    replicates: int,
+) -> np.ndarray:
+    """``S(xi_depth)`` of walks ``0..replicates-1``; walk ``r`` equals
+    ``sample_spine_walk(law, alpha, depth, rng_for(r))[-1]`` bit for bit."""
+    law = validate_law(law)
+    if depth < 0:
+        raise DomainError(f"depth must be nonnegative, got {depth}")
     tables = _spine_tables(law, float(alpha))
-    u_atom = rng.random(depth)
-    u_child = rng.random(depth)
-    rows = np.minimum(
-        np.searchsorted(tables.atom_cum, u_atom, side="right"),
-        len(tables.atom_cum) - 1,
-    )
-    steps = np.zeros(depth)
-    if isinstance(law, FiniteLaw):
-        for r in range(len(tables.atom_cum)):
-            mask = rows == r
-            if not mask.any():
-                continue
-            cum = tables.child_cum[r]
-            j = np.minimum(
-                np.searchsorted(cum, u_child[mask], side="right"), len(cum) - 1
-            )
-            steps[mask] = tables.child_disp[r][j]
-    out = np.empty(depth + 1)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    return out
+    rows = max(1, _WALK_UNIFORMS // max(1, 2 * depth))
+    ends = np.empty(replicates)
+    for lo in range(0, replicates, rows):
+        hi = min(lo + rows, replicates)
+        u = np.stack([rng_for(r).random(2 * depth) for r in range(lo, hi)])
+        ends[lo:hi] = _walk(law, tables, u)[:, -1]
+    return ends

@@ -197,6 +197,31 @@ def test_batch_matches_tree_growth_exactly(case, seed, monkeypatch):
     assert np.array_equal(alone.capped_at, grown.capped_at)
 
 
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_batch_pieces_placed_one_at_a_time_match(case, monkeypatch):
+    # a _BATCH_CHILDREN of 1 places each replicate's children as a piece of
+    # its own, when growth reaches it
+    law, alpha, depth, max_nodes = PARITY_CASES[case]
+    caps = GrowthCaps(max_nodes=max_nodes)
+    log_m = math.log(tilted_mass(law, alpha))
+
+    def batch():
+        return grow_batch(law, depth, caps, lambda r: replicate_rng(3, r), 24, alpha, log_m)
+
+    whole = batch()
+    monkeypatch.setattr(brw_mod, "_BATCH_CHILDREN", 1)
+    pieces = batch()
+    for name in ("population", "log_w", "capped_at", "max_position"):
+        assert np.array_equal(getattr(pieces, name), getattr(whole, name)), name
+    reps = _tree_reference(law, alpha, depth, caps, 3, 24)
+    for r, (population, _, capped_at) in enumerate(reps):
+        if capped_at < 0 and population[-1]:
+            tree = grow_tree(law, depth, caps, replicate_rng(3, r))
+            assert whole.max_position[r] == tree.position[tree.generation_index[depth]].max()
+        else:
+            assert whole.max_position[r] == -math.inf
+
+
 def test_batch_records_chosen_generations_and_counts_only(pair_law):
     full = grow_batch(pair_law, 8, CAPS, lambda r: replicate_rng(4, r), 30, 1.0, 0.3)
     some = grow_batch(pair_law, 8, CAPS, lambda r: replicate_rng(4, r), 30, 1.0, 0.3,

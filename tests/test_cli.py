@@ -194,6 +194,27 @@ def test_artifacts_identical_across_workers(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("estimator", [
+    ["importance", "--functional", "exp_neg_max:1", "--depth", "4"],
+    ["importance", "--functional", "min_z:2", "--depth", "6"],
+    ["spine_slope", "--depth", "30"],
+])
+def test_spined_mc_artifacts_identical_across_workers(tmp_path, estimator):
+    outs = []
+    for workers in ("1", "3"):
+        summary, values = tmp_path / f"mc_{workers}.json", tmp_path / f"values_{workers}.csv"
+        code = _dispatch(
+            [
+                "mc", "--model", MODEL, "--alpha", "1", "--estimator", *estimator,
+                "--reps", "60", "--seed", "42", "--workers", workers,
+                "--out", str(summary), "--values-out", str(values),
+            ]
+        )
+        assert code == 0
+        outs.append((summary.read_bytes(), values.read_bytes()))
+    assert outs[0] == outs[1]
+
+
 # ---------------------------------------------------------------------------
 # mc
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ triviality-scan verdicts."""
 
 import math
 
+import numpy as np
 import pytest
 
 from brwlab import (
@@ -17,7 +18,9 @@ from brwlab import (
     extinction_probability,
     functional_on_outcome,
     functional_on_tree,
+    grow_spined_tree,
     grow_tree,
+    martingale_trajectory,
     mc_extinction,
     mc_importance_identity,
     mc_mean_w,
@@ -26,6 +29,7 @@ from brwlab import (
     parse_functional,
     pgf_eval,
     replicate_rng,
+    sample_spine_walk,
 )
 
 # ---------------------------------------------------------------------------
@@ -256,3 +260,54 @@ def test_summary_records_values_when_asked(pair_law):
     s = mc_mean_w(pair_law, 1.0, cfg, keep_values=True)
     assert s.values is not None and len(s.values) == 50
     assert len(s.kept) == 50
+
+
+# ---------------------------------------------------------------------------
+# batched estimators against one tree or walk per replicate
+# ---------------------------------------------------------------------------
+
+
+def test_spine_slope_values_are_the_per_replicate_walks(quad_law):
+    cfg = McConfig(replicates=60, depth=25, master_seed=11)
+    s = mc_spine_slope(quad_law, 5.0, cfg, keep_values=True)
+    want = [float(sample_spine_walk(quad_law, 5.0, 25, replicate_rng(11, r))[-1]) / 25
+            for r in range(60)]
+    assert s.values.tolist() == want
+    assert s.kept == tuple(range(60)) and s.discarded == 0
+
+
+@pytest.mark.parametrize("text", ["one", "indicator_z:2", "min_z:2", "exp_neg_max:1"])
+def test_importance_values_are_the_per_tree_values(pair_law, text):
+    # depth 5 has too many outcomes for the exact reference, so the
+    # reference is the plain-law Monte Carlo on replicate ids 40..79
+    fn, depth, reps, caps = parse_functional(text), 5, 40, GrowthCaps()
+    s = mc_importance_identity(pair_law, 1.0, fn, McConfig(reps, depth, 13, caps),
+                               keep_values=True)
+    log_m = classify(pair_law, 1.0).log_m
+    sized = []
+    for r in range(reps):
+        spined = grow_spined_tree(pair_law, 1.0, depth, caps, replicate_rng(13, r))
+        log_w = martingale_trajectory(spined.tree, 1.0, log_m).log_w[depth]
+        sized.append(functional_on_tree(fn, spined.tree) * math.exp(-log_w))
+    assert s.values.tolist() == sized
+    plain = []
+    for r in range(reps, 2 * reps):
+        tree = grow_tree(pair_law, depth, caps, replicate_rng(13, r))
+        plain.append(functional_on_tree(fn, tree) if tree.generation_index[depth].size else 0.0)
+    assert s.reference == float(np.mean(plain))
+    assert not s.unreliable
+
+
+def test_importance_with_discards_is_unreliable(pair_law):
+    # a 350-node cap drops the largest of 400 depth-8 size-biased trees,
+    # which biases F / W_n although the run stays under the 1% limit
+    fn = parse_functional("min_z:2")
+    cfg = McConfig(replicates=400, depth=8, master_seed=3, caps=GrowthCaps(max_nodes=350))
+    s = mc_importance_identity(pair_law, 1.0, fn, cfg, keep_values=True)
+    assert s.discarded == 1 and s.n == 399 and 111 not in s.kept
+    assert s.unreliable
+    assert "1 capped replicates discarded (1 size-biased, 0 plain reference)" in s.note
+    # seed 17 loses one replicate from each sample
+    s = mc_importance_identity(pair_law, 1.0, fn, McConfig(400, 8, 17, GrowthCaps(max_nodes=350)))
+    assert s.unreliable and s.discarded == 2
+    assert "2 capped replicates discarded (1 size-biased, 1 plain reference)" in s.note

@@ -1,23 +1,33 @@
-"""Size-biased tree growth with a distinguished ray, and the spine walk."""
+"""Size-biased tree growth with a distinguished ray, spined batches, and the spine walk."""
 
 import math
 
 import numpy as np
 import pytest
 
+import brwlab.brw as brw_mod
+import brwlab.spine as spine_mod
 from brwlab import (
+    Atom,
+    FiniteLaw,
     GrowthCaps,
     LevelOutOfRangeError,
+    LogDivergentLaw,
     PopulationCapError,
     generation_sizes,
+    grow_spined_batch,
     grow_spined_tree,
+    martingale_trajectory,
     replicate_rng,
     rn_log_weight,
     sample_spine_walk,
     spine_positions,
     spine_step_law,
+    spine_walk_ends,
     tilted_mass,
 )
+from brwlab.spine import _spine_brood, _spine_tables
+from conftest import binary_zero_law, coin_pair_law, quad_or_twin_law
 
 CAPS = GrowthCaps()
 
@@ -153,3 +163,149 @@ def test_walk_agrees_with_spined_tree_marginal(pair_law):
     )
     pooled = math.sqrt(tree_final.var(ddof=1) / n + walk_final.var(ddof=1) / n)
     assert abs(tree_final.mean() - walk_final.mean()) < 4 * pooled
+
+
+# ---------------------------------------------------------------------------
+# spined batches against spined trees
+# ---------------------------------------------------------------------------
+
+NON_DYADIC = FiniteLaw((Atom(0.3, ()), Atom(0.3, (0.1,)), Atom(0.4, (0.2, 0.7))))
+
+# (law, alpha, depth, max_nodes); the cap of a few hundred nodes makes
+# some spined replicates hit it
+SPINED_CASES = {
+    "coin_pair": (coin_pair_law(), 1.0, 10, 1_000_000),
+    "quad_or_twin": (quad_or_twin_law(), 5.0, 8, 1_000_000),
+    "binary": (binary_zero_law(), 0.7, 11, 1_000_000),
+    "heavy_tail": (LogDivergentLaw(1.5, n_max=100), 0.0, 3, 1_000_000),
+    "non_dyadic": (NON_DYADIC, 0.5, 14, 1_000_000),
+    "cap_hit": (coin_pair_law(), 1.0, 10, 450),
+}
+
+
+def _spined_reference(law, alpha, depth, caps, seed, reps):
+    """Per replicate (ray positions, spine log weight, Z_n, log W_n, last
+    generation's largest position, capped generation or -1) from trees."""
+    log_m = math.log(tilted_mass(law, alpha))
+    out = []
+    for r in range(reps):
+        try:
+            spined = grow_spined_tree(law, alpha, depth, caps, replicate_rng(seed, r))
+        except PopulationCapError as e:
+            out.append((None, None, None, None, None, e.generation))
+            continue
+        traj = martingale_trajectory(spined.tree, alpha, log_m)
+        top = spined.tree.position[spined.tree.generation_index[depth]].max()
+        out.append((spine_positions(spined), spined.spine_log_weight, traj.population,
+                    traj.log_w, top, -1))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(SPINED_CASES))
+@pytest.mark.parametrize("seed", [1, 29, 2**63 + 5])
+def test_spined_batch_matches_spined_trees_exactly(case, seed, monkeypatch):
+    law, alpha, depth, max_nodes = SPINED_CASES[case]
+    caps = GrowthCaps(max_nodes=max_nodes)
+    reps = 24
+
+    def batch():
+        return grow_spined_batch(law, alpha, depth, caps, lambda r: replicate_rng(seed, r), reps)
+
+    grown, log_weight = batch()
+    assert grown.generations == tuple(range(depth + 1))
+    for r, (ray, weight, population, log_w, top, capped_at) in enumerate(
+        _spined_reference(law, alpha, depth, caps, seed, reps)
+    ):
+        assert grown.capped_at[r] == capped_at
+        if capped_at >= 0:
+            continue
+        assert np.array_equal(grown.ray_position[r], ray)
+        assert np.array_equal(log_weight[r], weight)
+        assert np.array_equal(grown.population[r], population)
+        assert np.array_equal(grown.log_w[r], log_w)
+        assert grown.max_position[r] == top
+    if case == "cap_hit":
+        assert (grown.capped_at > 0).any() and (grown.capped_at < 0).any()
+
+    # batch composition: every replicate alone, then every replicate's
+    # children placed as a piece of their own, give the same arrays
+    for budget in ("_BATCH_PARTICLES", "_BATCH_CHILDREN"):
+        with monkeypatch.context() as patch:
+            patch.setattr(brw_mod, budget, 1)
+            alone, alone_weight = batch()
+        assert np.array_equal(alone.capped_at, grown.capped_at)
+        assert np.array_equal(alone.population, grown.population)
+        assert np.array_equal(alone.log_w, grown.log_w)
+        assert np.array_equal(alone.ray_position, grown.ray_position, equal_nan=True)
+        assert np.array_equal(alone_weight, log_weight, equal_nan=True)
+        assert np.array_equal(alone.max_position, grown.max_position)
+
+
+def test_spined_batch_records_chosen_generations(pair_law):
+    full, full_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS,
+                                          lambda r: replicate_rng(4, r), 30)
+    some, some_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS,
+                                          lambda r: replicate_rng(4, r), 30, (0, 5, 8))
+    for name in ("population", "log_w", "ray_position"):
+        assert np.array_equal(getattr(some, name), getattr(full, name)[:, [0, 5, 8]])
+    assert np.array_equal(some_weight, full_weight[:, [0, 5, 8]])
+    assert np.array_equal(some.max_position, full.max_position)
+    assert (some_weight[:, 0] == 0.0).all()
+
+
+def _reference_spine_brood(law, alpha, u_atom, u_child):
+    """One size-biased brood per uniform pair, straight from the atoms:
+    the atom by its biased mass ``p * theta / m``, then the child slot by
+    its weight ``exp(-alpha x)`` within that atom."""
+    m = tilted_mass(law, alpha)
+    atoms = [a for a, atom in enumerate(law.atoms) if atom.count]
+    biased = np.cumsum([law.atoms[a].probability * np.exp(-alpha * np.asarray(
+        law.atoms[a].displacements)).sum() / m for a in atoms])
+    biased[-1] = 1.0
+    out = []
+    for ua, uc in zip(u_atom.tolist(), u_child.tolist()):
+        atom = atoms[min(int(np.searchsorted(biased, ua, side="right")), len(atoms) - 1)]
+        w = np.exp(-alpha * np.asarray(law.atoms[atom].displacements))
+        cum = np.cumsum(w) / float(w.sum())
+        out.append((atom, min(int(np.searchsorted(cum, uc, side="right")), len(cum) - 1)))
+    return out
+
+
+@pytest.mark.parametrize("law, alpha", [
+    (quad_or_twin_law(), 1.0), (quad_or_twin_law(), 5.0), (NON_DYADIC, 0.5),
+    (FiniteLaw((Atom(0.2, (0.0, 0.5, 1.0)), Atom(0.5, ()), Atom(0.3, (2.0, -1.0)))), 0.8),
+])
+def test_spine_brood_matches_its_definition(law, alpha):
+    u = replicate_rng(12, 0).random((2, 4000))
+    atom, slot = _spine_brood(law, _spine_tables(law, alpha), u[0], u[1])
+    assert list(zip(atom.tolist(), slot.tolist())) == _reference_spine_brood(law, alpha, *u)
+
+
+def _reference_walk(law, alpha, depth, rng):
+    """The spine walk drawn as two blocks of ``depth`` uniforms, one step
+    at a time from the size-biased brood definition."""
+    u_atom, u_child = rng.random(depth), rng.random(depth)
+    steps = [law.atoms[a].displacements[j]
+             for a, j in _reference_spine_brood(law, alpha, u_atom, u_child)]
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+@pytest.mark.parametrize("law, alpha", [
+    (coin_pair_law(), 1.0), (quad_or_twin_law(), 5.0), (NON_DYADIC, 0.5),
+])
+def test_spine_walks_match_the_two_block_definition(law, alpha, monkeypatch):
+    depth, reps = 37, 30
+    for r in range(reps):
+        walk = sample_spine_walk(law, alpha, depth, replicate_rng(5, r))
+        assert np.array_equal(walk, _reference_walk(law, alpha, depth, replicate_rng(5, r)))
+    ends = spine_walk_ends(law, alpha, depth, lambda r: replicate_rng(5, r), reps)
+    monkeypatch.setattr(spine_mod, "_WALK_UNIFORMS", 100)  # several blocks of walks
+    blocks = spine_walk_ends(law, alpha, depth, lambda r: replicate_rng(5, r), reps)
+    for r in range(reps):
+        assert ends[r] == blocks[r] == sample_spine_walk(law, alpha, depth, replicate_rng(5, r))[-1]
+
+
+def test_heavy_walks_stay_at_zero(heavy_law):
+    ends = spine_walk_ends(heavy_law, 0.0, 9, lambda r: replicate_rng(2, r), 5)
+    assert not ends.any()
+    assert not sample_spine_walk(heavy_law, 0.0, 9, replicate_rng(2, 0)).any()
