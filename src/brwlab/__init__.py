@@ -16,6 +16,7 @@ from .brw import (
     NodeRecord,
     generation_sizes,
     grow_batch,
+    grow_occupation,
     grow_tree,
     log_sum_exp,
     martingale_trajectory,

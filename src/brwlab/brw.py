@@ -15,24 +15,39 @@ block, and picks the next spine particle among its children.
 Everything else grows under the plain law, so spined growth needs no
 engine of its own.
 
-``grow_batch`` is the many-replicate case for statistics that need only
-``Z_n``, ``W_n``, the ray and the last generation's largest position.
-It advances a batch of replicates one generation at a time, keeping per
-frontier particle only its position, laid out replicate by replicate.
-Each replicate still draws its own block from its own generator, the
-block ``grow_tree`` (or, for spined batches, ``grow_spined_tree``)
-draws; the blocks are concatenated and every later step (atom choice,
-the spine particles' size-biased broods, brood sizes, displacement
-gather, repeat, per-replicate sums) runs once for the whole batch.
-Uniforms become broods in one place, ``_broods``, for trees and batches
-alike, and spine broods in one place, the ``spine_brood`` hook that
-``spine`` supplies.  A batch whose frontier passes ``_BATCH_PARTICLES``
-particles splits in two; beyond that size one replicate's arrays
-amortise numpy's per-call cost on their own.  A generation whose broods
-hold more than ``_BATCH_CHILDREN`` children is placed in pieces, each
-when growth reaches it.  Peak memory is therefore a few such budgets
-plus one replicate's frontier, less than its grown tree would hold.  A
-replicate's results never depend on which batch or piece it ran in.
+Two engines grow many replicates at once for statistics that need only
+``Z_n``, ``W_n``, the ray and the last generation's largest position;
+both advance a batch of replicates one generation at a time, each
+replicate drawing from its own generator, and a replicate's results
+never depend on which batch or piece it ran in.
+
+``grow_batch`` grows spined replicates.  It keeps per frontier particle
+only its position, laid out replicate by replicate, and each replicate
+draws the block ``grow_spined_tree`` draws; the blocks are concatenated
+and every later step (atom choice, the spine particles' size-biased
+broods, brood sizes, displacement gather, repeat, per-replicate sums)
+runs once for the whole batch.  Uniforms become broods in one place,
+``_broods``, for trees and batches alike, and spine broods in one place,
+the ``spine_brood`` hook that ``spine`` supplies.  A generation whose
+broods hold more than ``_BATCH_CHILDREN`` children is placed in pieces,
+each when growth reaches it.
+
+``grow_occupation`` grows plain-law replicates as occupation measures:
+per replicate, its occupied positions with their int64 particle counts,
+merged by exact float equality.  Particles at one position are
+exchangeable, so one draw of atom counts per occupied position gives the
+law of the tree's positions (Athreya and Ney 1972; Biggins 1977).  While
+``Z_n`` is small a replicate draws the ``random(Z_n)`` block
+``grow_tree`` draws, which keeps its ``Z_n`` equal to the tree's; past
+``_MULTINOMIAL_ABOVE`` it draws one ``multinomial`` over the atoms, so
+its cost follows the occupied positions, not the particles.  No count
+may pass ``2^62``.
+
+A batch whose next generation passes ``_BATCH_PARTICLES`` particles (or,
+for occupation batches, uniforms plus frontier rows) splits in two;
+beyond that size one replicate's arrays amortise numpy's per-call cost
+on their own.  Peak memory is therefore a few such budgets plus one
+replicate's frontier, less than its grown tree would hold.
 
 The additive martingale along a grown tree is
 
@@ -40,7 +55,9 @@ The additive martingale along a grown tree is
 
 computed in log space with max subtraction (``log_w``) by one segmented
 reduction over the generations of a tree or the replicates of a batch,
-so both paths give the same bits; empty generations give ``-inf``, and
+so both paths give the same bits; an occupation measure sums
+``-alpha * S + log(count)`` per occupied position.  Empty generations
+give ``-inf``, and
 trajectories keep running past extinction so downstream consumers see
 explicit zeros.
 """
@@ -54,7 +71,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PopulationCapError
+from .errors import DomainError, PopulationCapError, ResourceError
 from .offspring import FiniteLaw, Law, LogDivergentLaw, validate_law
 
 _NEG_INF = float("-inf")
@@ -126,14 +143,31 @@ def _brood_sizes(law: Law, ai: np.ndarray) -> np.ndarray:
     return (ai + 2).astype(np.int64)
 
 
-def _broods(law: Law, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Atom index and brood size per parent, one uniform each.
+# up to this many atoms, counting the cdf entries at or below each uniform
+# beats a binary search: 1.8 ns per uniform for 2 atoms and 13 ns for 16,
+# against 23-46 ns for np.searchsorted (2-core Xeon, numpy 2.4)
+_SCAN_ATOMS = 32
+
+
+def _atoms(law: Law, u: np.ndarray) -> np.ndarray:
+    """Atom index per parent, one uniform each: the number of cdf entries
+    at or below it, the last atom taking any rounding excess.
 
     The one place where uniforms become broods: tree growth feeds it one
     replicate's block, batched growth the blocks of many replicates
     concatenated."""
     cdf = law._tables.cum_p if isinstance(law, FiniteLaw) else law._cdf
-    ai = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1).astype(np.int64)
+    if cdf.size > _SCAN_ATOMS:
+        return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1).astype(np.int64)
+    ai = np.zeros(u.shape, dtype=np.int64)
+    for c in cdf[:-1].tolist():
+        ai += u >= c
+    return ai
+
+
+def _broods(law: Law, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Atom index and brood size per parent, one uniform each."""
+    ai = _atoms(law, u)
     return ai, _brood_sizes(law, ai)
 
 
@@ -320,34 +354,46 @@ def martingale_trajectory(
 # batched growth
 # ---------------------------------------------------------------------------
 
-# A batch whose combined frontier passes _BATCH_PARTICLES splits in two;
-# past that size one replicate's arrays already amortise numpy's per-call
-# cost.  A generation whose children pass _BATCH_CHILDREN (only broods far
-# larger than the frontier reach it: heavy tails) is placed in pieces of
-# about that many children, each when the depth-first walk reaches it.  A
-# run starts batches of at most _BATCH_REPLICATES roots, which bounds the
+# A batch whose next generation would draw more than _BATCH_PARTICLES
+# uniforms, or hold more frontier rows, splits in two; past that size one
+# replicate's arrays already amortise numpy's per-call cost.  A spined
+# generation whose children pass _BATCH_CHILDREN (only broods far larger
+# than the frontier reach it: heavy tails) is placed in pieces of about
+# that many children, each when the depth-first walk reaches it.  A run
+# starts batches of at most _BATCH_REPLICATES roots, which bounds the
 # generators alive at once (about 1 kB each).
 _BATCH_PARTICLES = 1 << 16
 _BATCH_CHILDREN = 1 << 18
 _BATCH_REPLICATES = 4096
 
+# An occupation replicate-generation draws its broods with one multinomial
+# call once Z_n passes _MULTINOMIAL_ABOVE plus _MULTINOMIAL_CELL per
+# (position, atom) cell, and one uniform per particle below; see
+# grow_occupation.  _MULTINOMIAL_ABOVE is at least mc's _ANALYTIC_SWITCH.
+_MULTINOMIAL_ABOVE = 512
+_MULTINOMIAL_CELL = 4
+
+# no particle count, Z_n or node total may pass 2^62 (int64 holds 2^63 - 1)
+_COUNT_LIMIT = 1 << 62
+
 
 @dataclass(frozen=True)
 class BatchGrowth:
-    """What ``grow_batch`` keeps of each replicate, rows in replicate order.
+    """What ``grow_batch`` and ``grow_occupation`` keep of each replicate,
+    rows in replicate order.
 
     ``population[r, j]`` and ``log_w[r, j]`` are ``Z_n`` and ``log W_n``
     of replicate ``r`` at generation ``n = generations[j]``; past the last
     generation a replicate completed they read 0 and ``-inf``.
     ``capped_at[r]`` is the generation whose growth would have passed
-    ``caps.max_nodes`` (-1 for none), the ``generation`` of the
-    ``PopulationCapError`` that ``grow_tree`` raises on the same stream.
-    ``stops[r] = (g, Z_g, u)`` for a replicate that stopped at generation
-    ``g`` with more than ``stop_above`` particles; ``u`` is the next
-    uniform of its stream.  Given ``alpha``, ``max_position[r]`` is the
-    largest position at generation ``depth`` (``-inf`` when there is
-    none), and for spined growth ``ray_position[r, j]`` is the spine
-    particle's position at generation ``generations[j]``.
+    ``caps.max_nodes`` tree nodes (-1 for none), the ``generation`` of the
+    ``PopulationCapError`` that ``grow_tree`` would raise.  ``stops[r] =
+    (g, Z_g, u)`` for a replicate that stopped at generation ``g`` with
+    more than ``stop_above`` particles; ``u`` is the next uniform of its
+    stream.  Given ``alpha``, ``max_position[r]`` is the largest position
+    at generation ``depth`` (``-inf`` when there is none), and for spined
+    growth ``ray_position[r, j]`` is the spine particle's position at
+    generation ``generations[j]``.
     """
 
     generations: tuple[int, ...]
@@ -361,27 +407,79 @@ class BatchGrowth:
 
 @dataclass(frozen=True)
 class _Batch:
-    """Live replicates of a batch, in replicate order, and their frontier:
-    ``z`` particles each, with positions laid out replicate by replicate,
-    and for spined growth the spine particle's offset in each replicate's
-    frontier."""
+    """Live replicates of a batch, in replicate order: ``z`` particles and
+    ``rows`` frontier rows each, laid out replicate by replicate.  A row is
+    one particle (``count`` is None) or, in an occupation batch, one
+    occupied position with its particle count, positions ascending within
+    a replicate.  Spined batches also keep the spine particle's offset in
+    each replicate's frontier."""
 
     ids: np.ndarray
     rngs: list[np.random.Generator]
     z: np.ndarray
     nodes: np.ndarray
-    pos: np.ndarray | None
-    spine: np.ndarray | None
+    rows: np.ndarray
+    pos: np.ndarray
+    count: np.ndarray | None = None
+    spine: np.ndarray | None = None
 
     def take(self, keep: np.ndarray) -> "_Batch":
-        pos = None if self.pos is None else self.pos[np.repeat(keep, self.z)]
+        row = np.repeat(keep, self.rows)
+        count = None if self.count is None else self.count[row]
         spine = None if self.spine is None else self.spine[keep]
-        rngs = [rng for rng, k in zip(self.rngs, keep) if k]
-        return _Batch(self.ids[keep], rngs, self.z[keep], self.nodes[keep], pos, spine)
+        rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
+        return _Batch(self.ids[keep], rngs, self.z[keep], self.nodes[keep], self.rows[keep],
+                      self.pos[row], count, spine)
 
     def halves(self) -> tuple["_Batch", "_Batch"]:
         first = np.arange(self.ids.size) < self.ids.size // 2
         return self.take(first), self.take(~first)
+
+
+def _grow_batches(
+    replicates: int,
+    depth: int,
+    rng_for: Callable[[int], np.random.Generator],
+    root: Callable[[np.ndarray, list[np.random.Generator]], _Batch],
+    load: Callable[[_Batch], int],
+    children: Callable[[_Batch, int], list[_Batch | Callable[[], _Batch]]],
+    record: Callable[[_Batch, int], None],
+) -> None:
+    """Grow batches of at most ``_BATCH_REPLICATES`` roots depth first.
+
+    ``children(b, g)`` returns generation ``g + 1`` of ``b`` as batches or
+    calls that place a piece of it, each recorded by then; a batch whose
+    ``load`` passes ``_BATCH_PARTICLES`` splits in two first.  A parent's
+    arrays are freed with the call that places its last piece."""
+    for lo in range(0, replicates, _BATCH_REPLICATES):
+        ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
+        first = root(ids, [rng_for(int(r)) for r in ids])
+        record(first, 0)
+        pending: list[tuple[int, _Batch | Callable[[], _Batch]]] = [(0, first)]
+        while pending:
+            g, b = pending.pop()
+            if not isinstance(b, _Batch):
+                b = b()
+            if g == depth or b.ids.size == 0:
+                continue
+            if b.ids.size > 1 and load(b) > _BATCH_PARTICLES:
+                first, second = b.halves()
+                pending += [(g, second), (g, first)]
+            else:
+                pending += [(g + 1, piece) for piece in reversed(children(b, g))]
+
+
+def _recording(replicates: int, depth: int, generations: Sequence[int] | None,
+               alpha: float | None):
+    """Recorded generations, their columns by generation, and the empty
+    ``population``, ``log_w`` and ``max_position`` arrays."""
+    gens = tuple(range(depth + 1)) if generations is None else tuple(generations)
+    column = np.full(depth + 1, -1, dtype=np.int64)
+    column[list(gens)] = np.arange(len(gens))
+    population = np.zeros((replicates, len(gens)), dtype=np.int64)
+    log_w = None if alpha is None else np.full((replicates, len(gens)), _NEG_INF)
+    max_position = None if alpha is None else np.full(replicates, _NEG_INF)
+    return gens, column, population, log_w, max_position
 
 
 def grow_batch(
@@ -390,106 +488,76 @@ def grow_batch(
     caps: GrowthCaps,
     rng_for: Callable[[int], np.random.Generator],
     replicates: int,
-    alpha: float | None = None,
-    log_m: float = 0.0,
+    alpha: float,
+    log_m: float,
     generations: Sequence[int] | None = None,
-    stop_above: int | None = None,
-    spine_brood: SpineBrood | None = None,
+    *,
+    spine_brood: SpineBrood,
 ) -> BatchGrowth:
-    """Grow trees ``0..replicates-1`` to ``depth`` and keep only their
-    generation sizes and, given ``alpha``, ``log W_n`` and the largest
+    """Grow spined trees ``0..replicates-1`` to ``depth`` and keep their
+    generation sizes, ``log W_n``, ray positions and largest
     last-generation position.
 
-    Replicate ``r`` draws from ``rng_for(r)`` exactly what ``grow_tree``
-    draws, one ``random(Z_n)`` block per non-empty generation, and hits
-    the node cap at the same generation; its numbers equal those of
-    ``grow_tree`` plus ``martingale_trajectory`` bit for bit, whatever
-    the other replicates of its batch.  With ``spine_brood`` (which
-    needs ``alpha``) the trees are spined and the blocks are those of
-    ``grow_spined_tree``, ``random(Z_n + 2)``, whose last two uniforms
-    go to ``spine_brood`` for the whole batch in one call; the ray
-    positions are kept too.  ``generations`` picks the generations
-    recorded (default: all).  With ``stop_above``, a replicate holding
-    more particles at the start of a generation stops there and draws
-    one more uniform instead (see ``BatchGrowth.stops``).
+    Replicate ``r`` draws from ``rng_for(r)`` exactly what
+    ``grow_spined_tree`` draws, one ``random(Z_n + 2)`` block per
+    generation, whose last two uniforms go to ``spine_brood`` for the
+    whole batch in one call, and hits the node cap at the same
+    generation; its numbers equal those of the tree plus
+    ``martingale_trajectory`` bit for bit, whatever the other replicates
+    of its batch.  ``generations`` picks the generations recorded
+    (default: all).
     """
     law = validate_law(law)
     _check_growth(depth, caps)
-    if spine_brood is not None and alpha is None:
-        raise DomainError("spined batch growth needs alpha")
-    gens = tuple(range(depth + 1)) if generations is None else tuple(generations)
-    column = np.full(depth + 1, -1, dtype=np.int64)
-    column[list(gens)] = np.arange(len(gens))
-    population = np.zeros((replicates, len(gens)), dtype=np.int64)
-    log_w = None if alpha is None else np.full((replicates, len(gens)), _NEG_INF)
-    max_position = None if alpha is None else np.full(replicates, _NEG_INF)
-    ray_position = None
-    if spine_brood is not None:
-        ray_position = np.full((replicates, len(gens)), math.nan)
+    gens, column, population, log_w, max_position = _recording(
+        replicates, depth, generations, alpha)
+    ray_position = np.full((replicates, len(gens)), math.nan)
     capped_at = np.full(replicates, -1, dtype=np.int64)
-    stops: dict[int, tuple[int, int, float]] = {}
 
     def record(b: _Batch, n: int) -> None:
         if b.ids.size == 0:
             return
-        if n == depth and max_position is not None:
-            max_position[b.ids] = np.maximum.reduceat(b.pos, np.cumsum(b.z) - b.z)
+        first = np.cumsum(b.z) - b.z
+        if n == depth:
+            max_position[b.ids] = np.maximum.reduceat(b.pos, first)
         j = column[n]
         if j < 0:
             return
         population[b.ids, j] = b.z
-        if log_w is not None:
-            log_w[b.ids, j] = _segment_log_sum_exp(-alpha * b.pos, b.z) - n * log_m
-        if ray_position is not None:
-            ray_position[b.ids, j] = b.pos[np.cumsum(b.z) - b.z + b.spine]
+        log_w[b.ids, j] = _segment_log_sum_exp(-alpha * b.pos, b.z) - n * log_m
+        ray_position[b.ids, j] = b.pos[first + b.spine]
 
     def children(b: _Batch, g: int) -> list[Callable[[], _Batch]]:
         """Draw the broods of generation ``g + 1`` of ``b``; return one call
         per piece that places the piece's particles and records them.
-        Replicates that stop, hit the cap or die out are dropped."""
-        if stop_above is not None and (b.z > stop_above).any():
-            over = b.z > stop_above
-            for i in np.flatnonzero(over):
-                stops[int(b.ids[i])] = (g, int(b.z[i]), b.rngs[i].random())
-            b = b.take(~over)
-            if b.ids.size == 0:
-                return []
+        Replicates that hit the cap or die out are dropped."""
         edges = np.concatenate(([0], np.cumsum(b.z)))
         first = edges[:-1]
-        if spine_brood is None:
-            u = np.concatenate([rng.random(z) for rng, z in zip(b.rngs, b.z.tolist())])
-        else:
-            u = np.concatenate([rng.random(z + 2) for rng, z in zip(b.rngs, b.z.tolist())])
-            end = edges[1:] + 2 * np.arange(1, b.ids.size + 1)
-            atom, slot = spine_brood(u[end - 2], u[end - 1])
-            plain = np.ones(u.size, dtype=bool)
-            plain[end - 2] = plain[end - 1] = False
-            u = u[plain]
-        ai, counts = _broods(law, u)
-        if spine_brood is not None:
-            at = first + b.spine
-            ai[at] = atom
-            counts[at] = _brood_sizes(law, atom)
+        u = np.concatenate([rng.random(z + 2) for rng, z in zip(b.rngs, b.z.tolist())])
+        end = edges[1:] + 2 * np.arange(1, b.ids.size + 1)
+        atom, slot = spine_brood(u[end - 2], u[end - 1])
+        plain = np.ones(u.size, dtype=bool)
+        plain[end - 2] = plain[end - 1] = False
+        ai, counts = _broods(law, u[plain])
+        at = first + b.spine
+        ai[at] = atom
+        counts[at] = _brood_sizes(law, atom)
         totals = np.add.reduceat(counts, first)
         capped = b.nodes + totals > caps.max_nodes
         if capped.any():
             capped_at[b.ids[capped]] = g + 1
             counts[np.repeat(capped, b.z)] = 0
             totals[capped] = 0
-        spine = None
-        if spine_brood is not None:
-            below = np.cumsum(counts) - counts
-            spine = below[at] - below[first] + slot
+        below = np.cumsum(counts) - counts
+        spine = below[at] - below[first] + slot
 
         def place(lo: int, hi: int) -> _Batch:
             p = slice(edges[lo], edges[hi])
             z = totals[lo:hi]
-            pos = None
-            if b.pos is not None:
-                disp = _offspring_displacements(law, ai[p], counts[p], int(z.sum()))
-                pos = np.repeat(b.pos[p], counts[p]) + disp
-            piece = _Batch(b.ids[lo:hi], b.rngs[lo:hi], z, b.nodes[lo:hi] + z, pos,
-                           None if spine is None else spine[lo:hi])
+            disp = _offspring_displacements(law, ai[p], counts[p], int(z.sum()))
+            pos = np.repeat(b.pos[p], counts[p]) + disp
+            piece = _Batch(b.ids[lo:hi], b.rngs[lo:hi], z, b.nodes[lo:hi] + z, z, pos,
+                           spine=spine[lo:hi])
             if not z.all():
                 piece = piece.take(z > 0)
             record(piece, g + 1)
@@ -501,25 +569,196 @@ def grow_batch(
             cuts[1:1] = (np.flatnonzero(np.diff(window)) + 1).tolist()
         return [partial(place, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    for lo in range(0, replicates, _BATCH_REPLICATES):
-        ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
+    def root(ids: np.ndarray, rngs: list[np.random.Generator]) -> _Batch:
         ones = np.ones(ids.size, dtype=np.int64)
-        pos = None if alpha is None else np.zeros(ids.size)
-        spine = None if spine_brood is None else np.zeros(ids.size, dtype=np.int64)
-        root = _Batch(ids, [rng_for(int(r)) for r in ids], ones, ones, pos, spine)
-        record(root, 0)
-        # depth first over batches and unplaced pieces; a parent's arrays
-        # are freed with the call that places its last piece
-        pending: list[tuple[int, _Batch | Callable[[], _Batch]]] = [(0, root)]
-        while pending:
-            g, b = pending.pop()
-            if not isinstance(b, _Batch):
-                b = b()
-            if g == depth or b.ids.size == 0:
-                continue
-            if b.ids.size > 1 and b.z.sum() > _BATCH_PARTICLES:
-                first, second = b.halves()
-                pending += [(g, second), (g, first)]
+        return _Batch(ids, rngs, ones, ones, ones, np.zeros(ids.size),
+                      spine=np.zeros(ids.size, dtype=np.int64))
+
+    _grow_batches(replicates, depth, rng_for, root, lambda b: int(b.z.sum()), children,
+                  record)
+    return BatchGrowth(gens, population, log_w, capped_at, {}, max_position, ray_position)
+
+
+def grow_occupation(
+    law: Law,
+    depth: int,
+    caps: GrowthCaps,
+    rng_for: Callable[[int], np.random.Generator],
+    replicates: int,
+    alpha: float | None = None,
+    log_m: float = 0.0,
+    generations: Sequence[int] | None = None,
+    stop_above: int | None = None,
+) -> BatchGrowth:
+    """Grow plain-law replicates ``0..replicates-1`` to ``depth`` as
+    occupation measures and keep their generation sizes and, given
+    ``alpha``, ``log W_n`` and the largest last-generation position.
+
+    A replicate's frontier is its occupied positions with their particle
+    counts, positions merged by exact float equality, so the cost of a
+    generation follows the occupied positions, not the particles.  Each
+    non-empty generation replicate ``r`` makes one call on ``rng_for(r)``.
+    With ``Z_n`` up to ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
+    atoms`` (always, for heavy tails) it draws ``random(Z_n)``, the block
+    ``grow_tree`` draws, one uniform per particle with the particles taken
+    position by position; past it, ``multinomial(counts, p)`` gives the
+    atom counts at every position at once.  Particles at one position are
+    exchangeable, so either draw gives the law of the tree's positions.
+    While a replicate draws uniforms its ``Z_n`` and cap generation equal
+    those of ``grow_tree`` on the same stream bit for bit (a sum of broods
+    does not depend on which particle drew which uniform); its positions,
+    and so ``log W_n``, are equal in law only.
+
+    ``caps.max_nodes`` still counts tree nodes, ``sum Z_k`` over
+    ``k <= n``.  A replicate whose node total would pass ``2^62``, with
+    the cap above that, raises ``ResourceError``: no count is ever
+    wrapped.  With ``stop_above``, a replicate holding more particles at
+    the start of a generation stops there and draws one more uniform
+    instead (see ``BatchGrowth.stops``).  A replicate's numbers never
+    depend on the other replicates of its batch.
+    """
+    law = validate_law(law)
+    _check_growth(depth, caps)
+    gens, column, population, log_w, max_position = _recording(
+        replicates, depth, generations, alpha)
+
+    def record(b: _Batch, n: int) -> None:
+        if b.ids.size == 0:
+            return
+        if n == depth and max_position is not None:
+            max_position[b.ids] = b.pos[np.cumsum(b.rows) - 1]
+        j = column[n]
+        if j < 0:
+            return
+        population[b.ids, j] = b.z
+        if log_w is not None:
+            lse = _segment_log_sum_exp(-alpha * b.pos + np.log(b.count), b.rows)
+            log_w[b.ids, j] = lse - n * log_m
+
+    capped_at, stops = _grow_occupied(law, depth, caps, rng_for, replicates, alpha is not None,
+                                      stop_above, record)
+    return BatchGrowth(gens, population, log_w, capped_at, stops, max_position)
+
+
+def _grow_occupied(
+    law: Law,
+    depth: int,
+    caps: GrowthCaps,
+    rng_for: Callable[[int], np.random.Generator],
+    replicates: int,
+    positions: bool,
+    stop_above: int | None,
+    record: Callable[[_Batch, int], None],
+) -> tuple[np.ndarray, dict[int, tuple[int, int, float]]]:
+    """The engine behind ``grow_occupation``: hand every generation of
+    every batch to ``record`` and return ``capped_at`` and ``stops``.
+    Without ``positions`` all particles stay at 0.  ``law`` must already
+    be validated."""
+    capped_at = np.full(replicates, -1, dtype=np.int64)
+    stops: dict[int, tuple[int, int, float]] = {}
+    heavy = isinstance(law, LogDivergentLaw)
+    limit = min(caps.max_nodes, _COUNT_LIMIT)
+    disp = np.zeros(1)
+    if not heavy:
+        t = law._tables
+        atoms = t.counts.size
+        sizes = t.counts.tolist()
+        p = np.diff(np.minimum(t.cum_p, 1.0), prepend=0.0)
+        if positions:
+            # mult[a, d]: children of atom a at displacement disp[d]
+            disp = np.unique(t.flat_disp)
+            mult = np.zeros((atoms, disp.size), dtype=np.int64)
+            np.add.at(mult, (np.repeat(np.arange(atoms), t.counts),
+                             np.searchsorted(disp, t.flat_disp)), 1)
+
+    def multinomial(b: _Batch) -> np.ndarray:
+        """Which replicates of ``b`` draw their next broods by multinomial."""
+        if heavy:
+            return np.zeros(b.ids.size, dtype=bool)
+        return b.z > _MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * atoms * b.rows
+
+    def children(b: _Batch, g: int) -> list[_Batch]:
+        """Generation ``g + 1`` of ``b``, recorded; replicates that stop,
+        hit the cap or die out are dropped."""
+        if stop_above is not None and (b.z > stop_above).any():
+            over = b.z > stop_above
+            for i in np.flatnonzero(over):
+                stops[int(b.ids[i])] = (g, int(b.z[i]), b.rngs[i].random())
+            b = b.take(~over)
+            if b.ids.size == 0:
+                return []
+        first = np.cumsum(b.rows) - b.rows
+        multi = multinomial(b)
+        drawn = np.repeat(~multi, b.rows)  # rows whose particles draw uniforms
+        # kids[row, d]: children at position pos[row] + disp[d]; with one
+        # displacement a replicate has one row, and its Z_{n+1} says it all
+        totals = np.zeros(b.ids.size, dtype=np.int64)
+        kids = None if disp.size == 1 else np.zeros((b.pos.size, disp.size), dtype=np.int64)
+        blocks = [rng.random(z) for rng, z, m in zip(b.rngs, b.z.tolist(), multi.tolist())
+                  if not m]
+        if blocks:
+            ai = _atoms(law, np.concatenate(blocks))
+            count = b.count[drawn]
+            if kids is None:
+                totals[~multi] = np.add.reduceat(_brood_sizes(law, ai), np.cumsum(count) - count)
             else:
-                pending += [(g + 1, piece) for piece in reversed(children(b, g))]
-    return BatchGrowth(gens, population, log_w, capped_at, stops, max_position, ray_position)
+                cell = np.repeat(np.arange(0, count.size * atoms, atoms), count) + ai
+                per_atom = np.bincount(cell, minlength=count.size * atoms)
+                kids[drawn] = per_atom.reshape(-1, atoms) @ mult
+                totals = np.add.reduceat(kids.sum(axis=1), first)
+        room = limit - b.nodes
+        over = totals > room
+        for i in np.flatnonzero(multi).tolist():
+            at = slice(first[i], first[i] + b.rows[i])
+            per_atom = b.rngs[i].multinomial(b.count[at], p)
+            # Z_{n+1} in Python integers, so a count past int64 cannot wrap
+            total = sum(int(n) * size for n, size in zip(per_atom.sum(axis=0).tolist(), sizes))
+            over[i] = total > room[i]
+            if not over[i]:
+                totals[i] = total
+                if kids is not None:
+                    kids[at] = per_atom @ mult
+        if over.any():
+            if caps.max_nodes > _COUNT_LIMIT:
+                r = int(b.ids[np.argmax(over)])
+                raise ResourceError(
+                    f"replicate {r} would pass 2^62 tree nodes growing generation {g + 1}; "
+                    "counts that large are not represented, lower the depth"
+                )
+            capped_at[b.ids[over]] = g + 1
+            if kids is not None:
+                kids[np.repeat(over, b.rows)] = 0
+        live = (totals > 0) & ~over
+        z = totals[live]
+        if kids is None:
+            rows, pos, count = np.ones(z.size, dtype=np.int64), b.pos[live] + disp[0], z
+        else:
+            owner = np.repeat(np.arange(b.ids.size), b.rows * disp.size)
+            pos = (b.pos[:, None] + disp).ravel()
+            count = kids.ravel()
+            keep = count > 0
+            owner, pos, count = owner[keep], pos[keep], count[keep]
+            # by replicate, then position: a radix sort on the replicate
+            # index, which a batch keeps below 2^15
+            order = np.argsort(pos)
+            order = order[np.argsort(owner[order].astype(np.int16), kind="stable")]
+            owner, pos, count = owner[order], pos[order], count[order]
+            new = np.ones(pos.size, dtype=bool)
+            new[1:] = (owner[1:] != owner[:-1]) | (pos[1:] != pos[:-1])
+            at = np.flatnonzero(new)
+            owner, pos, count = owner[at], pos[at], np.add.reduceat(count, at)
+            rows = np.bincount(owner, minlength=b.ids.size)[live]
+        rngs = [rng for rng, k in zip(b.rngs, live.tolist()) if k]
+        nb = _Batch(b.ids[live], rngs, z, b.nodes[live] + z, rows, pos, count)
+        record(nb, g + 1)
+        return [nb]
+
+    def root(ids: np.ndarray, rngs: list[np.random.Generator]) -> _Batch:
+        ones = np.ones(ids.size, dtype=np.int64)
+        return _Batch(ids, rngs, ones, ones, ones, np.zeros(ids.size), ones)
+
+    def load(b: _Batch) -> int:
+        return int(np.where(multinomial(b), b.rows, b.z).sum())
+
+    _grow_batches(replicates, depth, rng_for, root, load, children, record)
+    return capped_at, stops

@@ -33,7 +33,7 @@ import numpy as np
 
 # grow_tree, martingale_trajectory and grow_spined_tree are unused here but
 # stay bound: perfbench/tracing.py patches them in this module
-from .brw import GrowthCaps, grow_batch, grow_tree, martingale_trajectory  # noqa: F401
+from .brw import GrowthCaps, grow_occupation, grow_tree, martingale_trajectory  # noqa: F401
 from .errors import (
     BrwError,
     DomainError,
@@ -344,12 +344,13 @@ def _refuse_if(refusal: str | None) -> None:
 @click.option("--out", default=None)
 @click.option("--format", "fmt", type=_FORMATS, default="csv")
 def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out, fmt):
-    """Grow plain trees; long-format per-generation trajectory artifact.
+    """Grow plain-law replicates; long-format per-generation trajectory
+    artifact.
 
-    A replicate that hits the node cap contributes the generations it
-    completed; the run stops there, flags it on stderr, and exits 2.
-    Replicates grow in batches on one thread; --workers is validated but
-    has no effect.
+    A replicate that hits the node cap (counted in tree nodes) contributes
+    the generations it completed; the run stops there, flags it on stderr,
+    and exits 2.  Replicates grow as occupation measures, in batches on one
+    thread; --workers is validated but has no effect.
     """
     law = _load_model(_require(model_path, "--model"))
     alpha = _single_alpha(_require(alpha_text, "--alpha"))
@@ -361,7 +362,8 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
     caps = _caps(max_nodes)
     log_m = math.log(tilted_mass(law, alpha))
 
-    grown = grow_batch(law, depth, caps, lambda r: replicate_rng(seed, r), reps, alpha, log_m)
+    grown = grow_occupation(law, depth, caps, lambda r: replicate_rng(seed, r), reps, alpha,
+                            log_m)
     all_rows: list[tuple] = []
     refusal = None
     for r, capped_at in enumerate(grown.capped_at.tolist()):

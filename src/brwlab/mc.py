@@ -9,13 +9,16 @@ biased estimate.
 
 Engines: every estimator runs on one thread and ignores ``workers``,
 which is validated and kept for compatibility.  ``mc_mean_w``,
-``mc_triviality_scan`` and ``mc_extinction`` grow plain replicates with
-``brw.grow_batch``; extinction counts particles only.
-``mc_importance_identity`` grows its size-biased sample with
-``spine.grow_spined_batch`` and its plain-law reference with
-``grow_batch``, and ``mc_spine_slope`` draws its walks with
-``spine.spine_walk_ends``; each replicate still draws from its own
-stream exactly what one tree or walk grown alone would.
+``mc_triviality_scan`` and ``mc_extinction`` grow plain replicates as
+occupation measures with ``brw.grow_occupation``, whose cost follows the
+occupied positions rather than the particles; extinction counts
+particles only and, stopping at ``_ANALYTIC_SWITCH`` particles, always
+draws exactly what ``grow_tree`` would.  ``mc_importance_identity``
+grows its size-biased sample with ``spine.grow_spined_batch``, each
+replicate drawing exactly what one spined tree grown alone would, and
+its plain-law reference with ``grow_occupation``.  ``mc_spine_slope``
+draws its walks with ``spine.spine_walk_ends``, each equal to one walk
+drawn alone.
 
 Agreement bands are four standard errors wide.  A failed band on a
 sound implementation is a once-per-tens-of-thousands event, so ``passed
@@ -41,7 +44,7 @@ from .brw import (  # noqa: F401
     BatchGrowth,
     GrowthCaps,
     LabelledTree,
-    grow_batch,
+    grow_occupation,
     grow_tree,
     martingale_trajectory,
 )
@@ -125,7 +128,7 @@ def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _streams(cfg: McConfig) -> Callable[[int], np.random.Generator]:
-    """The run's per-replicate generators, for ``grow_batch``."""
+    """The run's per-replicate generators, for the batched engines."""
     return lambda r: replicate_rng(cfg.master_seed, r)
 
 
@@ -177,8 +180,8 @@ def mc_mean_w(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) 
     the estimate low and marks it unreliable."""
     law = validate_law(law)
     profile = classify(law, alpha)
-    grown = grow_batch(law, cfg.depth, cfg.caps, _streams(cfg), cfg.replicates, alpha,
-                       profile.log_m, generations=(cfg.depth,))
+    grown = grow_occupation(law, cfg.depth, cfg.caps, _streams(cfg), cfg.replicates, alpha,
+                            profile.log_m, generations=(cfg.depth,))
     kept, discarded = _screen(cfg, grown.capped_at >= 0)
     values = [_safe_exp(x) for x in grown.log_w[kept, 0].tolist()]
     notes = []
@@ -229,8 +232,8 @@ def mc_extinction(law: Law, cfg: McConfig, keep_values: bool = False) -> McSumma
     # growth counts only and is never capped: at most _ANALYTIC_SWITCH
     # parents per generation draw broods
     uncapped = GrowthCaps(max_nodes=sys.maxsize, max_depth=cfg.depth)
-    grown = grow_batch(law, cfg.depth, uncapped, _streams(cfg), cfg.replicates,
-                       generations=(cfg.depth,), stop_above=_ANALYTIC_SWITCH)
+    grown = grow_occupation(law, cfg.depth, uncapped, _streams(cfg), cfg.replicates,
+                            generations=(cfg.depth,), stop_above=_ANALYTIC_SWITCH)
     extinct = grown.population[:, 0] == 0
     for r, (g, z, u) in grown.stops.items():
         extinct[r] = u < f_iter[cfg.depth - g] ** z
@@ -302,8 +305,8 @@ def mc_triviality_scan(
     if not grid or any(d < 0 for d in grid) or tuple(sorted(set(grid))) != grid:
         raise DomainError("depth grid must be sorted, distinct, nonnegative")
     profile = classify(law, alpha)
-    grown = grow_batch(law, grid[-1], cfg.caps, _streams(cfg), cfg.replicates, alpha,
-                       profile.log_m, generations=grid)
+    grown = grow_occupation(law, grid[-1], cfg.caps, _streams(cfg), cfg.replicates, alpha,
+                            profile.log_m, generations=grid)
     kept, discarded = _screen(cfg, grown.capped_at >= 0)
     matrix = grown.log_w[kept]
     medians, means, survivors, fractions = [], [], [], []
@@ -482,8 +485,8 @@ def mc_importance_identity(
     def plain_stream(r: int) -> np.random.Generator:
         return replicate_rng(cfg.master_seed, r + cfg.replicates)
 
-    plain = grow_batch(law, cfg.depth, cfg.caps, plain_stream, cfg.replicates, alpha,
-                       profile.log_m, gens)
+    plain = grow_occupation(law, cfg.depth, cfg.caps, plain_stream, cfg.replicates, alpha,
+                            profile.log_m, gens)
     ref_kept, ref_discarded = _screen(cfg, plain.capped_at >= 0)
     ref, ref_se, _ = _mean_se(_functional_values(functional, plain)[ref_kept])
     notes = [f"reference: plain-law Monte Carlo of E[F; alive], se {ref_se:.3g}",

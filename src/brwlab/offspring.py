@@ -51,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 import mpmath as mp
@@ -148,26 +148,14 @@ class LogDivergentLaw:
         object.__setattr__(self, "tail_exponent", float(self.tail_exponent))
         object.__setattr__(self, "n_max", int(self.n_max))
 
-    @cached_property
+    # both are shared by every law with the same (tail_exponent, n_max)
+    @property
     def _exact(self) -> "_LogFamilyExact":
         return _log_family_exact(self.tail_exponent, self.n_max)
 
-    @cached_property
+    @property
     def _cdf(self) -> np.ndarray:
-        # truncated sampling table over 2..n_max, ideal tail lumped into n_max
-        a = self.tail_exponent
-        c = self._exact.normalizer
-        n = np.arange(2, self.n_max, dtype=np.float64)
-        probs = c / (n * n * np.log(n) ** a)
-        lump = 1.0 - probs.sum()
-        cdf = np.empty(self.n_max - 1)
-        np.cumsum(probs, out=cdf[:-1])
-        cdf[-1] = 1.0
-        if lump < 0:
-            raise NormalizationError(
-                f"truncated table mass exceeds one by {-lump!r}; n_max too small"
-            )
-        return cdf
+        return _log_family_cdf(self.tail_exponent, self.n_max)
 
 
 Law = Union[FiniteLaw, LogDivergentLaw]
@@ -221,6 +209,7 @@ def _head(p: int, b: float, lo: int, hi: int) -> float:
     return float(np.sum(n ** (-p) * np.log(n) ** (-b)))
 
 
+@lru_cache(maxsize=128)
 def _log_family_exact(a: float, n_max: int) -> _LogFamilyExact:
     if not 1.0 < a <= TAIL_EXPONENT_LIMIT:
         raise DomainError(
@@ -249,6 +238,26 @@ def _log_family_exact(a: float, n_max: int) -> _LogFamilyExact:
             f"series tail error bound {err!r} exceeds {SERIES_TOL} for a={a}"
         )
     return _LogFamilyExact(c, mean, llogl, lump, trunc_mean, err)
+
+
+# a table holds n_max floats (80 MB at N_MAX_LIMIT), so few are kept
+@lru_cache(maxsize=4)
+def _log_family_cdf(a: float, n_max: int) -> np.ndarray:
+    """Read-only sampling table over ``2..n_max``, the ideal tail lumped
+    into ``n_max``."""
+    c = _log_family_exact(a, n_max).normalizer
+    n = np.arange(2, n_max, dtype=np.float64)
+    probs = c / (n * n * np.log(n) ** a)
+    lump = 1.0 - probs.sum()
+    cdf = np.empty(n_max - 1)
+    np.cumsum(probs, out=cdf[:-1])
+    cdf[-1] = 1.0
+    if lump < 0:
+        raise NormalizationError(
+            f"truncated table mass exceeds one by {-lump!r}; n_max too small"
+        )
+    cdf.flags.writeable = False
+    return cdf
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -359,7 +361,7 @@ def test_out_of_memory_is_a_resource_refusal(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli_mod, "grow_batch", exhausted)
+    monkeypatch.setattr(cli_mod, "grow_occupation", exhausted)
     code, _, err = run_cli(
         ["simulate", "--model", MODEL, "--alpha", "1", "--depth", "2", "--reps", "2", "--seed", "1"],
         capsys,
@@ -401,6 +403,54 @@ def test_seed_range_is_enforced(capsys):
         capsys,
     )
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# deep scans: occupation growth in a fresh process, timed and measured
+# ---------------------------------------------------------------------------
+
+QUAD = str(REPO / "models" / "quad_or_twin.json")
+
+# runs one CLI invocation, then prints its exit code and peak resident MB
+_MEASURED = """
+import json, resource, sys
+from brwlab.cli import _dispatch
+code = _dispatch(sys.argv[1:])
+print(json.dumps({"code": code, "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def _measured_cli(args: list[str]) -> tuple[dict, str, float]:
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _MEASURED, *args], capture_output=True,
+                          text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    seconds = time.perf_counter() - start
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stderr, seconds
+
+
+def test_deep_scan_decays_in_seconds_and_megabytes(tmp_path):
+    # depth 36 of quad_or_twin holds about 10^17 particles per replicate
+    out = tmp_path / "scan.json"
+    facts, err, seconds = _measured_cli([
+        "mc", "--model", QUAD, "--estimator", "triviality_scan", "--alpha", "5",
+        "--depth-grid", "2,12,24,36", "--reps", "64", "--max-nodes", str(2**62),
+        "--seed", "1", "--out", str(out)])
+    assert facts["code"] == 0, err
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "DECAYING" and payload["agrees"] is True
+    assert payload["n"] == 64 and payload["discarded"] == 0
+    assert seconds < 5.0
+    assert facts["rss_mb"] < 150.0
+
+
+def test_counts_past_2_62_refuse_with_exit_two():
+    facts, err, seconds = _measured_cli([
+        "mc", "--model", QUAD, "--estimator", "triviality_scan", "--alpha", "5",
+        "--depth-grid", "2,45", "--reps", "16", "--max-nodes", str(2**63 - 1), "--seed", "1"])
+    assert facts["code"] == 2
+    assert err.startswith("refused:") and "2^62" in err and err.count("\n") == 1
+    assert seconds < 5.0
 
 
 # ---------------------------------------------------------------------------

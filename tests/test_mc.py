@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import brwlab.mc as mc_mod
+import occupation_reference
 from brwlab import (
     Classification,
     DomainError,
@@ -290,10 +292,18 @@ def test_importance_values_are_the_per_tree_values(pair_law, text):
         log_w = martingale_trajectory(spined.tree, 1.0, log_m).log_w[depth]
         sized.append(functional_on_tree(fn, spined.tree) * math.exp(-log_w))
     assert s.values.tolist() == sized
+    # the plain reference grows occupation measures: a functional of Z_n
+    # alone takes the tree's value, the maximum position its value in law
     plain = []
     for r in range(reps, 2 * reps):
-        tree = grow_tree(pair_law, depth, caps, replicate_rng(13, r))
-        plain.append(functional_on_tree(fn, tree) if tree.generation_index[depth].size else 0.0)
+        population, _, _, last = occupation_reference.grow_one(
+            pair_law, depth, caps, replicate_rng(13, r), 1.0, log_m)
+        z = population[depth]
+        plain.append(mc_mod._functional_value(fn, z, last[-1][0]) if z else 0.0)
+        if fn.kind != "exp_neg_max":
+            tree = grow_tree(pair_law, depth, caps, replicate_rng(13, r))
+            alive = tree.generation_index[depth].size
+            assert plain[-1] == (functional_on_tree(fn, tree) if alive else 0.0)
     assert s.reference == float(np.mean(plain))
     assert not s.unreliable
 

@@ -225,6 +225,19 @@ def test_heavy_law_moments(heavy_law):
     assert math.isfinite(llogl_moment(LogDivergentLaw(3.0), 0.0))
 
 
+def test_heavy_law_tables_are_shared_and_read_only():
+    # every CLI command builds its own law object; equal laws reuse one
+    # set of series constants and one sampling table
+    a, b = LogDivergentLaw(1.5, n_max=5000), LogDivergentLaw(1.5, n_max=5000)
+    assert a is not b
+    assert a._cdf is b._cdf
+    assert a._exact is b._exact
+    assert LogDivergentLaw(1.5, n_max=6000)._cdf is not a._cdf
+    with pytest.raises(ValueError):
+        a._cdf[0] = 0.5
+    assert a._cdf[0] < 1.0 == a._cdf[-1]
+
+
 # ---------------------------------------------------------------------------
 # classification ladder
 # ---------------------------------------------------------------------------
