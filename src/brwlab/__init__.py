@@ -95,7 +95,7 @@ from .oracle import (
     run_verify,
     w_value,
 )
-from .rng import replicate_rng, replicate_seed, splitmix64
+from .rng import replicate_rng, replicate_rngs, replicate_seed, splitmix64
 from .spine import (
     SpinedTree,
     grow_spined_batch,

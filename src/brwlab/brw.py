@@ -19,7 +19,9 @@ Two engines grow many replicates at once for statistics that need only
 ``Z_n``, ``W_n``, the ray and the last generation's largest position;
 both advance a batch of replicates one generation at a time, each
 replicate drawing from its own generator, and a replicate's results
-never depend on which batch or piece it ran in.
+never depend on which batch or piece it ran in.  A batch's generators
+are built in one call, ``rng_for(ids)``, which returns them in order of
+the replicate ids (see ``rng.replicate_rngs``).
 
 ``grow_batch`` grows spined replicates.  It keeps per frontier particle
 only its position, laid out replicate by replicate, and each replicate
@@ -439,7 +441,7 @@ class _Batch:
 def _grow_batches(
     replicates: int,
     depth: int,
-    rng_for: Callable[[int], np.random.Generator],
+    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
     root: Callable[[np.ndarray, list[np.random.Generator]], _Batch],
     load: Callable[[_Batch], int],
     children: Callable[[_Batch, int], list[_Batch | Callable[[], _Batch]]],
@@ -447,13 +449,15 @@ def _grow_batches(
 ) -> None:
     """Grow batches of at most ``_BATCH_REPLICATES`` roots depth first.
 
-    ``children(b, g)`` returns generation ``g + 1`` of ``b`` as batches or
-    calls that place a piece of it, each recorded by then; a batch whose
-    ``load`` passes ``_BATCH_PARTICLES`` splits in two first.  A parent's
-    arrays are freed with the call that places its last piece."""
+    ``rng_for(ids)`` returns the generators of replicates ``ids``, in
+    order, and is called once per batch.  ``children(b, g)`` returns
+    generation ``g + 1`` of ``b`` as batches or calls that place a piece
+    of it, each recorded by then; a batch whose ``load`` passes
+    ``_BATCH_PARTICLES`` splits in two first.  A parent's arrays are
+    freed with the call that places its last piece."""
     for lo in range(0, replicates, _BATCH_REPLICATES):
         ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
-        first = root(ids, [rng_for(int(r)) for r in ids])
+        first = root(ids, rng_for(ids))
         record(first, 0)
         pending: list[tuple[int, _Batch | Callable[[], _Batch]]] = [(0, first)]
         while pending:
@@ -486,7 +490,7 @@ def grow_batch(
     law: Law,
     depth: int,
     caps: GrowthCaps,
-    rng_for: Callable[[int], np.random.Generator],
+    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
     replicates: int,
     alpha: float,
     log_m: float,
@@ -498,11 +502,12 @@ def grow_batch(
     generation sizes, ``log W_n``, ray positions and largest
     last-generation position.
 
-    Replicate ``r`` draws from ``rng_for(r)`` exactly what
-    ``grow_spined_tree`` draws, one ``random(Z_n + 2)`` block per
-    generation, whose last two uniforms go to ``spine_brood`` for the
-    whole batch in one call, and hits the node cap at the same
-    generation; its numbers equal those of the tree plus
+    ``rng_for(ids)`` returns the generators of replicates ``ids``, in
+    order; it is called once per batch.  Replicate ``r`` draws from its
+    generator exactly what ``grow_spined_tree`` draws, one
+    ``random(Z_n + 2)`` block per generation, whose last two uniforms go
+    to ``spine_brood`` for the whole batch in one call, and hits the node
+    cap at the same generation; its numbers equal those of the tree plus
     ``martingale_trajectory`` bit for bit, whatever the other replicates
     of its batch.  ``generations`` picks the generations recorded
     (default: all).
@@ -583,7 +588,7 @@ def grow_occupation(
     law: Law,
     depth: int,
     caps: GrowthCaps,
-    rng_for: Callable[[int], np.random.Generator],
+    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
     replicates: int,
     alpha: float | None = None,
     log_m: float = 0.0,
@@ -597,7 +602,8 @@ def grow_occupation(
     A replicate's frontier is its occupied positions with their particle
     counts, positions merged by exact float equality, so the cost of a
     generation follows the occupied positions, not the particles.  Each
-    non-empty generation replicate ``r`` makes one call on ``rng_for(r)``.
+    non-empty generation replicate ``r`` makes one call on its generator,
+    which ``rng_for(ids)`` returns, in order of ``ids``, once per batch.
     With ``Z_n`` up to ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
     atoms`` (always, for heavy tails) it draws ``random(Z_n)``, the block
     ``grow_tree`` draws, one uniform per particle with the particles taken
@@ -644,7 +650,7 @@ def _grow_occupied(
     law: Law,
     depth: int,
     caps: GrowthCaps,
-    rng_for: Callable[[int], np.random.Generator],
+    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
     replicates: int,
     positions: bool,
     stop_above: int | None,

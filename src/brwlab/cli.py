@@ -55,7 +55,9 @@ from .mc import (
 )
 from .offspring import classify, extinction_probability, law_from_json, tilted_mass
 from .oracle import run_verify
-from .rng import replicate_rng
+# replicate_rng is unused here but stays bound: perfbench/tracing.py
+# patches it in this module
+from .rng import replicate_rng, replicate_rngs  # noqa: F401
 from .spine import grow_spined_batch, grow_spined_tree  # noqa: F401
 
 
@@ -151,12 +153,23 @@ def _cell(v) -> str:
     return str(v)
 
 
+# cell types whose str() is their _cell text, which csv never quotes
+_PLAIN_CELLS = frozenset((int, float, bool, type(None)))
+
+
 def _csv_text(header: list[str], rows) -> str:
+    """``header`` and ``rows`` as ``csv.writer`` writes their ``_cell``
+    texts.  A table of plain numbers, bools and ``None`` is formatted
+    column by column, without a Python call per cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    columns = list(zip(*rows))
+    if all(_PLAIN_CELLS.issuperset(map(type, cells)) for cells in columns):
+        lines = list(map(",".join, zip(*(map(str, cells) for cells in columns))))
+        buf.write("\n".join(lines + [""]))
+    else:
+        writer.writerows(zip(*(map(_cell, cells) for cells in columns)))
     return buf.getvalue()
 
 
@@ -362,8 +375,8 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
     caps = _caps(max_nodes)
     log_m = math.log(tilted_mass(law, alpha))
 
-    grown = grow_occupation(law, depth, caps, lambda r: replicate_rng(seed, r), reps, alpha,
-                            log_m)
+    grown = grow_occupation(law, depth, caps, lambda ids: replicate_rngs(seed, ids), reps,
+                            alpha, log_m)
     all_rows: list[tuple] = []
     refusal = None
     for r, capped_at in enumerate(grown.capped_at.tolist()):
@@ -414,7 +427,7 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
     caps = _caps(max_nodes)
 
     grown, log_weight = grow_spined_batch(
-        law, alpha, depth, caps, lambda r: replicate_rng(seed, r), reps
+        law, alpha, depth, caps, lambda ids: replicate_rngs(seed, ids), reps
     )
     all_rows: list[tuple] = []
     refusal = None

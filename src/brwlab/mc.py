@@ -1,11 +1,13 @@
 """Monte Carlo estimators with exact references where one exists.
 
-Seeding: replicate ``r`` always draws from ``replicate_rng(master_seed,
-r)``; results are merged in replicate order, so estimates are
-bit-identical for any worker count.  Replicates whose tree growth hits
-the node cap are discarded, and a run refusing more than 1% of its
-replicates aborts with ``ExcessiveDiscardError`` rather than report a
-biased estimate.
+Seeding: replicate ``r`` always draws the stream of
+``replicate_rng(master_seed, r)``; results are merged in replicate
+order, so estimates are bit-identical for any worker count.  The batched
+engines build a batch's generators in one call, ``rng_for(ids) =
+replicate_rngs(master_seed, ids)``, which gives the same streams.
+Replicates whose tree growth hits the node cap are discarded, and a run
+refusing more than 1% of its replicates aborts with
+``ExcessiveDiscardError`` rather than report a biased estimate.
 
 Engines: every estimator runs on one thread and ignores ``workers``,
 which is validated and kept for compatibility.  ``mc_mean_w``,
@@ -20,10 +22,20 @@ its plain-law reference with ``grow_occupation``.  ``mc_spine_slope``
 draws its walks with ``spine.spine_walk_ends``, each equal to one walk
 drawn alone.
 
-Agreement bands are four standard errors wide.  A failed band on a
-sound implementation is a once-per-tens-of-thousands event, so ``passed
-= False`` flags a defect, not noise; ``unreliable = True`` marks runs
-whose estimand has heavy tails (the mean-of-W check outside the
+Agreement bands are four standard errors wide.  Where the reference is
+exhaustive enumeration, the importance band takes its standard error
+from the exact variance of ``F/W_n`` under the size-biased law,
+``E[F^2/W_n; alive] - E[F; alive]^2``, enumerated with the reference.
+``F/W_n`` is strongly right-skewed (skew 14.6 for coin_pair, ``min_z:2``,
+depth 4), so its sample standard error is smallest exactly when the
+large values are missed; the exact one does not depend on the sample.
+The mean itself stays right-skewed: over master seeds 0-12,999 of that
+run at 2,000 replicates, the exact band failed 3 times, all above the
+reference, where four sample errors failed 4 times, all below.  Every
+other band uses the sample standard errors.  A failed band on a sound
+implementation is an event of one run in thousands or rarer, so
+``passed = False`` flags a probable defect; ``unreliable = True`` marks
+runs whose estimand has heavy tails (the mean-of-W check outside the
 nontrivial-limit regime), where the band is not meaningful, and
 mean-of-W and importance runs that discarded any replicate: the
 discarded trees are the largest ones, so the estimate is biased.
@@ -63,7 +75,9 @@ from .oracle import (
     enumerate_trees,
     generation_positions,
 )
-from .rng import replicate_rng
+# replicate_rng is unused here but stays bound: perfbench/tracing.py
+# patches it in this module
+from .rng import replicate_rng, replicate_rngs  # noqa: F401
 from .spine import grow_spined_batch, grow_spined_tree, spine_walk_ends  # noqa: F401
 
 # population size at which survival is resolved analytically instead of
@@ -116,6 +130,7 @@ class McSummary:
     note: str = ""
     kept: tuple[int, ...] = ()
     values: np.ndarray | None = None
+    band_se: float | None = None  # standard error the band is 4 of
 
 
 def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
@@ -127,9 +142,10 @@ def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
     return np.flatnonzero(~capped), discarded
 
 
-def _streams(cfg: McConfig) -> Callable[[int], np.random.Generator]:
-    """The run's per-replicate generators, for the batched engines."""
-    return lambda r: replicate_rng(cfg.master_seed, r)
+def _streams(cfg: McConfig, offset: int = 0) -> Callable[[np.ndarray], list[np.random.Generator]]:
+    """``rng_for`` of the batched engines: the generators of replicates
+    ``ids + offset`` of the run."""
+    return lambda ids: replicate_rngs(cfg.master_seed, ids + offset)
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, float, int]:
@@ -147,11 +163,15 @@ def _band(estimate: float, reference: float, se: float) -> bool:
 
 
 def _summary(estimator, law_values, discarded, cfg, reference, kept, keep_values,
-             unreliable=False, note="", se_extra=0.0) -> McSummary:
+             unreliable=False, note="", se_extra=0.0, exact_se=None) -> McSummary:
+    """Summary of ``law_values``; the band is four times ``exact_se`` or,
+    without it, the sample standard error, each combined with
+    ``se_extra`` (a Monte Carlo reference's)."""
     est, se, n = _mean_se(law_values)
-    passed = None
+    passed = band_se = None
     if reference is not None and math.isfinite(reference):
-        passed = _band(est, reference, math.hypot(se, se_extra))
+        band_se = math.hypot(se if exact_se is None else exact_se, se_extra)
+        passed = _band(est, reference, band_se)
     return McSummary(
         estimator=estimator,
         estimate=est,
@@ -165,6 +185,7 @@ def _summary(estimator, law_values, discarded, cfg, reference, kept, keep_values
         note=note,
         kept=tuple(kept),
         values=np.asarray(law_values, dtype=np.float64) if keep_values else None,
+        band_se=band_se,
     )
 
 
@@ -428,6 +449,31 @@ def _functional_values(fn: Functional, grown: BatchGrowth) -> np.ndarray:
     return np.array([_functional_value(fn, n, x) if n else 0.0 for n, x in zip(z, top)])
 
 
+def _exact_reference(law: FiniteLaw, alpha: float, log_m: float, fn: Functional,
+                     depth: int) -> tuple[float, float]:
+    """``E[F; alive]`` at ``depth`` and the standard deviation of ``F/W_n``
+    under the size-biased law, ``sqrt(E[F^2/W_n; alive] - E[F; alive]^2)``,
+    in one pass over the enumerated outcomes."""
+    terms, squares = [], []
+    for t, p in enumerate_trees(law, depth):
+        positions = generation_positions(law, t, depth)
+        if not positions:
+            continue
+        f = _functional_value(fn, len(positions), max(positions))
+        terms.append(p * f)
+        if f:
+            tilts = [-alpha * x for x in positions]
+            top = max(tilts)
+            log_w = top + math.log(math.fsum(math.exp(v - top) for v in tilts)) - depth * log_m
+            squares.append(p * f * f * _safe_exp(-log_w))
+    ref = math.fsum(terms)
+    try:
+        second = math.fsum(squares)
+    except OverflowError:
+        second = math.inf
+    return ref, math.sqrt(max(0.0, second - ref * ref))
+
+
 def _importance_discards(sized: int, plain: int) -> list[str]:
     """The note on discarded replicates of an importance run, if any."""
     if not sized + plain:
@@ -452,7 +498,8 @@ def mc_importance_identity(
     the estimator recovers the survival probability to depth ``n``.
 
     The reference is exact (exhaustive enumeration) when the outcome
-    count is small enough, otherwise a plain-law Monte Carlo using the
+    count is small enough, and the band then uses the exact standard
+    error of ``F/W_n``; otherwise a plain-law Monte Carlo using the
     replicate index range just above this run's (so the two samples never
     share a stream); the band then uses both standard errors.  Discarded
     replicates, in either sample, are the largest trees, so any discard
@@ -472,21 +519,16 @@ def mc_importance_identity(
         _ORACLE_REF_CAP, ENUM_CAP
     )
     if exact_ref:
-        terms = []
-        for t, p in enumerate_trees(law, cfg.depth):
-            if generation_positions(law, t, cfg.depth):
-                terms.append(p * functional_on_outcome(functional, law, t, cfg.depth))
-        ref = math.fsum(terms)
-        notes = ["reference: exhaustive enumeration of E[F; alive]",
+        ref, sd = _exact_reference(law, alpha, profile.log_m, functional, cfg.depth)
+        exact_se = sd / math.sqrt(len(values)) if math.isfinite(sd) else None
+        band = "" if exact_se is None else f", band se {exact_se:.3g} from the exact variance"
+        notes = [f"reference: exhaustive enumeration of E[F; alive]{band}",
                  *_importance_discards(discarded, 0)]
         return _summary(name, values, discarded, cfg, ref, kept.tolist(), keep_values,
-                        unreliable=len(notes) > 1, note="; ".join(notes))
+                        unreliable=len(notes) > 1, note="; ".join(notes), exact_se=exact_se)
 
-    def plain_stream(r: int) -> np.random.Generator:
-        return replicate_rng(cfg.master_seed, r + cfg.replicates)
-
-    plain = grow_occupation(law, cfg.depth, cfg.caps, plain_stream, cfg.replicates, alpha,
-                            profile.log_m, gens)
+    plain = grow_occupation(law, cfg.depth, cfg.caps, _streams(cfg, cfg.replicates),
+                            cfg.replicates, alpha, profile.log_m, gens)
     ref_kept, ref_discarded = _screen(cfg, plain.capped_at >= 0)
     ref, ref_se, _ = _mean_se(_functional_values(functional, plain)[ref_kept])
     notes = [f"reference: plain-law Monte Carlo of E[F; alive], se {ref_se:.3g}",

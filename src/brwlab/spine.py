@@ -25,6 +25,8 @@ block of ``2 * depth`` uniforms: the first half picks the atoms, the
 second half the children.  Its step law is ``spine_step_law`` from the
 offspring module and its mean step is the drift ``-m'(alpha)/m(alpha)``.
 ``spine_walk_ends`` runs many walks at once and keeps their endpoints.
+Both batched functions take ``rng_for(ids)``, which builds the
+generators of many replicates in one call (``rng.replicate_rngs``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brw import BatchGrowth, GrowthCaps, LabelledTree, _grow, grow_batch
+from .brw import _BATCH_REPLICATES, BatchGrowth, GrowthCaps, LabelledTree, _grow, grow_batch
 from .errors import DomainError, LevelOutOfRangeError, PopulationCapError
 from .offspring import (
     FiniteLaw,
@@ -189,7 +191,7 @@ def grow_spined_batch(
     alpha: float,
     depth: int,
     caps: GrowthCaps,
-    rng_for: Callable[[int], np.random.Generator],
+    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
     replicates: int,
     generations: Sequence[int] | None = None,
 ) -> tuple[BatchGrowth, np.ndarray]:
@@ -197,10 +199,11 @@ def grow_spined_batch(
     ``brw.grow_batch``; also return ``spine_log_weight`` per replicate and
     recorded generation.
 
-    Replicate ``r`` equals ``grow_spined_tree(..., rng_for(r))`` followed
-    by ``martingale_trajectory(..., log m)`` bit for bit, and a replicate
-    that hits the node cap reports the generation that tree would raise
-    ``PopulationCapError`` at in ``capped_at``.
+    ``rng_for(ids)`` returns the generators of replicates ``ids``, in
+    order.  Replicate ``r`` equals ``grow_spined_tree`` on its generator
+    followed by ``martingale_trajectory(..., log m)`` bit for bit, and a
+    replicate that hits the node cap reports the generation that tree
+    would raise ``PopulationCapError`` at in ``capped_at``.
     """
     law = validate_law(law)
     tables = _spine_tables(law, float(alpha))
@@ -236,7 +239,8 @@ def sample_spine_walk(
     return _walk(law, _spine_tables(law, float(alpha)), rng.random(2 * depth))
 
 
-# spine_walk_ends draws walks in blocks of about this many uniforms
+# spine_walk_ends draws walks in blocks of about this many uniforms, and of
+# at most brw._BATCH_REPLICATES walks, whose generators are live at once
 _WALK_UNIFORMS = 1 << 16
 
 
@@ -244,19 +248,21 @@ def spine_walk_ends(
     law: Law,
     alpha: float,
     depth: int,
-    rng_for: Callable[[int], np.random.Generator],
+    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
     replicates: int,
 ) -> np.ndarray:
-    """``S(xi_depth)`` of walks ``0..replicates-1``; walk ``r`` equals
-    ``sample_spine_walk(law, alpha, depth, rng_for(r))[-1]`` bit for bit."""
+    """``S(xi_depth)`` of walks ``0..replicates-1``.  ``rng_for(ids)``
+    returns the generators of walks ``ids``, in order, once per block of
+    walks; walk ``r`` ends where ``sample_spine_walk`` on its generator
+    ends, bit for bit."""
     law = validate_law(law)
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth}")
     tables = _spine_tables(law, float(alpha))
-    rows = max(1, _WALK_UNIFORMS // max(1, 2 * depth))
+    rows = max(1, min(_BATCH_REPLICATES, _WALK_UNIFORMS // max(1, 2 * depth)))
     ends = np.empty(replicates)
     for lo in range(0, replicates, rows):
         hi = min(lo + rows, replicates)
-        u = np.stack([rng_for(r).random(2 * depth) for r in range(lo, hi)])
+        u = np.stack([rng.random(2 * depth) for rng in rng_for(np.arange(lo, hi))])
         ends[lo:hi] = _walk(law, tables, u)[:, -1]
     return ends

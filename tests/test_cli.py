@@ -122,6 +122,30 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
 # simulate / spine artifacts
 # ---------------------------------------------------------------------------
 
+CSV_CELLS = [0, -7, 2**70, True, False, None, float("inf"), float("-inf"), float("nan"),
+             -0.0, 5e-324, 0.1, -1.2345678901234567e300]
+CSV_STRINGS = ["plain", "a, b", 'say "hi"', "two\nlines", "cr\rcell", "", "; tab\t"]
+
+
+def _reference_csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli_mod._cell(v) for v in row])
+    return buf.getvalue()
+
+
+@given(st.lists(st.lists(st.sampled_from(CSV_CELLS), min_size=3, max_size=3), max_size=6),
+       st.lists(st.sampled_from(CSV_CELLS + CSV_STRINGS), min_size=3, max_size=3))
+def test_csv_text_matches_csv_writer(rows, mixed):
+    header = ["n", "note, with comma", "value"]
+    assert cli_mod._csv_text(header, rows) == _reference_csv(header, rows)
+    assert cli_mod._csv_text(header, iter(rows)) == _reference_csv(header, rows)
+    # a string cell, here or in a summary note, keeps csv quoting
+    assert cli_mod._csv_text(header, rows + [mixed]) == _reference_csv(header, rows + [mixed])
+
+
 
 def test_simulate_csv_layout(capsys):
     code, out, _ = run_cli(

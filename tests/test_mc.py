@@ -32,7 +32,9 @@ from brwlab import (
     pgf_eval,
     replicate_rng,
     sample_spine_walk,
+    tilted_mass,
 )
+from brwlab.oracle import enumerate_trees, w_value
 
 # ---------------------------------------------------------------------------
 # configuration contract
@@ -202,6 +204,29 @@ def test_importance_identities(pair_law):
         s = mc_importance_identity(pair_law, 1.0, parse_functional(text), cfg)
         assert s.reference == pytest.approx(want, abs=1e-12)
         assert s.passed, (text, s.estimate, s.reference, s.se)
+
+
+def test_importance_band_uses_the_exact_standard_error(pair_law):
+    # F/W_n is right-skewed (skew 14.6 here), so this seed's sample misses
+    # large values and its sample standard error shrinks: the estimate
+    # sits -4.02 sample errors but -3.01 exact errors from the reference
+    fn = parse_functional("min_z:2")
+    cfg = McConfig(replicates=2000, depth=4, master_seed=9107629592143383175)
+    s = mc_importance_identity(pair_law, 1.0, fn, cfg)
+    m = tilted_mass(pair_law, 1.0)
+    ref = second = 0.0
+    for t, p in enumerate_trees(pair_law, 4):
+        w = w_value(pair_law, t, 1.0, 4, m)
+        if w > 0:
+            f = functional_on_outcome(fn, pair_law, t, 4)
+            ref += p * f
+            second += p * f * f / w
+    exact_se = math.sqrt((second - ref * ref) / cfg.replicates)
+    assert s.reference == pytest.approx(ref, abs=1e-12)
+    assert s.band_se == pytest.approx(exact_se, rel=1e-9)
+    assert f"band se {exact_se:.3g} from the exact variance" in s.note
+    assert abs(s.estimate - s.reference) > 4 * s.se
+    assert s.passed and not s.unreliable
 
 
 def test_importance_binary_is_exact(binary_law):

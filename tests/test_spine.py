@@ -1,6 +1,7 @@
 """Size-biased tree growth with a distinguished ray, spined batches, and the spine walk."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from brwlab import (
     grow_spined_tree,
     martingale_trajectory,
     replicate_rng,
+    replicate_rngs,
     rn_log_weight,
     sample_spine_walk,
     spine_positions,
@@ -209,7 +211,7 @@ def test_spined_batch_matches_spined_trees_exactly(case, seed, monkeypatch):
     reps = 24
 
     def batch():
-        return grow_spined_batch(law, alpha, depth, caps, lambda r: replicate_rng(seed, r), reps)
+        return grow_spined_batch(law, alpha, depth, caps, partial(replicate_rngs, seed), reps)
 
     grown, log_weight = batch()
     assert grown.generations == tuple(range(depth + 1))
@@ -243,9 +245,9 @@ def test_spined_batch_matches_spined_trees_exactly(case, seed, monkeypatch):
 
 def test_spined_batch_records_chosen_generations(pair_law):
     full, full_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS,
-                                          lambda r: replicate_rng(4, r), 30)
+                                          partial(replicate_rngs, 4), 30)
     some, some_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS,
-                                          lambda r: replicate_rng(4, r), 30, (0, 5, 8))
+                                          partial(replicate_rngs, 4), 30, (0, 5, 8))
     for name in ("population", "log_w", "ray_position"):
         assert np.array_equal(getattr(some, name), getattr(full, name)[:, [0, 5, 8]])
     assert np.array_equal(some_weight, full_weight[:, [0, 5, 8]])
@@ -298,14 +300,14 @@ def test_spine_walks_match_the_two_block_definition(law, alpha, monkeypatch):
     for r in range(reps):
         walk = sample_spine_walk(law, alpha, depth, replicate_rng(5, r))
         assert np.array_equal(walk, _reference_walk(law, alpha, depth, replicate_rng(5, r)))
-    ends = spine_walk_ends(law, alpha, depth, lambda r: replicate_rng(5, r), reps)
+    ends = spine_walk_ends(law, alpha, depth, partial(replicate_rngs, 5), reps)
     monkeypatch.setattr(spine_mod, "_WALK_UNIFORMS", 100)  # several blocks of walks
-    blocks = spine_walk_ends(law, alpha, depth, lambda r: replicate_rng(5, r), reps)
+    blocks = spine_walk_ends(law, alpha, depth, partial(replicate_rngs, 5), reps)
     for r in range(reps):
         assert ends[r] == blocks[r] == sample_spine_walk(law, alpha, depth, replicate_rng(5, r))[-1]
 
 
 def test_heavy_walks_stay_at_zero(heavy_law):
-    ends = spine_walk_ends(heavy_law, 0.0, 9, lambda r: replicate_rng(2, r), 5)
+    ends = spine_walk_ends(heavy_law, 0.0, 9, partial(replicate_rngs, 2), 5)
     assert not ends.any()
     assert not sample_spine_walk(heavy_law, 0.0, 9, replicate_rng(2, 0)).any()
