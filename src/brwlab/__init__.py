@@ -15,7 +15,6 @@ from .brw import (
     MartingaleTrajectory,
     NodeRecord,
     generation_sizes,
-    grow_batch,
     grow_occupation,
     grow_tree,
     log_sum_exp,

@@ -15,60 +15,53 @@ block, and picks the next spine particle among its children.
 Everything else grows under the plain law, so spined growth needs no
 engine of its own.
 
-Two engines grow many replicates at once for statistics that need only
-``Z_n``, ``W_n``, the ray and the last generation's largest position;
-both advance a batch of replicates one generation at a time, each
-replicate drawing from its own generator, and a replicate's results
-never depend on which batch or piece it ran in.  A batch's generators
-are built in one call, ``rng_for(ids)``, which returns them in order of
-the replicate ids (see ``rng.replicate_rngs``).
+``grow_occupation`` grows many replicates at once for statistics that
+need only ``Z_n``, ``W_n``, the ray and the last generation's largest
+position.  It keeps per replicate its occupied positions with their
+int64 particle counts, merged by exact float equality, and advances a
+batch of replicates one generation at a time, each replicate drawing
+from its own generator; a replicate's results never depend on which
+batch it ran in.  A batch's generators are built in one call,
+``rng_for(ids)``, which returns them in order of the replicate ids (see
+``rng.replicate_rngs``).  Particles at one position are exchangeable,
+so one draw of atom counts per occupied position gives the law of the
+tree's positions (Athreya and Ney 1972; Biggins 1977).  While ``Z_n`` is
+small a replicate draws the ``random(Z_n)`` block ``grow_tree`` draws,
+which keeps its ``Z_n`` equal to the tree's; past ``_MULTINOMIAL_ABOVE``
+it draws one ``multinomial`` over the atoms, so its cost follows the
+occupied positions, not the particles.  No count may pass ``2^62``.
 
-``grow_batch`` grows spined replicates.  It keeps per frontier particle
-only its position, laid out replicate by replicate, and each replicate
-draws the block ``grow_spined_tree`` draws; the blocks are concatenated
-and every later step (atom choice, the spine particles' size-biased
-broods, brood sizes, displacement gather, repeat, per-replicate sums)
-runs once for the whole batch.  Uniforms become broods in one place,
-``_broods``, for trees and batches alike, and spine broods in one place,
-the ``spine_brood`` hook that ``spine`` supplies.  A generation whose
-broods hold more than ``_BATCH_CHILDREN`` children is placed in pieces,
-each when growth reaches it.
+Spined replicates grow on the same engine, given the ``spine_brood``
+hook that ``spine`` supplies.  Each keeps the position of its spine
+particle, which is counted in the row at that position, its home row.
+Under the size-biased law only the spine's brood is size-biased (Lyons,
+Pemantle and Peres 1995), so each generation the hook's brood stands in
+for the plain brood of one particle of the home row, and the ray moves
+to the chosen child.  The replicates equal ``grow_spined_tree`` in law,
+not bit for bit.  Uniforms become broods in one place, ``_atoms``, for
+trees and batches alike, and spine broods in one place, the hook.
 
-``grow_occupation`` grows plain-law replicates as occupation measures:
-per replicate, its occupied positions with their int64 particle counts,
-merged by exact float equality.  Particles at one position are
-exchangeable, so one draw of atom counts per occupied position gives the
-law of the tree's positions (Athreya and Ney 1972; Biggins 1977).  While
-``Z_n`` is small a replicate draws the ``random(Z_n)`` block
-``grow_tree`` draws, which keeps its ``Z_n`` equal to the tree's; past
-``_MULTINOMIAL_ABOVE`` it draws one ``multinomial`` over the atoms, so
-its cost follows the occupied positions, not the particles.  No count
-may pass ``2^62``.
-
-A batch whose next generation passes ``_BATCH_PARTICLES`` particles (or,
-for occupation batches, uniforms plus frontier rows) splits in two;
-beyond that size one replicate's arrays amortise numpy's per-call cost
-on their own.  Peak memory is therefore a few such budgets plus one
-replicate's frontier, less than its grown tree would hold.
+A batch whose next generation passes ``_BATCH_PARTICLES`` uniforms plus
+frontier rows splits in two; beyond that size one replicate's arrays
+amortise numpy's per-call cost on their own.  Peak memory is therefore a
+few such budgets plus one replicate's frontier, less than its grown tree
+would hold.
 
 The additive martingale along a grown tree is
 
     W_n = sum over generation-n nodes of exp(-alpha * S) / m(alpha)^n,
 
 computed in log space with max subtraction (``log_w``) by one segmented
-reduction over the generations of a tree or the replicates of a batch,
-so both paths give the same bits; an occupation measure sums
-``-alpha * S + log(count)`` per occupied position.  Empty generations
-give ``-inf``, and
-trajectories keep running past extinction so downstream consumers see
-explicit zeros.
+reduction, over the generations of a tree or over the replicates of a
+batch, where an occupied position contributes ``-alpha * S +
+log(count)``.  Empty generations give ``-inf``, and trajectories keep
+running past extinction so downstream consumers see explicit zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -358,14 +351,10 @@ def martingale_trajectory(
 
 # A batch whose next generation would draw more than _BATCH_PARTICLES
 # uniforms, or hold more frontier rows, splits in two; past that size one
-# replicate's arrays already amortise numpy's per-call cost.  A spined
-# generation whose children pass _BATCH_CHILDREN (only broods far larger
-# than the frontier reach it: heavy tails) is placed in pieces of about
-# that many children, each when the depth-first walk reaches it.  A run
+# replicate's arrays already amortise numpy's per-call cost.  A run
 # starts batches of at most _BATCH_REPLICATES roots, which bounds the
 # generators alive at once (about 1 kB each).
 _BATCH_PARTICLES = 1 << 16
-_BATCH_CHILDREN = 1 << 18
 _BATCH_REPLICATES = 4096
 
 # An occupation replicate-generation draws its broods with one multinomial
@@ -381,8 +370,8 @@ _COUNT_LIMIT = 1 << 62
 
 @dataclass(frozen=True)
 class BatchGrowth:
-    """What ``grow_batch`` and ``grow_occupation`` keep of each replicate,
-    rows in replicate order.
+    """What ``grow_occupation`` keeps of each replicate, rows in replicate
+    order.
 
     ``population[r, j]`` and ``log_w[r, j]`` are ``Z_n`` and ``log W_n``
     of replicate ``r`` at generation ``n = generations[j]``; past the last
@@ -409,12 +398,12 @@ class BatchGrowth:
 
 @dataclass(frozen=True)
 class _Batch:
-    """Live replicates of a batch, in replicate order: ``z`` particles and
-    ``rows`` frontier rows each, laid out replicate by replicate.  A row is
-    one particle (``count`` is None) or, in an occupation batch, one
-    occupied position with its particle count, positions ascending within
-    a replicate.  Spined batches also keep the spine particle's offset in
-    each replicate's frontier."""
+    """Live replicates of a batch, in replicate order: ``z`` particles,
+    ``nodes`` tree nodes so far and ``rows`` frontier rows each.  A row is
+    one occupied position with its particle count, laid out replicate by
+    replicate, positions ascending within a replicate.  Spined batches also
+    keep each replicate's spine position, which is the position of exactly
+    one of its rows, the spine's home row."""
 
     ids: np.ndarray
     rngs: list[np.random.Generator]
@@ -422,166 +411,19 @@ class _Batch:
     nodes: np.ndarray
     rows: np.ndarray
     pos: np.ndarray
-    count: np.ndarray | None = None
+    count: np.ndarray
     spine: np.ndarray | None = None
 
     def take(self, keep: np.ndarray) -> "_Batch":
         row = np.repeat(keep, self.rows)
-        count = None if self.count is None else self.count[row]
         spine = None if self.spine is None else self.spine[keep]
         rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
         return _Batch(self.ids[keep], rngs, self.z[keep], self.nodes[keep], self.rows[keep],
-                      self.pos[row], count, spine)
+                      self.pos[row], self.count[row], spine)
 
     def halves(self) -> tuple["_Batch", "_Batch"]:
         first = np.arange(self.ids.size) < self.ids.size // 2
         return self.take(first), self.take(~first)
-
-
-def _grow_batches(
-    replicates: int,
-    depth: int,
-    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
-    root: Callable[[np.ndarray, list[np.random.Generator]], _Batch],
-    load: Callable[[_Batch], int],
-    children: Callable[[_Batch, int], list[_Batch | Callable[[], _Batch]]],
-    record: Callable[[_Batch, int], None],
-) -> None:
-    """Grow batches of at most ``_BATCH_REPLICATES`` roots depth first.
-
-    ``rng_for(ids)`` returns the generators of replicates ``ids``, in
-    order, and is called once per batch.  ``children(b, g)`` returns
-    generation ``g + 1`` of ``b`` as batches or calls that place a piece
-    of it, each recorded by then; a batch whose ``load`` passes
-    ``_BATCH_PARTICLES`` splits in two first.  A parent's arrays are
-    freed with the call that places its last piece."""
-    for lo in range(0, replicates, _BATCH_REPLICATES):
-        ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
-        first = root(ids, rng_for(ids))
-        record(first, 0)
-        pending: list[tuple[int, _Batch | Callable[[], _Batch]]] = [(0, first)]
-        while pending:
-            g, b = pending.pop()
-            if not isinstance(b, _Batch):
-                b = b()
-            if g == depth or b.ids.size == 0:
-                continue
-            if b.ids.size > 1 and load(b) > _BATCH_PARTICLES:
-                first, second = b.halves()
-                pending += [(g, second), (g, first)]
-            else:
-                pending += [(g + 1, piece) for piece in reversed(children(b, g))]
-
-
-def _recording(replicates: int, depth: int, generations: Sequence[int] | None,
-               alpha: float | None):
-    """Recorded generations, their columns by generation, and the empty
-    ``population``, ``log_w`` and ``max_position`` arrays."""
-    gens = tuple(range(depth + 1)) if generations is None else tuple(generations)
-    column = np.full(depth + 1, -1, dtype=np.int64)
-    column[list(gens)] = np.arange(len(gens))
-    population = np.zeros((replicates, len(gens)), dtype=np.int64)
-    log_w = None if alpha is None else np.full((replicates, len(gens)), _NEG_INF)
-    max_position = None if alpha is None else np.full(replicates, _NEG_INF)
-    return gens, column, population, log_w, max_position
-
-
-def grow_batch(
-    law: Law,
-    depth: int,
-    caps: GrowthCaps,
-    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
-    replicates: int,
-    alpha: float,
-    log_m: float,
-    generations: Sequence[int] | None = None,
-    *,
-    spine_brood: SpineBrood,
-) -> BatchGrowth:
-    """Grow spined trees ``0..replicates-1`` to ``depth`` and keep their
-    generation sizes, ``log W_n``, ray positions and largest
-    last-generation position.
-
-    ``rng_for(ids)`` returns the generators of replicates ``ids``, in
-    order; it is called once per batch.  Replicate ``r`` draws from its
-    generator exactly what ``grow_spined_tree`` draws, one
-    ``random(Z_n + 2)`` block per generation, whose last two uniforms go
-    to ``spine_brood`` for the whole batch in one call, and hits the node
-    cap at the same generation; its numbers equal those of the tree plus
-    ``martingale_trajectory`` bit for bit, whatever the other replicates
-    of its batch.  ``generations`` picks the generations recorded
-    (default: all).
-    """
-    law = validate_law(law)
-    _check_growth(depth, caps)
-    gens, column, population, log_w, max_position = _recording(
-        replicates, depth, generations, alpha)
-    ray_position = np.full((replicates, len(gens)), math.nan)
-    capped_at = np.full(replicates, -1, dtype=np.int64)
-
-    def record(b: _Batch, n: int) -> None:
-        if b.ids.size == 0:
-            return
-        first = np.cumsum(b.z) - b.z
-        if n == depth:
-            max_position[b.ids] = np.maximum.reduceat(b.pos, first)
-        j = column[n]
-        if j < 0:
-            return
-        population[b.ids, j] = b.z
-        log_w[b.ids, j] = _segment_log_sum_exp(-alpha * b.pos, b.z) - n * log_m
-        ray_position[b.ids, j] = b.pos[first + b.spine]
-
-    def children(b: _Batch, g: int) -> list[Callable[[], _Batch]]:
-        """Draw the broods of generation ``g + 1`` of ``b``; return one call
-        per piece that places the piece's particles and records them.
-        Replicates that hit the cap or die out are dropped."""
-        edges = np.concatenate(([0], np.cumsum(b.z)))
-        first = edges[:-1]
-        u = np.concatenate([rng.random(z + 2) for rng, z in zip(b.rngs, b.z.tolist())])
-        end = edges[1:] + 2 * np.arange(1, b.ids.size + 1)
-        atom, slot = spine_brood(u[end - 2], u[end - 1])
-        plain = np.ones(u.size, dtype=bool)
-        plain[end - 2] = plain[end - 1] = False
-        ai, counts = _broods(law, u[plain])
-        at = first + b.spine
-        ai[at] = atom
-        counts[at] = _brood_sizes(law, atom)
-        totals = np.add.reduceat(counts, first)
-        capped = b.nodes + totals > caps.max_nodes
-        if capped.any():
-            capped_at[b.ids[capped]] = g + 1
-            counts[np.repeat(capped, b.z)] = 0
-            totals[capped] = 0
-        below = np.cumsum(counts) - counts
-        spine = below[at] - below[first] + slot
-
-        def place(lo: int, hi: int) -> _Batch:
-            p = slice(edges[lo], edges[hi])
-            z = totals[lo:hi]
-            disp = _offspring_displacements(law, ai[p], counts[p], int(z.sum()))
-            pos = np.repeat(b.pos[p], counts[p]) + disp
-            piece = _Batch(b.ids[lo:hi], b.rngs[lo:hi], z, b.nodes[lo:hi] + z, z, pos,
-                           spine=spine[lo:hi])
-            if not z.all():
-                piece = piece.take(z > 0)
-            record(piece, g + 1)
-            return piece
-
-        cuts = [0, b.ids.size]
-        if totals.sum() > _BATCH_CHILDREN:
-            window = (np.cumsum(totals) - totals) // _BATCH_CHILDREN
-            cuts[1:1] = (np.flatnonzero(np.diff(window)) + 1).tolist()
-        return [partial(place, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-
-    def root(ids: np.ndarray, rngs: list[np.random.Generator]) -> _Batch:
-        ones = np.ones(ids.size, dtype=np.int64)
-        return _Batch(ids, rngs, ones, ones, ones, np.zeros(ids.size),
-                      spine=np.zeros(ids.size, dtype=np.int64))
-
-    _grow_batches(replicates, depth, rng_for, root, lambda b: int(b.z.sum()), children,
-                  record)
-    return BatchGrowth(gens, population, log_w, capped_at, {}, max_position, ray_position)
 
 
 def grow_occupation(
@@ -594,10 +436,11 @@ def grow_occupation(
     log_m: float = 0.0,
     generations: Sequence[int] | None = None,
     stop_above: int | None = None,
+    spine_brood: SpineBrood | None = None,
 ) -> BatchGrowth:
-    """Grow plain-law replicates ``0..replicates-1`` to ``depth`` as
-    occupation measures and keep their generation sizes and, given
-    ``alpha``, ``log W_n`` and the largest last-generation position.
+    """Grow replicates ``0..replicates-1`` to ``depth`` as occupation
+    measures and keep their generation sizes and, given ``alpha``,
+    ``log W_n`` and the largest last-generation position.
 
     A replicate's frontier is its occupied positions with their particle
     counts, positions merged by exact float equality, so the cost of a
@@ -615,6 +458,18 @@ def grow_occupation(
     does not depend on which particle drew which uniform); its positions,
     and so ``log W_n``, are equal in law only.
 
+    With ``spine_brood`` (see ``SpineBrood``) the replicates grow under
+    the size-biased law, as ``grow_spined_tree`` grows them, and
+    ``ray_position`` is recorded.  The spine particle is the first
+    particle of its home row; its brood comes from ``spine_brood``
+    instead of the plain law, and the ray moves to the chosen child.  On the uniform path a replicate draws
+    ``random(Z_n + 2)``, the spined tree's block: the spine's plain
+    uniform is drawn and ignored, and the last two go to ``spine_brood``.
+    On the multinomial path it draws ``multinomial`` over the counts
+    without the spine, then ``random(2)``.  Only the spine's brood is
+    size-biased under that law (Lyons, Pemantle and Peres 1995), so the
+    replicates equal spined trees in law, not bit for bit.
+
     ``caps.max_nodes`` still counts tree nodes, ``sum Z_k`` over
     ``k <= n``.  A replicate whose node total would pass ``2^62``, with
     the cap above that, raises ``ResourceError``: no count is ever
@@ -625,8 +480,16 @@ def grow_occupation(
     """
     law = validate_law(law)
     _check_growth(depth, caps)
-    gens, column, population, log_w, max_position = _recording(
-        replicates, depth, generations, alpha)
+    gens = tuple(range(depth + 1)) if generations is None else tuple(generations)
+    column = np.full(depth + 1, -1, dtype=np.int64)
+    column[list(gens)] = np.arange(len(gens))
+    population = np.zeros((replicates, len(gens)), dtype=np.int64)
+    log_w = max_position = ray_position = None
+    if alpha is not None:
+        log_w = np.full((replicates, len(gens)), _NEG_INF)
+        max_position = np.full(replicates, _NEG_INF)
+    if spine_brood is not None:
+        ray_position = np.full((replicates, len(gens)), math.nan)
 
     def record(b: _Batch, n: int) -> None:
         if b.ids.size == 0:
@@ -640,10 +503,13 @@ def grow_occupation(
         if log_w is not None:
             lse = _segment_log_sum_exp(-alpha * b.pos + np.log(b.count), b.rows)
             log_w[b.ids, j] = lse - n * log_m
+        if ray_position is not None:
+            ray_position[b.ids, j] = b.spine
 
-    capped_at, stops = _grow_occupied(law, depth, caps, rng_for, replicates, alpha is not None,
-                                      stop_above, record)
-    return BatchGrowth(gens, population, log_w, capped_at, stops, max_position)
+    capped_at, stops = _grow_occupied(law, depth, caps, rng_for, replicates,
+                                      alpha is not None or spine_brood is not None,
+                                      stop_above, record, spine_brood)
+    return BatchGrowth(gens, population, log_w, capped_at, stops, max_position, ray_position)
 
 
 def _grow_occupied(
@@ -655,14 +521,21 @@ def _grow_occupied(
     positions: bool,
     stop_above: int | None,
     record: Callable[[_Batch, int], None],
+    spine_brood: SpineBrood | None = None,
 ) -> tuple[np.ndarray, dict[int, tuple[int, int, float]]]:
     """The engine behind ``grow_occupation``: hand every generation of
     every batch to ``record`` and return ``capped_at`` and ``stops``.
     Without ``positions`` all particles stay at 0.  ``law`` must already
-    be validated."""
+    be validated.
+
+    Batches of at most ``_BATCH_REPLICATES`` roots grow depth first;
+    ``rng_for`` is called once per batch, and a batch whose next
+    generation passes ``_BATCH_PARTICLES`` uniforms or rows splits in two
+    first."""
     capped_at = np.full(replicates, -1, dtype=np.int64)
     stops: dict[int, tuple[int, int, float]] = {}
     heavy = isinstance(law, LogDivergentLaw)
+    spined = spine_brood is not None
     limit = min(caps.max_nodes, _COUNT_LIMIT)
     disp = np.zeros(1)
     if not heavy:
@@ -671,8 +544,9 @@ def _grow_occupied(
         sizes = t.counts.tolist()
         p = np.diff(np.minimum(t.cum_p, 1.0), prepend=0.0)
         if positions:
-            # mult[a, d]: children of atom a at displacement disp[d]
-            disp = np.unique(t.flat_disp)
+            # mult[a, d]: children of atom a at displacement disp[d]; sorted
+            # in Python, as np.unique would load numpy.ma
+            disp = np.array(sorted(set(t.flat_disp.tolist())))
             mult = np.zeros((atoms, disp.size), dtype=np.int64)
             np.add.at(mult, (np.repeat(np.arange(atoms), t.counts),
                              np.searchsorted(disp, t.flat_disp)), 1)
@@ -683,7 +557,7 @@ def _grow_occupied(
             return np.zeros(b.ids.size, dtype=bool)
         return b.z > _MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * atoms * b.rows
 
-    def children(b: _Batch, g: int) -> list[_Batch]:
+    def children(b: _Batch, g: int) -> _Batch:
         """Generation ``g + 1`` of ``b``, recorded; replicates that stop,
         hit the cap or die out are dropped."""
         if stop_above is not None and (b.z > stop_above).any():
@@ -692,21 +566,41 @@ def _grow_occupied(
                 stops[int(b.ids[i])] = (g, int(b.z[i]), b.rngs[i].random())
             b = b.take(~over)
             if b.ids.size == 0:
-                return []
+                return b
         first = np.cumsum(b.rows) - b.rows
         multi = multinomial(b)
         drawn = np.repeat(~multi, b.rows)  # rows whose particles draw uniforms
+        others = b.count  # per row, the particles a multinomial draws for
+        if spined:
+            # home[i]: the one row of replicate i at its spine's position
+            home = np.flatnonzero(b.pos == np.repeat(b.spine, b.rows))
+            others = b.count.copy()
+            others[home] -= 1
+            atom, slot = np.zeros((2, b.ids.size), dtype=np.int64)
         # kids[row, d]: children at position pos[row] + disp[d]; with one
         # displacement a replicate has one row, and its Z_{n+1} says it all
         totals = np.zeros(b.ids.size, dtype=np.int64)
         kids = None if disp.size == 1 else np.zeros((b.pos.size, disp.size), dtype=np.int64)
-        blocks = [rng.random(z) for rng, z, m in zip(b.rngs, b.z.tolist(), multi.tolist())
+        extra = 2 if spined else 0
+        blocks = [rng.random(z + extra) for rng, z, m in zip(b.rngs, b.z.tolist(), multi.tolist())
                   if not m]
         if blocks:
-            ai = _atoms(law, np.concatenate(blocks))
+            u = np.concatenate(blocks)
             count = b.count[drawn]
+            start = np.cumsum(count) - count
+            if spined:
+                end = np.cumsum(b.z[~multi] + 2)
+                atom[~multi], slot[~multi] = spine_brood(u[end - 2], u[end - 1])
+                plain = np.ones(u.size, dtype=bool)
+                plain[end - 2] = plain[end - 1] = False
+                u = u[plain]
+            ai = _atoms(law, u)
+            if spined:
+                # the spine is the first particle of its home row: its
+                # size-biased atom overrides the plain one
+                ai[start[(np.cumsum(drawn) - 1)[home[~multi]]]] = atom[~multi]
             if kids is None:
-                totals[~multi] = np.add.reduceat(_brood_sizes(law, ai), np.cumsum(count) - count)
+                totals[~multi] = np.add.reduceat(_brood_sizes(law, ai), start)
             else:
                 cell = np.repeat(np.arange(0, count.size * atoms, atoms), count) + ai
                 per_atom = np.bincount(cell, minlength=count.size * atoms)
@@ -716,7 +610,11 @@ def _grow_occupied(
         over = totals > room
         for i in np.flatnonzero(multi).tolist():
             at = slice(first[i], first[i] + b.rows[i])
-            per_atom = b.rngs[i].multinomial(b.count[at], p)
+            per_atom = b.rngs[i].multinomial(others[at], p)
+            if spined:
+                u = b.rngs[i].random(2)  # then the spine's atom and child
+                atom[i : i + 1], slot[i : i + 1] = spine_brood(u[:1], u[1:])
+                per_atom[home[i] - first[i], atom[i]] += 1
             # Z_{n+1} in Python integers, so a count past int64 cannot wrap
             total = sum(int(n) * size for n, size in zip(per_atom.sum(axis=0).tolist(), sizes))
             over[i] = total > room[i]
@@ -754,17 +652,32 @@ def _grow_occupied(
             at = np.flatnonzero(new)
             owner, pos, count = owner[at], pos[at], np.add.reduceat(count, at)
             rows = np.bincount(owner, minlength=b.ids.size)[live]
+        spine = None
+        if spined:
+            # the ray moves by the chosen child's displacement, the same
+            # float its row was placed at
+            step = 0.0 if heavy else t.flat_disp[t.offsets[atom] + slot]
+            spine = (b.spine + step)[live]
         rngs = [rng for rng, k in zip(b.rngs, live.tolist()) if k]
-        nb = _Batch(b.ids[live], rngs, z, b.nodes[live] + z, rows, pos, count)
+        nb = _Batch(b.ids[live], rngs, z, b.nodes[live] + z, rows, pos, count, spine)
         record(nb, g + 1)
-        return [nb]
+        return nb
 
-    def root(ids: np.ndarray, rngs: list[np.random.Generator]) -> _Batch:
+    for lo in range(0, replicates, _BATCH_REPLICATES):
+        ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
         ones = np.ones(ids.size, dtype=np.int64)
-        return _Batch(ids, rngs, ones, ones, ones, np.zeros(ids.size), ones)
-
-    def load(b: _Batch) -> int:
-        return int(np.where(multinomial(b), b.rows, b.z).sum())
-
-    _grow_batches(replicates, depth, rng_for, root, load, children, record)
+        root = _Batch(ids, rng_for(ids), ones, ones, ones, np.zeros(ids.size), ones,
+                      np.zeros(ids.size) if spined else None)
+        record(root, 0)
+        pending = [(0, root)]
+        while pending:
+            g, b = pending.pop()
+            if g == depth or b.ids.size == 0:
+                continue
+            load = int(np.where(multinomial(b), b.rows, b.z).sum())
+            if b.ids.size > 1 and load > _BATCH_PARTICLES:
+                first, second = b.halves()
+                pending += [(g, second), (g, first)]
+            else:
+                pending.append((g + 1, children(b, g)))
     return capped_at, stops

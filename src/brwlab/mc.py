@@ -16,9 +16,10 @@ occupation measures with ``brw.grow_occupation``, whose cost follows the
 occupied positions rather than the particles; extinction counts
 particles only and, stopping at ``_ANALYTIC_SWITCH`` particles, always
 draws exactly what ``grow_tree`` would.  ``mc_importance_identity``
-grows its size-biased sample with ``spine.grow_spined_batch``, each
-replicate drawing exactly what one spined tree grown alone would, and
-its plain-law reference with ``grow_occupation``.  ``mc_spine_slope``
+grows its size-biased sample with ``spine.grow_spined_batch``, the same
+occupation engine plus one spine particle per replicate, each replicate
+equal in law to one spined tree grown alone, and its plain-law
+reference with ``grow_occupation``.  ``mc_spine_slope``
 draws its walks with ``spine.spine_walk_ends``, each equal to one walk
 drawn alone.
 
@@ -29,9 +30,9 @@ from the exact variance of ``F/W_n`` under the size-biased law,
 ``F/W_n`` is strongly right-skewed (skew 14.6 for coin_pair, ``min_z:2``,
 depth 4), so its sample standard error is smallest exactly when the
 large values are missed; the exact one does not depend on the sample.
-The mean itself stays right-skewed: over master seeds 0-12,999 of that
-run at 2,000 replicates, the exact band failed 3 times, all above the
-reference, where four sample errors failed 4 times, all below.  Every
+The mean itself stays right-skewed: over master seeds 0-5,999 of that
+run at 2,000 replicates, the exact band failed twice, both above the
+reference, where four sample errors failed 3 times, all below.  Every
 other band uses the sample standard errors.  A failed band on a sound
 implementation is an event of one run in thousands or rarer, so
 ``passed = False`` flags a probable defect; ``unreliable = True`` marks
@@ -69,8 +70,11 @@ from .offspring import (
     pgf_eval,
     validate_law,
 )
-from .oracle import (
+# enumerate_trees is unused here but stays bound: perfbench/tracing.py
+# patches it in this module
+from .oracle import (  # noqa: F401
     ENUM_CAP,
+    _Enumeration,
     count_outcomes,
     enumerate_trees,
     generation_positions,
@@ -291,6 +295,14 @@ class TrivialityReport:
     kept: tuple[int, ...] = ()
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty array, exactly, without the import of
+    ``numpy.ma`` that its first call costs."""
+    s = np.sort(values)
+    k = s.size // 2
+    return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2)
+
+
 def _scan_verdict(medians: Sequence[float]) -> str:
     if any(not math.isfinite(x) for x in medians):
         return "INCONCLUSIVE"
@@ -336,7 +348,7 @@ def mc_triviality_scan(
         alive = col[np.isfinite(col)]
         survivors.append(int(alive.size))
         fractions.append(alive.size / kept.size if kept.size else float("nan"))
-        medians.append(float(np.median(alive)) if alive.size else float("nan"))
+        medians.append(_median(alive) if alive.size else float("nan"))
         means.append(float(np.mean(alive)) if alive.size else float("nan"))
     verdict = _scan_verdict(medians)
     cls = profile.classification
@@ -453,22 +465,18 @@ def _exact_reference(law: FiniteLaw, alpha: float, log_m: float, fn: Functional,
                      depth: int) -> tuple[float, float]:
     """``E[F; alive]`` at ``depth`` and the standard deviation of ``F/W_n``
     under the size-biased law, ``sqrt(E[F^2/W_n; alive] - E[F; alive]^2)``,
-    in one pass over the enumerated outcomes."""
-    terms, squares = [], []
-    for t, p in enumerate_trees(law, depth):
-        positions = generation_positions(law, t, depth)
-        if not positions:
-            continue
-        f = _functional_value(fn, len(positions), max(positions))
-        terms.append(p * f)
-        if f:
-            tilts = [-alpha * x for x in positions]
-            top = max(tilts)
-            log_w = top + math.log(math.fsum(math.exp(v - top) for v in tilts)) - depth * log_m
-            squares.append(p * f * f * _safe_exp(-log_w))
-    ref = math.fsum(terms)
+    from the outcome classes of the exact enumeration at ``depth``."""
+    level = _Enumeration(law, alpha, depth).levels[depth]
+    alive = level.z > 0
+    p, log_e = level.p[alive], level.log_e[alive]
+    f = np.array([_functional_value(fn, z, top) for z, top in
+                  zip(level.z[alive].tolist(), level.top[alive].tolist())])
+    ref = math.fsum((p * f).tolist())
+    hit = f != 0
+    with np.errstate(over="ignore"):
+        squares = p[hit] * f[hit] * f[hit] * np.exp(depth * log_m - log_e[hit])
     try:
-        second = math.fsum(squares)
+        second = math.fsum(squares.tolist())
     except OverflowError:
         second = math.inf
     return ref, math.sqrt(max(0.0, second - ref * ref))

@@ -317,6 +317,7 @@ class _Level(NamedTuple):
     log_r: np.ndarray  # log ray-summed spined mass; -inf if extinct
     q: np.ndarray  # probability of generation k given generations < k
     up: np.ndarray  # restriction to depth k-1, as a level-(k-1) class index
+    top: np.ndarray  # largest generation-k position; -inf if extinct
 
     @property
     def size(self) -> int:
@@ -326,7 +327,7 @@ class _Level(NamedTuple):
 def _root_level() -> _Level:
     zero = np.zeros(1, dtype=np.int64)
     return _Level(np.ones(1), np.zeros(1), np.ones(1, np.int64), np.zeros(1),
-                  np.zeros(1), np.ones(1), zero)
+                  np.zeros(1), np.ones(1), zero, np.zeros(1))
 
 
 def _next_level(
@@ -340,7 +341,7 @@ def _next_level(
     lo = up_offset = 0
     for a, atom in enumerate(law.atoms):
         width, size = atom.count, n**atom.count
-        p, log_p, z, log_e, log_r, q, up = (f[lo : lo + size] for f in level)
+        p, log_p, z, log_e, log_r, q, up, top = (f[lo : lo + size] for f in level)
         lo += size
         kids = _digits(np.arange(size, dtype=np.int64), n, width)
         # the same left-to-right product as enumerate_trees
@@ -353,6 +354,9 @@ def _next_level(
             z += prev.z[c]
         log_e[:] = _log_sum(
             [-alpha * x + prev.log_e[c] for x, c in zip(atom.displacements, kids)]
+        )
+        top[:] = functools.reduce(
+            np.maximum, [x + prev.top[c] for x, c in zip(atom.displacements, kids)], -np.inf
         )
         # one term per spine slot j: pick_j R(c_j) prod_{l != j} P(c_l)
         slots = []

@@ -15,10 +15,14 @@ pins the outcome): each generation draws one block of ``Z_n + 2``
 uniforms.  The first ``Z_n`` are the plain draws, one per frontier
 particle; the last two give the spine particle's size-biased atom and
 its child choice.  The spine particle's plain uniform is drawn and
-ignored.  ``grow_spined_batch`` grows many spined replicates at once on
-``brw.grow_batch`` from the same blocks, so each replicate's numbers
-equal those of ``grow_spined_tree`` bit for bit.  Uniforms become spine
-broods in one place, ``_spine_brood``, for trees and batches alike.
+ignored.  ``grow_spined_batch`` grows many spined replicates at once as
+occupation measures plus one spine particle each, on
+``brw.grow_occupation``: they draw the same blocks, with the particles
+taken position by position and the spine first in its position, or a
+multinomial over the other particles and then two uniforms.  Each
+replicate therefore equals a spined tree in law, not bit for bit.
+Uniforms become spine broods in one place, ``_spine_brood``, for trees
+and batches alike.
 
 ``sample_spine_walk`` draws only the ray positions (no tree) from one
 block of ``2 * depth`` uniforms: the first half picks the atoms, the
@@ -38,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brw import _BATCH_REPLICATES, BatchGrowth, GrowthCaps, LabelledTree, _grow, grow_batch
+from .brw import _BATCH_REPLICATES, BatchGrowth, GrowthCaps, LabelledTree, _grow, grow_occupation
 from .errors import DomainError, LevelOutOfRangeError, PopulationCapError
 from .offspring import (
     FiniteLaw,
@@ -196,18 +200,19 @@ def grow_spined_batch(
     generations: Sequence[int] | None = None,
 ) -> tuple[BatchGrowth, np.ndarray]:
     """Grow spined replicates ``0..replicates-1`` together on
-    ``brw.grow_batch``; also return ``spine_log_weight`` per replicate and
-    recorded generation.
+    ``brw.grow_occupation``; also return ``spine_log_weight`` per replicate
+    and recorded generation.
 
     ``rng_for(ids)`` returns the generators of replicates ``ids``, in
-    order.  Replicate ``r`` equals ``grow_spined_tree`` on its generator
-    followed by ``martingale_trajectory(..., log m)`` bit for bit, and a
-    replicate that hits the node cap reports the generation that tree
-    would raise ``PopulationCapError`` at in ``capped_at``.
+    order.  Replicate ``r`` has the law of ``grow_spined_tree`` followed by
+    ``martingale_trajectory(..., log m)``: the same ``Z_n``, ``log W_n``,
+    ray positions and largest last-generation position in law, and a
+    replicate that hits the node cap reports the generation of its cap
+    in ``capped_at``.
     """
     law = validate_law(law)
     tables = _spine_tables(law, float(alpha))
-    grown = grow_batch(
+    grown = grow_occupation(
         law, depth, caps, rng_for, replicates, alpha, tables.log_m, generations,
         spine_brood=partial(_spine_brood, law, tables),
     )

@@ -188,7 +188,7 @@ def _occupation_reference(grown, law, alpha, log_m, depth, caps, seed):
     """Each replicate of ``grown`` equals its occupation grown alone, one
     particle at a time, bit for bit."""
     for r in range(grown.population.shape[0]):
-        population, log_w, capped_at, last = occupation_reference.grow_one(
+        population, log_w, capped_at, last, _ = occupation_reference.grow_one(
             law, depth, caps, replicate_rng(seed, r), alpha, log_m)
         done = len(population)
         assert grown.capped_at[r] == capped_at

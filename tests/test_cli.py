@@ -435,12 +435,16 @@ def test_seed_range_is_enforced(capsys):
 
 QUAD = str(REPO / "models" / "quad_or_twin.json")
 
-# runs one CLI invocation, then prints its exit code and peak resident MB
+# runs one CLI invocation, then prints its exit code and peak resident MB.
+# The peak is this process's VmHWM: ru_maxrss would carry over the peak of
+# the pytest process that forked it, across exec
 _MEASURED = """
-import json, resource, sys
+import json, sys
 from brwlab.cli import _dispatch
 code = _dispatch(sys.argv[1:])
-print(json.dumps({"code": code, "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+with open("/proc/self/status") as status:
+    kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "rss_mb": kb / 1024}))
 """
 
 
@@ -468,6 +472,27 @@ def test_deep_scan_decays_in_seconds_and_megabytes(tmp_path):
     assert facts["rss_mb"] < 150.0
 
 
+def test_deep_importance_in_seconds_and_megabytes(tmp_path):
+    # spined replicates grow as occupation measures plus one spine
+    # particle: depth 16 of quad_or_twin holds about 5 * 10^7 particles
+    # per replicate
+    out = tmp_path / "importance.json"
+    args = ["mc", "--model", QUAD, "--estimator", "importance", "--functional", "one",
+            "--alpha", "1", "--depth", "16", "--seed", "1"]
+    facts, err, seconds = _measured_cli([*args, "--reps", "64", "--max-nodes", str(2**62),
+                                         "--out", str(out)])
+    assert facts["code"] == 0, err
+    payload = json.loads(out.read_text())
+    assert payload["n"] == 64 and payload["discarded"] == 0
+    assert seconds < 5.0
+    assert facts["rss_mb"] < 150.0
+    # a cap of 10^8 nodes refuses the run instead
+    facts, err, seconds = _measured_cli([*args, "--reps", "16", "--max-nodes", str(10**8)])
+    assert facts["code"] == 2 and err.startswith("refused:"), err
+    assert seconds < 5.0
+    assert facts["rss_mb"] < 150.0
+
+
 def test_counts_past_2_62_refuse_with_exit_two():
     facts, err, seconds = _measured_cli([
         "mc", "--model", QUAD, "--estimator", "triviality_scan", "--alpha", "5",
@@ -475,6 +500,28 @@ def test_counts_past_2_62_refuse_with_exit_two():
     assert facts["code"] == 2
     assert err.startswith("refused:") and "2^62" in err and err.count("\n") == 1
     assert seconds < 5.0
+
+
+def test_estimator_runs_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique and np.median import numpy.ma on their first call, which
+    # costs a short run 13-24 ms
+    common = ["--model", MODEL, "--alpha", "1", "--reps", "50", "--seed", "3"]
+    runs = [
+        ["mc", "--estimator", "mean_w", "--depth", "6", *common],
+        ["mc", "--estimator", "triviality_scan", "--depth-grid", "2,4,6", *common],
+        ["mc", "--estimator", "importance", "--functional", "min_z:2", "--depth", "3", *common],
+        ["mc", "--estimator", "importance", "--functional", "exp_neg_max:1", "--depth", "6",
+         *common],
+    ]
+    runs = [[*args, "--out", str(tmp_path / f"{i}.json")] for i, args in enumerate(runs)]
+    code = ("import json, sys\nfrom brwlab.cli import _dispatch\n"
+            "codes = [_dispatch(args) for args in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                          text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          timeout=120)
+    assert proc.stdout, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0, 0, 0], False]
 
 
 # ---------------------------------------------------------------------------

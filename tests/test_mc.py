@@ -3,6 +3,7 @@ references, discard policy, determinism across worker counts, and the
 triviality-scan verdicts."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ import pytest
 import brwlab.mc as mc_mod
 import occupation_reference
 from brwlab import (
+    Atom,
     Classification,
     DomainError,
     ExcessiveDiscardError,
+    FiniteLaw,
     GrowthCaps,
     LogDivergentLaw,
     McConfig,
@@ -20,9 +23,7 @@ from brwlab import (
     extinction_probability,
     functional_on_outcome,
     functional_on_tree,
-    grow_spined_tree,
     grow_tree,
-    martingale_trajectory,
     mc_extinction,
     mc_importance_identity,
     mc_mean_w,
@@ -34,7 +35,9 @@ from brwlab import (
     sample_spine_walk,
     tilted_mass,
 )
-from brwlab.oracle import enumerate_trees, w_value
+from brwlab.oracle import enumerate_trees, generation_positions, w_value
+from brwlab.spine import _spine_brood, _spine_tables
+from conftest import coin_pair_law, quad_or_twin_law
 
 # ---------------------------------------------------------------------------
 # configuration contract
@@ -186,6 +189,14 @@ def test_scan_pair_law_not_decaying(pair_law):
     assert rep.fractions == tuple(s / 100 for s in rep.survivors)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 501, 1000])
+def test_median_is_numpys_median(size):
+    rng = replicate_rng(5, size)
+    for values in (rng.standard_normal(size) * 1e3, rng.integers(-3, 3, size).astype(float),
+                   np.full(size, -2.5)):
+        assert mc_mod._median(values) == float(np.median(values))
+
+
 def test_scan_rejects_bad_grids(pair_law):
     cfg = McConfig(replicates=8, depth=0, master_seed=0)
     for grid in [(), (3, 2), (2, 2), (-1, 4)]:
@@ -207,11 +218,12 @@ def test_importance_identities(pair_law):
 
 
 def test_importance_band_uses_the_exact_standard_error(pair_law):
-    # F/W_n is right-skewed (skew 14.6 here), so this seed's sample misses
-    # large values and its sample standard error shrinks: the estimate
-    # sits -4.02 sample errors but -3.01 exact errors from the reference
+    # F/W_n is right-skewed (skew 14.6 here), so a sample that misses
+    # large values has a small sample standard error.  Seed 1401 is the
+    # lowest master seed in 0-5,999 whose estimate sits below -4 sample
+    # errors but within 4 exact errors of the reference: -4.32 and -3.11
     fn = parse_functional("min_z:2")
-    cfg = McConfig(replicates=2000, depth=4, master_seed=9107629592143383175)
+    cfg = McConfig(replicates=2000, depth=4, master_seed=1401)
     s = mc_importance_identity(pair_law, 1.0, fn, cfg)
     m = tilted_mass(pair_law, 1.0)
     ref = second = 0.0
@@ -227,6 +239,57 @@ def test_importance_band_uses_the_exact_standard_error(pair_law):
     assert f"band se {exact_se:.3g} from the exact variance" in s.note
     assert abs(s.estimate - s.reference) > 4 * s.se
     assert s.passed and not s.unreliable
+
+
+def _tuple_walk_references(law, alpha, log_m, fns, depth):
+    """``(E[F; alive], sd of F/W_n)`` per functional, by walking every
+    enumerated outcome's generation-``depth`` positions: the exact
+    reference as it was computed before it read the class arrays."""
+    terms = {fn.name: [] for fn in fns}
+    squares = {fn.name: [] for fn in fns}
+    for t, p in enumerate_trees(law, depth):
+        positions = generation_positions(law, t, depth)
+        if not positions:
+            continue
+        tilts = [-alpha * x for x in positions]
+        top = max(tilts)
+        log_w = top + math.log(math.fsum(math.exp(v - top) for v in tilts)) - depth * log_m
+        for fn in fns:
+            f = mc_mod._functional_value(fn, len(positions), max(positions))
+            terms[fn.name].append(p * f)
+            if f:
+                squares[fn.name].append(p * f * f * mc_mod._safe_exp(-log_w))
+    out = {}
+    for fn in fns:
+        ref = math.fsum(terms[fn.name])
+        try:
+            second = math.fsum(squares[fn.name])
+        except OverflowError:
+            second = math.inf
+        out[fn.name] = (ref, math.sqrt(max(0.0, second - ref * ref)))
+    return out
+
+
+NON_DYADIC = FiniteLaw((Atom(0.3, ()), Atom(0.3, (0.1,)), Atom(0.4, (0.2, 0.7))))
+NEGATIVE = FiniteLaw((Atom(0.25, ()), Atom(0.35, (-0.5,)), Atom(0.4, (0.3, -1.2))))
+
+
+@pytest.mark.parametrize("law, depths", [
+    (coin_pair_law(), 4), (quad_or_twin_law(), 2), (NON_DYADIC, 4), (NEGATIVE, 4),
+], ids=["coin_pair", "quad_or_twin", "non_dyadic", "negative"])
+def test_exact_reference_matches_the_outcome_walk(law, depths):
+    # the class arrays add displacements leaf first, the walk root first,
+    # so the largest position may differ in its last bit
+    fns = [parse_functional(t) for t in
+           ("one", "indicator_z:2", "min_z:2", "exp_neg_max:1", "exp_neg_max:0.3")]
+    for alpha in (0.0, 1.0, -0.5, 5.0):
+        log_m = classify(law, alpha).log_m
+        for depth in range(1, depths + 1):
+            want = _tuple_walk_references(law, alpha, log_m, fns, depth)
+            for fn in fns:
+                ref, sd = mc_mod._exact_reference(law, alpha, log_m, fn, depth)
+                assert ref == pytest.approx(want[fn.name][0], rel=1e-15, abs=0)
+                assert sd == pytest.approx(want[fn.name][1], rel=1e-12, abs=0)
 
 
 def test_importance_binary_is_exact(binary_law):
@@ -306,22 +369,26 @@ def test_spine_slope_values_are_the_per_replicate_walks(quad_law):
 @pytest.mark.parametrize("text", ["one", "indicator_z:2", "min_z:2", "exp_neg_max:1"])
 def test_importance_values_are_the_per_tree_values(pair_law, text):
     # depth 5 has too many outcomes for the exact reference, so the
-    # reference is the plain-law Monte Carlo on replicate ids 40..79
+    # reference is the plain-law Monte Carlo on replicate ids 40..79; both
+    # samples equal their replicates grown alone by the occupation
+    # reference, the size-biased one with the spine's broods
     fn, depth, reps, caps = parse_functional(text), 5, 40, GrowthCaps()
     s = mc_importance_identity(pair_law, 1.0, fn, McConfig(reps, depth, 13, caps),
                                keep_values=True)
     log_m = classify(pair_law, 1.0).log_m
+    hook = partial(_spine_brood, pair_law, _spine_tables(pair_law, 1.0))
     sized = []
     for r in range(reps):
-        spined = grow_spined_tree(pair_law, 1.0, depth, caps, replicate_rng(13, r))
-        log_w = martingale_trajectory(spined.tree, 1.0, log_m).log_w[depth]
-        sized.append(functional_on_tree(fn, spined.tree) * math.exp(-log_w))
+        population, log_w, _, last, _ = occupation_reference.grow_one(
+            pair_law, depth, caps, replicate_rng(13, r), 1.0, log_m, spine_brood=hook)
+        f = mc_mod._functional_value(fn, population[depth], last[-1][0])
+        sized.append(f * math.exp(-log_w[depth]))
     assert s.values.tolist() == sized
     # the plain reference grows occupation measures: a functional of Z_n
     # alone takes the tree's value, the maximum position its value in law
     plain = []
     for r in range(reps, 2 * reps):
-        population, _, _, last = occupation_reference.grow_one(
+        population, _, _, last, _ = occupation_reference.grow_one(
             pair_law, depth, caps, replicate_rng(13, r), 1.0, log_m)
         z = population[depth]
         plain.append(mc_mod._functional_value(fn, z, last[-1][0]) if z else 0.0)
@@ -335,11 +402,13 @@ def test_importance_values_are_the_per_tree_values(pair_law, text):
 
 def test_importance_with_discards_is_unreliable(pair_law):
     # a 350-node cap drops the largest of 400 depth-8 size-biased trees,
-    # which biases F / W_n although the run stays under the 1% limit
+    # which biases F / W_n although the run stays under the 1% limit.
+    # Seed 1 is the lowest master seed whose run discards exactly one
+    # replicate, a size-biased one: replicate 333
     fn = parse_functional("min_z:2")
-    cfg = McConfig(replicates=400, depth=8, master_seed=3, caps=GrowthCaps(max_nodes=350))
+    cfg = McConfig(replicates=400, depth=8, master_seed=1, caps=GrowthCaps(max_nodes=350))
     s = mc_importance_identity(pair_law, 1.0, fn, cfg, keep_values=True)
-    assert s.discarded == 1 and s.n == 399 and 111 not in s.kept
+    assert s.discarded == 1 and s.n == 399 and 333 not in s.kept
     assert s.unreliable
     assert "1 capped replicates discarded (1 size-biased, 0 plain reference)" in s.note
     # seed 17 loses one replicate from each sample

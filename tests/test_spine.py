@@ -1,6 +1,7 @@
 """Size-biased tree growth with a distinguished ray, spined batches, and the spine walk."""
 
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import brwlab.brw as brw_mod
 import brwlab.spine as spine_mod
+import occupation_reference
 from brwlab import (
     Atom,
     FiniteLaw,
@@ -18,7 +20,6 @@ from brwlab import (
     generation_sizes,
     grow_spined_batch,
     grow_spined_tree,
-    martingale_trajectory,
     replicate_rng,
     replicate_rngs,
     rn_log_weight,
@@ -28,8 +29,10 @@ from brwlab import (
     spine_walk_ends,
     tilted_mass,
 )
+from brwlab.oracle import generation_positions, ray_positions
 from brwlab.spine import _spine_brood, _spine_tables
 from conftest import binary_zero_law, coin_pair_law, quad_or_twin_law
+from oracle_reference import enumerate_spined_trees
 
 CAPS = GrowthCaps()
 
@@ -187,25 +190,34 @@ SPINED_CASES = {
 
 def _spined_reference(law, alpha, depth, caps, seed, reps):
     """Per replicate (ray positions, spine log weight, Z_n, log W_n, last
-    generation's largest position, capped generation or -1) from trees."""
-    log_m = math.log(tilted_mass(law, alpha))
+    generation's largest position, capped generation or -1), each replicate
+    grown alone, one particle at a time, by the occupation reference."""
+    tables = _spine_tables(law, alpha)
+    hook = partial(_spine_brood, law, tables)
     out = []
     for r in range(reps):
-        try:
-            spined = grow_spined_tree(law, alpha, depth, caps, replicate_rng(seed, r))
-        except PopulationCapError as e:
-            out.append((None, None, None, None, None, e.generation))
+        population, log_w, capped_at, last, ray = occupation_reference.grow_one(
+            law, depth, caps, replicate_rng(seed, r), alpha, tables.log_m, spine_brood=hook)
+        if capped_at >= 0:
+            out.append((None, None, None, None, None, capped_at))
             continue
-        traj = martingale_trajectory(spined.tree, alpha, log_m)
-        top = spined.tree.position[spined.tree.generation_index[depth]].max()
-        out.append((spine_positions(spined), spined.spine_log_weight, traj.population,
-                    traj.log_w, top, -1))
+        weight = [-alpha * x - k * tables.log_m if k else 0.0 for k, x in enumerate(ray)]
+        out.append((ray, weight, population, log_w, last[-1][0], -1))
     return out
+
+
+# each draw path forced for every replicate-generation: one uniform per
+# particle, or one multinomial over the atoms (heavy tails always draw
+# uniforms)
+PATHS = {"uniform": (2**62, 4), "multinomial": (0, 0)}
 
 
 @pytest.mark.parametrize("case", sorted(SPINED_CASES))
 @pytest.mark.parametrize("seed", [1, 29, 2**63 + 5])
 def test_spined_batch_matches_spined_trees_exactly(case, seed, monkeypatch):
+    """Each spined replicate equals the spined tree that the occupation
+    reference grows alone on its stream, bit for bit, on either draw
+    path, whatever the other replicates of its batch."""
     law, alpha, depth, max_nodes = SPINED_CASES[case]
     caps = GrowthCaps(max_nodes=max_nodes)
     reps = 24
@@ -213,27 +225,28 @@ def test_spined_batch_matches_spined_trees_exactly(case, seed, monkeypatch):
     def batch():
         return grow_spined_batch(law, alpha, depth, caps, partial(replicate_rngs, seed), reps)
 
-    grown, log_weight = batch()
-    assert grown.generations == tuple(range(depth + 1))
-    for r, (ray, weight, population, log_w, top, capped_at) in enumerate(
-        _spined_reference(law, alpha, depth, caps, seed, reps)
-    ):
-        assert grown.capped_at[r] == capped_at
-        if capped_at >= 0:
-            continue
-        assert np.array_equal(grown.ray_position[r], ray)
-        assert np.array_equal(log_weight[r], weight)
-        assert np.array_equal(grown.population[r], population)
-        assert np.array_equal(grown.log_w[r], log_w)
-        assert grown.max_position[r] == top
-    if case == "cap_hit":
-        assert (grown.capped_at > 0).any() and (grown.capped_at < 0).any()
+    for above, cell in PATHS.values():
+        monkeypatch.setattr(brw_mod, "_MULTINOMIAL_ABOVE", above)
+        monkeypatch.setattr(brw_mod, "_MULTINOMIAL_CELL", cell)
+        grown, log_weight = batch()
+        assert grown.generations == tuple(range(depth + 1))
+        for r, (ray, weight, population, log_w, top, capped_at) in enumerate(
+            _spined_reference(law, alpha, depth, caps, seed, reps)
+        ):
+            assert grown.capped_at[r] == capped_at
+            if capped_at >= 0:
+                continue
+            assert grown.ray_position[r].tolist() == ray
+            assert log_weight[r].tolist() == weight
+            assert grown.population[r].tolist() == population
+            assert grown.log_w[r].tolist() == log_w
+            assert grown.max_position[r] == top
+        if case == "cap_hit":
+            assert (grown.capped_at > 0).any() and (grown.capped_at < 0).any()
 
-    # batch composition: every replicate alone, then every replicate's
-    # children placed as a piece of their own, give the same arrays
-    for budget in ("_BATCH_PARTICLES", "_BATCH_CHILDREN"):
+        # batch composition: every replicate alone gives the same arrays
         with monkeypatch.context() as patch:
-            patch.setattr(brw_mod, budget, 1)
+            patch.setattr(brw_mod, "_BATCH_PARTICLES", 1)
             alone, alone_weight = batch()
         assert np.array_equal(alone.capped_at, grown.capped_at)
         assert np.array_equal(alone.population, grown.population)
@@ -241,6 +254,55 @@ def test_spined_batch_matches_spined_trees_exactly(case, seed, monkeypatch):
         assert np.array_equal(alone.ray_position, grown.ray_position, equal_nan=True)
         assert np.array_equal(alone_weight, log_weight, equal_nan=True)
         assert np.array_equal(alone.max_position, grown.max_position)
+
+
+def _spined_class_law(law, alpha, depth):
+    """Size-biased probability of each (generation-``depth`` occupation as
+    sorted (rounded position, count) pairs, rounded ray end position),
+    summed over the enumerated (outcome, ray) pairs."""
+    want = Counter()
+    for t, ray, p in enumerate_spined_trees(law, alpha, depth):
+        here = Counter(round(x, 9) for x in generation_positions(law, t, depth))
+        want[(tuple(sorted(here.items())), round(ray_positions(law, t, ray)[-1], 9))] += p
+    return want
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("name", ["coin_pair", "non_dyadic", "quad_or_twin"])
+def test_spined_occupation_matches_enumerated_joint_law(name, path, monkeypatch):
+    """Empirical frequencies of (occupied positions with their
+    multiplicities, ray end position) of spined replicates sit inside
+    4-sigma binomial bands around the size-biased probabilities of the
+    exact enumeration, on either draw path: where the spine's brood joins
+    the occupation, and which child carries the ray on, follow the law."""
+    law, depth = {"coin_pair": (coin_pair_law(), 3), "non_dyadic": (NON_DYADIC, 3),
+                  "quad_or_twin": (quad_or_twin_law(), 2)}[name]
+    want = _spined_class_law(law, 1.0, depth)
+    above, cell = PATHS[path]
+    monkeypatch.setattr(brw_mod, "_MULTINOMIAL_ABOVE", above)
+    monkeypatch.setattr(brw_mod, "_MULTINOMIAL_CELL", cell)
+    n = 20_000
+    seen = []
+
+    def record(b, g):
+        if g != depth:
+            return
+        ends = np.cumsum(b.rows)
+        for lo, hi, spine in zip((ends - b.rows).tolist(), ends.tolist(), b.spine.tolist()):
+            here = Counter()
+            for x, m in zip(b.pos[lo:hi].tolist(), b.count[lo:hi].tolist()):
+                here[round(x, 9)] += m
+            seen.append((tuple(sorted(here.items())), round(spine, 9)))
+
+    hook = partial(_spine_brood, law, _spine_tables(law, 1.0))
+    brw_mod._grow_occupied(law, depth, CAPS, partial(replicate_rngs, 4321), n, True, None,
+                           record, hook)
+    assert len(seen) == n  # spined replicates never die out
+    counts = Counter(seen)
+    assert set(counts) <= set(want)
+    for key, p in want.items():
+        band = 4 * math.sqrt(p * (1 - p) / n)
+        assert abs(counts[key] / n - p) < band, (key, counts[key] / n, p)
 
 
 def test_spined_batch_records_chosen_generations(pair_law):
