@@ -94,7 +94,15 @@ from .oracle import (
     run_verify,
     w_value,
 )
-from .rng import replicate_rng, replicate_rngs, replicate_seed, splitmix64
+from .rng import (
+    block_keys,
+    counter_uniforms,
+    replicate_keys,
+    replicate_rng,
+    replicate_rngs,
+    replicate_seed,
+    splitmix64,
+)
 from .spine import (
     SpinedTree,
     grow_spined_batch,

@@ -19,17 +19,19 @@ engine of its own.
 need only ``Z_n``, ``W_n``, the ray and the last generation's largest
 position.  It keeps per replicate its occupied positions with their
 int64 particle counts, merged by exact float equality, and advances a
-batch of replicates one generation at a time, each replicate drawing
-from its own generator; a replicate's results never depend on which
-batch it ran in.  A batch's generators are built in one call,
-``rng_for(ids)``, which returns them in order of the replicate ids (see
-``rng.replicate_rngs``).  Particles at one position are exchangeable,
-so one draw of atom counts per occupied position gives the law of the
-tree's positions (Athreya and Ney 1972; Biggins 1977).  While ``Z_n`` is
-small a replicate draws the ``random(Z_n)`` block ``grow_tree`` draws,
-which keeps its ``Z_n`` equal to the tree's; past ``_MULTINOMIAL_ABOVE``
-it draws one ``multinomial`` over the atoms, so its cost follows the
-occupied positions, not the particles.  No count may pass ``2^62``.
+batch of replicates one generation at a time.  Generation ``g`` of
+replicate ``r`` draws from block ``g`` of the replicate's counter stream
+(see ``rng``), and a batch's keys come from one call, ``keys_for(ids)``,
+in order of the replicate ids (``rng.replicate_keys``), so a
+replicate's results never depend on which batch it ran in.  Particles
+at one position are exchangeable, so one draw of atom counts per
+occupied position gives the law of the tree's positions (Athreya and
+Ney 1972; Biggins 1977).  While ``Z_n`` is small a replicate draws
+``Z_n`` uniforms, one per particle, as ``grow_tree`` does, and the
+blocks of a whole batch come from one ``rng.counter_uniforms`` call;
+past ``_MULTINOMIAL_ABOVE`` it draws one ``multinomial`` over the atoms
+from a PCG64 seeded with its block key, so its cost follows the occupied
+positions, not the particles.  No count may pass ``2^62``.
 
 Spined replicates grow on the same engine, given the ``spine_brood``
 hook that ``spine`` supplies.  Each keeps the position of its spine
@@ -37,8 +39,9 @@ particle, which is counted in the row at that position, its home row.
 Under the size-biased law only the spine's brood is size-biased (Lyons,
 Pemantle and Peres 1995), so each generation the hook's brood stands in
 for the plain brood of one particle of the home row, and the ray moves
-to the chosen child.  The replicates equal ``grow_spined_tree`` in law,
-not bit for bit.  Uniforms become broods in one place, ``_atoms``, for
+to the chosen child.  The hook runs once per batch and generation, on
+the last two uniforms of every replicate's block.  The replicates equal
+``grow_spined_tree`` in law, not bit for bit.  Uniforms become broods in one place, ``_atoms``, for
 trees and batches alike, and spine broods in one place, the hook.
 
 A batch whose next generation passes ``_BATCH_PARTICLES`` uniforms plus
@@ -68,6 +71,7 @@ import numpy as np
 
 from .errors import DomainError, PopulationCapError, ResourceError
 from .offspring import FiniteLaw, Law, LogDivergentLaw, validate_law
+from .rng import block_keys, counter_uniforms, pcg64_generators
 
 _NEG_INF = float("-inf")
 
@@ -352,8 +356,9 @@ def martingale_trajectory(
 # A batch whose next generation would draw more than _BATCH_PARTICLES
 # uniforms, or hold more frontier rows, splits in two; past that size one
 # replicate's arrays already amortise numpy's per-call cost.  A run
-# starts batches of at most _BATCH_REPLICATES roots, which bounds the
-# generators alive at once (about 1 kB each).
+# starts batches of at most _BATCH_REPLICATES roots, which keeps the
+# replicate index of a batch's rows below 2^15, as the int16 radix sort
+# in _grow_occupied needs.
 _BATCH_PARTICLES = 1 << 16
 _BATCH_REPLICATES = 4096
 
@@ -380,11 +385,12 @@ class BatchGrowth:
     ``caps.max_nodes`` tree nodes (-1 for none), the ``generation`` of the
     ``PopulationCapError`` that ``grow_tree`` would raise.  ``stops[r] =
     (g, Z_g, u)`` for a replicate that stopped at generation ``g`` with
-    more than ``stop_above`` particles; ``u`` is the next uniform of its
-    stream.  Given ``alpha``, ``max_position[r]`` is the largest position
-    at generation ``depth`` (``-inf`` when there is none), and for spined
-    growth ``ray_position[r, j]`` is the spine particle's position at
-    generation ``generations[j]``.
+    more than ``stop_above`` particles; ``u`` is the first uniform of its
+    block ``g``, the uniform ``grow_tree`` would draw next.  Given
+    ``alpha``, ``max_position[r]`` is the largest position at generation
+    ``depth`` (``-inf`` when there is none), and for spined growth
+    ``ray_position[r, j]`` is the spine particle's position at generation
+    ``generations[j]``.
     """
 
     generations: tuple[int, ...]
@@ -406,7 +412,7 @@ class _Batch:
     one of its rows, the spine's home row."""
 
     ids: np.ndarray
-    rngs: list[np.random.Generator]
+    keys: np.ndarray  # uint64 counter-stream keys, rng.replicate_keys
     z: np.ndarray
     nodes: np.ndarray
     rows: np.ndarray
@@ -417,9 +423,8 @@ class _Batch:
     def take(self, keep: np.ndarray) -> "_Batch":
         row = np.repeat(keep, self.rows)
         spine = None if self.spine is None else self.spine[keep]
-        rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
-        return _Batch(self.ids[keep], rngs, self.z[keep], self.nodes[keep], self.rows[keep],
-                      self.pos[row], self.count[row], spine)
+        return _Batch(self.ids[keep], self.keys[keep], self.z[keep], self.nodes[keep],
+                      self.rows[keep], self.pos[row], self.count[row], spine)
 
     def halves(self) -> tuple["_Batch", "_Batch"]:
         first = np.arange(self.ids.size) < self.ids.size // 2
@@ -430,7 +435,7 @@ def grow_occupation(
     law: Law,
     depth: int,
     caps: GrowthCaps,
-    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
+    keys_for: Callable[[np.ndarray], np.ndarray],
     replicates: int,
     alpha: float | None = None,
     log_m: float = 0.0,
@@ -444,31 +449,34 @@ def grow_occupation(
 
     A replicate's frontier is its occupied positions with their particle
     counts, positions merged by exact float equality, so the cost of a
-    generation follows the occupied positions, not the particles.  Each
-    non-empty generation replicate ``r`` makes one call on its generator,
-    which ``rng_for(ids)`` returns, in order of ``ids``, once per batch.
+    generation follows the occupied positions, not the particles.
+    ``keys_for(ids)`` returns the counter-stream keys of replicates
+    ``ids``, in order, once per batch (``rng.replicate_keys``), and each
+    non-empty generation ``g`` replicate ``r`` draws from its block ``g``.
     With ``Z_n`` up to ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
-    atoms`` (always, for heavy tails) it draws ``random(Z_n)``, the block
-    ``grow_tree`` draws, one uniform per particle with the particles taken
-    position by position; past it, ``multinomial(counts, p)`` gives the
-    atom counts at every position at once.  Particles at one position are
-    exchangeable, so either draw gives the law of the tree's positions.
-    While a replicate draws uniforms its ``Z_n`` and cap generation equal
-    those of ``grow_tree`` on the same stream bit for bit (a sum of broods
-    does not depend on which particle drew which uniform); its positions,
-    and so ``log W_n``, are equal in law only.
+    atoms`` (always, for heavy tails) it takes the block's first ``Z_n``
+    uniforms, one per particle with the particles taken position by
+    position; past it, ``multinomial(counts, p)`` on a PCG64 seeded with
+    the block key gives the atom counts at every position at once.
+    Particles at one position are exchangeable, so either draw gives the
+    law of the tree's positions.  While a replicate draws uniforms its
+    ``Z_n`` and cap generation equal those of ``grow_tree`` on a generator
+    whose ``g``-th ``random(n)`` call returns block ``g``, bit for bit (a
+    sum of broods does not depend on which particle drew which uniform);
+    its positions, and so ``log W_n``, are equal in law only.
 
     With ``spine_brood`` (see ``SpineBrood``) the replicates grow under
     the size-biased law, as ``grow_spined_tree`` grows them, and
     ``ray_position`` is recorded.  The spine particle is the first
     particle of its home row; its brood comes from ``spine_brood``
-    instead of the plain law, and the ray moves to the chosen child.  On the uniform path a replicate draws
-    ``random(Z_n + 2)``, the spined tree's block: the spine's plain
-    uniform is drawn and ignored, and the last two go to ``spine_brood``.
-    On the multinomial path it draws ``multinomial`` over the counts
-    without the spine, then ``random(2)``.  Only the spine's brood is
-    size-biased under that law (Lyons, Pemantle and Peres 1995), so the
-    replicates equal spined trees in law, not bit for bit.
+    instead of the plain law, and the ray moves to the chosen child.  On
+    the uniform path a replicate takes ``Z_n + 2`` uniforms, the spined
+    tree's block: the spine's plain uniform is drawn and ignored, and the
+    last two go to ``spine_brood``.  On the multinomial path it draws
+    ``multinomial`` over the counts without the spine, and the spine's
+    brood takes the first two uniforms of the block.  Only the spine's
+    brood is size-biased under that law (Lyons, Pemantle and Peres 1995),
+    so the replicates equal spined trees in law, not bit for bit.
 
     ``caps.max_nodes`` still counts tree nodes, ``sum Z_k`` over
     ``k <= n``.  A replicate whose node total would pass ``2^62``, with
@@ -506,7 +514,7 @@ def grow_occupation(
         if ray_position is not None:
             ray_position[b.ids, j] = b.spine
 
-    capped_at, stops = _grow_occupied(law, depth, caps, rng_for, replicates,
+    capped_at, stops = _grow_occupied(law, depth, caps, keys_for, replicates,
                                       alpha is not None or spine_brood is not None,
                                       stop_above, record, spine_brood)
     return BatchGrowth(gens, population, log_w, capped_at, stops, max_position, ray_position)
@@ -516,7 +524,7 @@ def _grow_occupied(
     law: Law,
     depth: int,
     caps: GrowthCaps,
-    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
+    keys_for: Callable[[np.ndarray], np.ndarray],
     replicates: int,
     positions: bool,
     stop_above: int | None,
@@ -529,7 +537,7 @@ def _grow_occupied(
     be validated.
 
     Batches of at most ``_BATCH_REPLICATES`` roots grow depth first;
-    ``rng_for`` is called once per batch, and a batch whose next
+    ``keys_for`` is called once per batch, and a batch whose next
     generation passes ``_BATCH_PARTICLES`` uniforms or rows splits in two
     first."""
     capped_at = np.full(replicates, -1, dtype=np.int64)
@@ -562,38 +570,41 @@ def _grow_occupied(
         hit the cap or die out are dropped."""
         if stop_above is not None and (b.z > stop_above).any():
             over = b.z > stop_above
-            for i in np.flatnonzero(over):
-                stops[int(b.ids[i])] = (g, int(b.z[i]), b.rngs[i].random())
+            u = counter_uniforms(block_keys(b.keys[over], g), np.ones(over.sum(), dtype=np.int64))
+            for r, z, ui in zip(b.ids[over].tolist(), b.z[over].tolist(), u.tolist()):
+                stops[r] = (g, z, ui)
             b = b.take(~over)
             if b.ids.size == 0:
                 return b
         first = np.cumsum(b.rows) - b.rows
         multi = multinomial(b)
+        keys = block_keys(b.keys, g)
         drawn = np.repeat(~multi, b.rows)  # rows whose particles draw uniforms
         others = b.count  # per row, the particles a multinomial draws for
+        # one counter call draws the batch's blocks: Z_n uniforms for each
+        # replicate on the uniform path, none on the multinomial path, and
+        # two more for each spine
+        lengths = np.where(multi, 0, b.z)
+        if spined:
+            lengths += 2
+        u = counter_uniforms(keys, lengths)
         if spined:
             # home[i]: the one row of replicate i at its spine's position
             home = np.flatnonzero(b.pos == np.repeat(b.spine, b.rows))
             others = b.count.copy()
             others[home] -= 1
-            atom, slot = np.zeros((2, b.ids.size), dtype=np.int64)
+            end = np.cumsum(lengths)
+            atom, slot = spine_brood(u[end - 2], u[end - 1])
+            plain = np.ones(u.size, dtype=bool)
+            plain[end - 2] = plain[end - 1] = False
+            u = u[plain]
         # kids[row, d]: children at position pos[row] + disp[d]; with one
         # displacement a replicate has one row, and its Z_{n+1} says it all
         totals = np.zeros(b.ids.size, dtype=np.int64)
         kids = None if disp.size == 1 else np.zeros((b.pos.size, disp.size), dtype=np.int64)
-        extra = 2 if spined else 0
-        blocks = [rng.random(z + extra) for rng, z, m in zip(b.rngs, b.z.tolist(), multi.tolist())
-                  if not m]
-        if blocks:
-            u = np.concatenate(blocks)
+        if u.size:
             count = b.count[drawn]
             start = np.cumsum(count) - count
-            if spined:
-                end = np.cumsum(b.z[~multi] + 2)
-                atom[~multi], slot[~multi] = spine_brood(u[end - 2], u[end - 1])
-                plain = np.ones(u.size, dtype=bool)
-                plain[end - 2] = plain[end - 1] = False
-                u = u[plain]
             ai = _atoms(law, u)
             if spined:
                 # the spine is the first particle of its home row: its
@@ -608,20 +619,28 @@ def _grow_occupied(
                 totals = np.add.reduceat(kids.sum(axis=1), first)
         room = limit - b.nodes
         over = totals > room
-        for i in np.flatnonzero(multi).tolist():
-            at = slice(first[i], first[i] + b.rows[i])
-            per_atom = b.rngs[i].multinomial(others[at], p)
+        many = np.flatnonzero(multi)
+        if many.size:
+            # one multinomial per replicate over its rows, on a PCG64 seeded
+            # with its block key
+            lo, n_rows = first[many], b.rows[many]
+            draws = np.concatenate([
+                rng.multinomial(others[a : a + n], p)
+                for a, n, rng in zip(lo.tolist(), n_rows.tolist(), pcg64_generators(keys[many]))])
+            per_atom = np.add.reduceat(draws, np.cumsum(n_rows) - n_rows)
             if spined:
-                u = b.rngs[i].random(2)  # then the spine's atom and child
-                atom[i : i + 1], slot[i : i + 1] = spine_brood(u[:1], u[1:])
-                per_atom[home[i] - first[i], atom[i]] += 1
+                # the spine's brood, drawn above, joins its home row
+                per_atom[np.arange(many.size), atom[many]] += 1
             # Z_{n+1} in Python integers, so a count past int64 cannot wrap
-            total = sum(int(n) * size for n, size in zip(per_atom.sum(axis=0).tolist(), sizes))
-            over[i] = total > room[i]
-            if not over[i]:
-                totals[i] = total
-                if kids is not None:
-                    kids[at] = per_atom @ mult
+            total = [sum(n * size for n, size in zip(row, sizes)) for row in per_atom.tolist()]
+            fits = np.array([z <= r for z, r in zip(total, room[many].tolist())])
+            over[many] = ~fits
+            totals[many[fits]] = [z for z, f in zip(total, fits.tolist()) if f]
+            if kids is not None:
+                kept = np.repeat(fits, n_rows)
+                kids[np.flatnonzero(np.repeat(multi, b.rows))[kept]] = draws[kept] @ mult
+                if spined:
+                    kids[home[many[fits]]] += mult[atom[many[fits]]]
         if over.any():
             if caps.max_nodes > _COUNT_LIMIT:
                 r = int(b.ids[np.argmax(over)])
@@ -658,15 +677,14 @@ def _grow_occupied(
             # float its row was placed at
             step = 0.0 if heavy else t.flat_disp[t.offsets[atom] + slot]
             spine = (b.spine + step)[live]
-        rngs = [rng for rng, k in zip(b.rngs, live.tolist()) if k]
-        nb = _Batch(b.ids[live], rngs, z, b.nodes[live] + z, rows, pos, count, spine)
+        nb = _Batch(b.ids[live], b.keys[live], z, b.nodes[live] + z, rows, pos, count, spine)
         record(nb, g + 1)
         return nb
 
     for lo in range(0, replicates, _BATCH_REPLICATES):
         ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
         ones = np.ones(ids.size, dtype=np.int64)
-        root = _Batch(ids, rng_for(ids), ones, ones, ones, np.zeros(ids.size), ones,
+        root = _Batch(ids, keys_for(ids), ones, ones, ones, np.zeros(ids.size), ones,
                       np.zeros(ids.size) if spined else None)
         record(root, 0)
         pending = [(0, root)]

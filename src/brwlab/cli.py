@@ -57,7 +57,7 @@ from .offspring import classify, extinction_probability, law_from_json, tilted_m
 from .oracle import run_verify
 # replicate_rng is unused here but stays bound: perfbench/tracing.py
 # patches it in this module
-from .rng import replicate_rng, replicate_rngs  # noqa: F401
+from .rng import replicate_keys, replicate_rng  # noqa: F401
 from .spine import grow_spined_batch, grow_spined_tree  # noqa: F401
 
 
@@ -375,7 +375,7 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
     caps = _caps(max_nodes)
     log_m = math.log(tilted_mass(law, alpha))
 
-    grown = grow_occupation(law, depth, caps, lambda ids: replicate_rngs(seed, ids), reps,
+    grown = grow_occupation(law, depth, caps, lambda ids: replicate_keys(seed, ids), reps,
                             alpha, log_m)
     all_rows: list[tuple] = []
     refusal = None
@@ -427,7 +427,7 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
     caps = _caps(max_nodes)
 
     grown, log_weight = grow_spined_batch(
-        law, alpha, depth, caps, lambda ids: replicate_rngs(seed, ids), reps
+        law, alpha, depth, caps, lambda ids: replicate_keys(seed, ids), reps
     )
     all_rows: list[tuple] = []
     refusal = None

@@ -1,10 +1,10 @@
 """Monte Carlo estimators with exact references where one exists.
 
-Seeding: replicate ``r`` always draws the stream of
-``replicate_rng(master_seed, r)``; results are merged in replicate
-order, so estimates are bit-identical for any worker count.  The batched
-engines build a batch's generators in one call, ``rng_for(ids) =
-replicate_rngs(master_seed, ids)``, which gives the same streams.
+Seeding: replicate ``r`` always draws the counter stream of its key
+``replicate_seed(master_seed, r)`` (see ``rng``); results are merged in
+replicate order, so estimates are bit-identical for any worker count.
+The batched engines take a batch's keys from one call, ``keys_for(ids) =
+replicate_keys(master_seed, ids)``.
 Replicates whose tree growth hits the node cap are discarded, and a run
 refusing more than 1% of its replicates aborts with
 ``ExcessiveDiscardError`` rather than report a biased estimate.
@@ -81,7 +81,7 @@ from .oracle import (  # noqa: F401
 )
 # replicate_rng is unused here but stays bound: perfbench/tracing.py
 # patches it in this module
-from .rng import replicate_rng, replicate_rngs  # noqa: F401
+from .rng import replicate_keys, replicate_rng  # noqa: F401
 from .spine import grow_spined_batch, grow_spined_tree, spine_walk_ends  # noqa: F401
 
 # population size at which survival is resolved analytically instead of
@@ -146,10 +146,10 @@ def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
     return np.flatnonzero(~capped), discarded
 
 
-def _streams(cfg: McConfig, offset: int = 0) -> Callable[[np.ndarray], list[np.random.Generator]]:
-    """``rng_for`` of the batched engines: the generators of replicates
-    ``ids + offset`` of the run."""
-    return lambda ids: replicate_rngs(cfg.master_seed, ids + offset)
+def _streams(cfg: McConfig, offset: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """``keys_for`` of the batched engines: the counter-stream keys of
+    replicates ``ids + offset`` of the run."""
+    return lambda ids: replicate_keys(cfg.master_seed, ids + offset)
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, float, int]:

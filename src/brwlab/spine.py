@@ -17,10 +17,12 @@ particle; the last two give the spine particle's size-biased atom and
 its child choice.  The spine particle's plain uniform is drawn and
 ignored.  ``grow_spined_batch`` grows many spined replicates at once as
 occupation measures plus one spine particle each, on
-``brw.grow_occupation``: they draw the same blocks, with the particles
-taken position by position and the spine first in its position, or a
-multinomial over the other particles and then two uniforms.  Each
-replicate therefore equals a spined tree in law, not bit for bit.
+``brw.grow_occupation``: generation ``g`` takes block ``g`` of the
+replicate's counter stream (see ``rng``), with the particles taken
+position by position and the spine first in its position, or a
+multinomial over the other particles and the block's first two
+uniforms.  Each replicate therefore equals a spined tree in law, not bit
+for bit.
 Uniforms become spine broods in one place, ``_spine_brood``, for trees
 and batches alike.
 
@@ -28,9 +30,11 @@ and batches alike.
 block of ``2 * depth`` uniforms: the first half picks the atoms, the
 second half the children.  Its step law is ``spine_step_law`` from the
 offspring module and its mean step is the drift ``-m'(alpha)/m(alpha)``.
-``spine_walk_ends`` runs many walks at once and keeps their endpoints.
-Both batched functions take ``rng_for(ids)``, which builds the
-generators of many replicates in one call (``rng.replicate_rngs``).
+``spine_walk_ends`` runs many walks at once and keeps their endpoints:
+walk ``r`` takes its ``2 * depth`` uniforms from block 0 of its counter
+stream, the blocks of many walks in one call.  Both batched functions
+take ``keys_for(ids)``, which returns the counter-stream keys of many
+replicates in one call (``rng.replicate_keys``).
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .offspring import (
     tilted_mass,
     validate_law,
 )
+from .rng import block_keys, counter_uniforms
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,7 @@ def grow_spined_batch(
     alpha: float,
     depth: int,
     caps: GrowthCaps,
-    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
+    keys_for: Callable[[np.ndarray], np.ndarray],
     replicates: int,
     generations: Sequence[int] | None = None,
 ) -> tuple[BatchGrowth, np.ndarray]:
@@ -203,17 +208,17 @@ def grow_spined_batch(
     ``brw.grow_occupation``; also return ``spine_log_weight`` per replicate
     and recorded generation.
 
-    ``rng_for(ids)`` returns the generators of replicates ``ids``, in
-    order.  Replicate ``r`` has the law of ``grow_spined_tree`` followed by
-    ``martingale_trajectory(..., log m)``: the same ``Z_n``, ``log W_n``,
-    ray positions and largest last-generation position in law, and a
-    replicate that hits the node cap reports the generation of its cap
-    in ``capped_at``.
+    ``keys_for(ids)`` returns the counter-stream keys of replicates
+    ``ids``, in order.  Replicate ``r`` has the law of
+    ``grow_spined_tree`` followed by ``martingale_trajectory(..., log
+    m)``: the same ``Z_n``, ``log W_n``, ray positions and largest
+    last-generation position in law, and a replicate that hits the node
+    cap reports the generation of its cap in ``capped_at``.
     """
     law = validate_law(law)
     tables = _spine_tables(law, float(alpha))
     grown = grow_occupation(
-        law, depth, caps, rng_for, replicates, alpha, tables.log_m, generations,
+        law, depth, caps, keys_for, replicates, alpha, tables.log_m, generations,
         spine_brood=partial(_spine_brood, law, tables),
     )
     gens = np.array(grown.generations, dtype=np.int64)
@@ -245,7 +250,7 @@ def sample_spine_walk(
 
 
 # spine_walk_ends draws walks in blocks of about this many uniforms, and of
-# at most brw._BATCH_REPLICATES walks, whose generators are live at once
+# at most brw._BATCH_REPLICATES walks
 _WALK_UNIFORMS = 1 << 16
 
 
@@ -253,13 +258,14 @@ def spine_walk_ends(
     law: Law,
     alpha: float,
     depth: int,
-    rng_for: Callable[[np.ndarray], list[np.random.Generator]],
+    keys_for: Callable[[np.ndarray], np.ndarray],
     replicates: int,
 ) -> np.ndarray:
-    """``S(xi_depth)`` of walks ``0..replicates-1``.  ``rng_for(ids)``
-    returns the generators of walks ``ids``, in order, once per block of
-    walks; walk ``r`` ends where ``sample_spine_walk`` on its generator
-    ends, bit for bit."""
+    """``S(xi_depth)`` of walks ``0..replicates-1``.  ``keys_for(ids)``
+    returns the counter-stream keys of walks ``ids``, in order, once per
+    block of walks; walk ``r`` ends where ``sample_spine_walk`` ends on a
+    generator whose first ``random(2 * depth)`` call returns the walk's
+    block 0, bit for bit."""
     law = validate_law(law)
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth}")
@@ -268,6 +274,7 @@ def spine_walk_ends(
     ends = np.empty(replicates)
     for lo in range(0, replicates, rows):
         hi = min(lo + rows, replicates)
-        u = np.stack([rng.random(2 * depth) for rng in rng_for(np.arange(lo, hi))])
+        keys = block_keys(keys_for(np.arange(lo, hi)), 0)
+        u = counter_uniforms(keys, np.full(hi - lo, 2 * depth)).reshape(hi - lo, 2 * depth)
         ends[lo:hi] = _walk(law, tables, u)[:, -1]
     return ends

@@ -3,13 +3,15 @@
 A frozen, slow reading of the occupation engine's draw order, kept for
 the parity tests: a replicate's frontier is a dict from position to
 particle count, walked in ascending position order.  Each non-empty
-generation makes one call on the replicate's generator: ``random(Z_n)``,
-one uniform per particle, while ``Z_n`` is at most
-``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs * atoms`` (always, for
-heavy tails), and one ``multinomial(counts, p)`` over the atoms past it.
-A spined replicate (``spine_brood`` given) draws two more uniforms for
-the spine particle's size-biased brood, as ``grow_spined_tree`` does.
-The budgets are read from ``brwlab.brw`` at call time, so a test that
+generation ``g`` reads block ``g`` of the replicate's counter stream
+(``CounterStream``): its first ``Z_n`` uniforms, one per particle, while
+``Z_n`` is at most ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
+atoms`` (always, for heavy tails), and one ``multinomial(counts, p)``
+over the atoms, on a PCG64 seeded with the block key, past it.  A spined
+replicate (``spine_brood`` given) takes two more uniforms for the spine
+particle's size-biased brood, as ``grow_spined_tree`` does: the last two
+of ``Z_n + 2``, or the block's first two after a multinomial.  The
+budgets are read from ``brwlab.brw`` at call time, so a test that
 patches them patches both sides.
 """
 
@@ -21,6 +23,33 @@ import numpy as np
 
 import brwlab.brw as brw
 from brwlab import FiniteLaw, GrowthCaps
+from brwlab.rng import block_keys, counter_uniforms, replicate_seed
+
+
+class CounterStream:
+    """Replicate ``r`` of master seed ``seed`` read as a generator: the
+    ``g``-th ``random(n)`` call returns the first ``n`` uniforms of its
+    counter block ``g``, and a ``random()`` call the first one alone.  A
+    tree grown on it draws block ``g`` at generation ``g``, as the batched
+    engines do."""
+
+    def __init__(self, seed: int, r: int):
+        self.key = np.array([replicate_seed(seed, r)], dtype=np.uint64)
+        self.calls = 0
+
+    def block(self, g: int, n: int) -> np.ndarray:
+        """The first ``n`` uniforms of block ``g``."""
+        return counter_uniforms(block_keys(self.key, g), [n])
+
+    def generator(self, g: int) -> np.random.Generator:
+        """The PCG64 generator of block ``g``, seeded with its key by
+        numpy's own seeding."""
+        return np.random.default_rng(int(block_keys(self.key, g)[0]))
+
+    def random(self, n: int | None = None):
+        u = self.block(self.calls, 1 if n is None else n)
+        self.calls += 1
+        return float(u[0]) if n is None else u
 
 
 def _atom(law, u: float) -> int:
@@ -37,8 +66,8 @@ def _brood(law, a: int) -> tuple[float, ...]:
     return (0.0,) * (a + 2)
 
 
-def grow_one(law, depth: int, caps: GrowthCaps, rng, alpha: float, log_m: float,
-             spine_brood=None):
+def grow_one(law, depth: int, caps: GrowthCaps, stream: CounterStream, alpha: float,
+             log_m: float, spine_brood=None):
     """``(Z_n list, log W_n list, capped generation or -1, last-generation
     occupation as a sorted list of (position, count), ray positions)`` of
     one replicate.  The lists stop at the last generation grown; a capped
@@ -46,10 +75,10 @@ def grow_one(law, depth: int, caps: GrowthCaps, rng, alpha: float, log_m: float,
 
     With ``spine_brood`` the replicate is spined: the spine particle is
     the first particle of the row at its position, and its brood comes
-    from ``spine_brood`` with the last two uniforms of a ``random(Z_n +
-    2)`` block (its own plain uniform is drawn and ignored), or with
-    ``random(2)`` after a multinomial over the other particles.  Without
-    it the ray list holds the root alone."""
+    from ``spine_brood`` with the last two of ``Z_n + 2`` uniforms (its own
+    plain uniform is drawn and ignored), or with the block's first two
+    after a multinomial over the other particles.  Without it the ray
+    list holds the root alone."""
     frontier = {0.0: 1}
     population, log_w, ray = [1], [0.0], [0.0]
     nodes = 1
@@ -72,14 +101,14 @@ def grow_one(law, depth: int, caps: GrowthCaps, rng, alpha: float, log_m: float,
         if finite and z > brw._MULTINOMIAL_ABOVE + brw._MULTINOMIAL_CELL * len(pairs) * atoms:
             p = np.diff(np.minimum(law._tables.cum_p, 1.0), prepend=0.0)
             others = [c - (spine_brood is not None and x == spine) for x, c in pairs]
-            draws = rng.multinomial(others, p)
+            draws = stream.generator(g).multinomial(others, p)
             for (x, _), row in zip(pairs, draws.tolist()):
                 for a, k in enumerate(row):
                     add(x, a, k)
             if spine_brood is not None:
-                u_spine = rng.random(2)
+                u_spine = stream.block(g, 2)
         else:
-            u = rng.random(z if spine_brood is None else z + 2)
+            u = stream.block(g, z if spine_brood is None else z + 2)
             plain = iter(u[:z].tolist())
             for x, c in pairs:
                 for i in range(c):

@@ -26,11 +26,12 @@ from brwlab import (
     grow_tree,
     log_sum_exp,
     martingale_trajectory,
+    replicate_keys,
     replicate_rng,
-    replicate_rngs,
     tilted_mass,
 )
 from conftest import binary_zero_law, coin_pair_law, make_random_laws, quad_or_twin_law
+from occupation_reference import CounterStream
 
 CAPS = GrowthCaps()
 
@@ -171,12 +172,13 @@ PARITY_CASES = {
 
 
 def _tree_reference(law, alpha, depth, caps, seed, reps):
-    """Per-replicate (Z_n, log W_n, capped generation or -1) from trees."""
+    """Per-replicate (Z_n, log W_n, capped generation or -1) from trees
+    grown on the replicates' counter streams."""
     log_m = math.log(tilted_mass(law, alpha))
     out = []
     for r in range(reps):
         try:
-            tree, capped_at = grow_tree(law, depth, caps, replicate_rng(seed, r)), -1
+            tree, capped_at = grow_tree(law, depth, caps, CounterStream(seed, r)), -1
         except PopulationCapError as e:
             tree, capped_at = e.partial, e.generation
         traj = martingale_trajectory(tree, alpha, log_m)
@@ -189,7 +191,7 @@ def _occupation_reference(grown, law, alpha, log_m, depth, caps, seed):
     particle at a time, bit for bit."""
     for r in range(grown.population.shape[0]):
         population, log_w, capped_at, last, _ = occupation_reference.grow_one(
-            law, depth, caps, replicate_rng(seed, r), alpha, log_m)
+            law, depth, caps, CounterStream(seed, r), alpha, log_m)
         done = len(population)
         assert grown.capped_at[r] == capped_at
         assert grown.population[r, :done].tolist() == population
@@ -208,7 +210,7 @@ def test_batch_matches_tree_growth_exactly(case, seed, monkeypatch):
     reps = 24
 
     def batch():
-        return grow_occupation(law, depth, caps, partial(replicate_rngs, seed), reps, alpha,
+        return grow_occupation(law, depth, caps, partial(replicate_keys, seed), reps, alpha,
                                log_m)
 
     grown = batch()
@@ -255,7 +257,7 @@ def test_batch_pieces_placed_one_at_a_time_match(case, monkeypatch):
     monkeypatch.setattr(brw_mod, "_MULTINOMIAL_CELL", 0)
 
     def batch():
-        return grow_occupation(law, depth, caps, partial(replicate_rngs, 3), 24, alpha, log_m)
+        return grow_occupation(law, depth, caps, partial(replicate_keys, 3), 24, alpha, log_m)
 
     pieces = batch()
     _occupation_reference(pieces, law, alpha, log_m, depth, caps, 3)
@@ -266,29 +268,29 @@ def test_batch_pieces_placed_one_at_a_time_match(case, monkeypatch):
 
 
 def test_batch_records_chosen_generations_and_counts_only(pair_law):
-    full = grow_occupation(pair_law, 8, CAPS, partial(replicate_rngs, 4), 30, 1.0, 0.3)
-    some = grow_occupation(pair_law, 8, CAPS, partial(replicate_rngs, 4), 30, 1.0, 0.3,
+    full = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30, 1.0, 0.3)
+    some = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30, 1.0, 0.3,
                            generations=(0, 5, 8))
     assert np.array_equal(some.population, full.population[:, [0, 5, 8]])
     assert np.array_equal(some.log_w, full.log_w[:, [0, 5, 8]])
-    counts = grow_occupation(pair_law, 8, CAPS, partial(replicate_rngs, 4), 30)
+    counts = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30)
     assert counts.log_w is None
     assert np.array_equal(counts.population, full.population)
 
 
 def test_batch_stop_draws_the_next_uniform(pair_law, monkeypatch):
     monkeypatch.setattr(brw_mod, "_BATCH_REPLICATES", 7)  # several root batches
-    grown = grow_occupation(pair_law, 12, CAPS, partial(replicate_rngs, 8), 40, stop_above=5)
+    grown = grow_occupation(pair_law, 12, CAPS, partial(replicate_keys, 8), 40, stop_above=5)
     assert grown.stops
     for r, (g, z, u) in grown.stops.items():
-        rng = replicate_rng(8, r)
-        tree = grow_tree(pair_law, g, CAPS, rng)
+        stream = CounterStream(8, r)
+        tree = grow_tree(pair_law, g, CAPS, stream)
         assert generation_sizes(tree)[-1] == z > 5
         assert max(generation_sizes(tree)[:-1]) <= 5
-        assert rng.random() == u
+        assert stream.random() == u
         assert not grown.population[r, g + 1 :].any()
     for r in set(range(40)) - set(grown.stops):
-        tree = grow_tree(pair_law, 12, CAPS, replicate_rng(8, r))
+        tree = grow_tree(pair_law, 12, CAPS, CounterStream(8, r))
         assert max(generation_sizes(tree)[:-1]) <= 5
         assert list(grown.population[r]) == generation_sizes(tree)
 
@@ -359,7 +361,7 @@ def test_occupation_matches_enumerated_joint_law(name, path, monkeypatch):
                 here[round(x, 9)] += m
             seen[r] = (sum(here.values()), tuple(sorted(here.items())))
 
-    brw_mod._grow_occupied(law, depth, CAPS, partial(replicate_rngs, 4321), n, True, None,
+    brw_mod._grow_occupied(law, depth, CAPS, partial(replicate_keys, 4321), n, True, None,
                            record)
     counts = Counter(seen.get(r, (0, ())) for r in range(n))
     assert set(counts) <= set(want)
@@ -372,9 +374,9 @@ def test_counts_past_2_62_are_refused_not_wrapped():
     law, caps = quad_or_twin_law(), GrowthCaps(max_nodes=2**63 - 1)
     log_m = math.log(tilted_mass(law, 5.0))
     with pytest.raises(ResourceError, match="2\\^62"):
-        grow_occupation(law, 45, caps, partial(replicate_rngs, 2), 16, 5.0, log_m)
+        grow_occupation(law, 45, caps, partial(replicate_keys, 2), 16, 5.0, log_m)
     # a cap at 2^62 is reached first: every replicate is capped, none refused
-    capped = grow_occupation(law, 45, GrowthCaps(max_nodes=2**62), partial(replicate_rngs, 2),
+    capped = grow_occupation(law, 45, GrowthCaps(max_nodes=2**62), partial(replicate_keys, 2),
                              16, 5.0, log_m)
     assert (capped.capped_at > 30).all()
     assert (capped.population >= 0).all()
@@ -383,8 +385,8 @@ def test_counts_past_2_62_are_refused_not_wrapped():
     # broods of 64 take Z_n from 2^60 to 2^66, past int64 itself
     wide = FiniteLaw((Atom(1.0, (0.0,) * 64),))
     with pytest.raises(ResourceError):
-        grow_occupation(wide, 12, caps, partial(replicate_rngs, 2), 2, 1.0, math.log(64))
-    capped = grow_occupation(wide, 12, GrowthCaps(max_nodes=2**62), partial(replicate_rngs, 2),
+        grow_occupation(wide, 12, caps, partial(replicate_keys, 2), 2, 1.0, math.log(64))
+    capped = grow_occupation(wide, 12, GrowthCaps(max_nodes=2**62), partial(replicate_keys, 2),
                              2, 1.0, math.log(64))
     assert capped.capped_at.tolist() == [11, 11]
     assert capped.population[:, 10].tolist() == [2**60, 2**60]

@@ -524,6 +524,22 @@ def test_estimator_runs_leave_numpy_ma_unloaded(tmp_path):
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0, 0, 0], False]
 
 
+def test_extinction_run_leaves_numpy_random_unloaded(tmp_path):
+    # below the multinomial budget every uniform comes from the counter
+    # stream, so a run never builds a numpy generator nor imports the
+    # module, which costs a run about 4 MB of peak memory
+    args = ["mc", "--estimator", "extinction", "--model", MODEL, "--depth", "30",
+            "--reps", "5000", "--seed", "3", "--out", str(tmp_path / "ext.json")]
+    code = ("import json, sys\nfrom brwlab.cli import _dispatch\n"
+            "code = _dispatch(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, 'numpy.random' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(args)], capture_output=True,
+                          text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          timeout=120)
+    assert proc.stdout, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, False]
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from brwlab import (
 from brwlab.oracle import enumerate_trees, generation_positions, w_value
 from brwlab.spine import _spine_brood, _spine_tables
 from conftest import coin_pair_law, quad_or_twin_law
+from occupation_reference import CounterStream
 
 # ---------------------------------------------------------------------------
 # configuration contract
@@ -219,11 +220,11 @@ def test_importance_identities(pair_law):
 
 def test_importance_band_uses_the_exact_standard_error(pair_law):
     # F/W_n is right-skewed (skew 14.6 here), so a sample that misses
-    # large values has a small sample standard error.  Seed 1401 is the
+    # large values has a small sample standard error.  Seed 1835 is the
     # lowest master seed in 0-5,999 whose estimate sits below -4 sample
-    # errors but within 4 exact errors of the reference: -4.32 and -3.11
+    # errors but within 4 exact errors of the reference: -4.08 and -2.80
     fn = parse_functional("min_z:2")
-    cfg = McConfig(replicates=2000, depth=4, master_seed=1401)
+    cfg = McConfig(replicates=2000, depth=4, master_seed=1835)
     s = mc_importance_identity(pair_law, 1.0, fn, cfg)
     m = tilted_mass(pair_law, 1.0)
     ref = second = 0.0
@@ -336,8 +337,9 @@ def test_excessive_discards_raise(quad_law):
 
 def test_mean_w_with_discards_is_unreliable(pair_law):
     # a 900-node cap drops the two largest of 400 depth-10 trees (<= 1%),
-    # which biases E[W] low even though the classification is NONTRIVIAL
-    cfg = McConfig(replicates=400, depth=10, master_seed=3, caps=GrowthCaps(max_nodes=900))
+    # which biases E[W] low even though the classification is NONTRIVIAL.
+    # Seed 1 is the lowest master seed whose run discards exactly two
+    cfg = McConfig(replicates=400, depth=10, master_seed=1, caps=GrowthCaps(max_nodes=900))
     s = mc_mean_w(pair_law, 1.0, cfg, keep_values=True)
     assert s.discarded == 2 and s.n == 398
     assert s.unreliable
@@ -360,7 +362,7 @@ def test_summary_records_values_when_asked(pair_law):
 def test_spine_slope_values_are_the_per_replicate_walks(quad_law):
     cfg = McConfig(replicates=60, depth=25, master_seed=11)
     s = mc_spine_slope(quad_law, 5.0, cfg, keep_values=True)
-    want = [float(sample_spine_walk(quad_law, 5.0, 25, replicate_rng(11, r))[-1]) / 25
+    want = [float(sample_spine_walk(quad_law, 5.0, 25, CounterStream(11, r))[-1]) / 25
             for r in range(60)]
     assert s.values.tolist() == want
     assert s.kept == tuple(range(60)) and s.discarded == 0
@@ -380,7 +382,7 @@ def test_importance_values_are_the_per_tree_values(pair_law, text):
     sized = []
     for r in range(reps):
         population, log_w, _, last, _ = occupation_reference.grow_one(
-            pair_law, depth, caps, replicate_rng(13, r), 1.0, log_m, spine_brood=hook)
+            pair_law, depth, caps, CounterStream(13, r), 1.0, log_m, spine_brood=hook)
         f = mc_mod._functional_value(fn, population[depth], last[-1][0])
         sized.append(f * math.exp(-log_w[depth]))
     assert s.values.tolist() == sized
@@ -389,11 +391,11 @@ def test_importance_values_are_the_per_tree_values(pair_law, text):
     plain = []
     for r in range(reps, 2 * reps):
         population, _, _, last, _ = occupation_reference.grow_one(
-            pair_law, depth, caps, replicate_rng(13, r), 1.0, log_m)
+            pair_law, depth, caps, CounterStream(13, r), 1.0, log_m)
         z = population[depth]
         plain.append(mc_mod._functional_value(fn, z, last[-1][0]) if z else 0.0)
         if fn.kind != "exp_neg_max":
-            tree = grow_tree(pair_law, depth, caps, replicate_rng(13, r))
+            tree = grow_tree(pair_law, depth, caps, CounterStream(13, r))
             alive = tree.generation_index[depth].size
             assert plain[-1] == (functional_on_tree(fn, tree) if alive else 0.0)
     assert s.reference == float(np.mean(plain))
@@ -404,14 +406,15 @@ def test_importance_with_discards_is_unreliable(pair_law):
     # a 350-node cap drops the largest of 400 depth-8 size-biased trees,
     # which biases F / W_n although the run stays under the 1% limit.
     # Seed 1 is the lowest master seed whose run discards exactly one
-    # replicate, a size-biased one: replicate 333
+    # replicate, a size-biased one: replicate 302
     fn = parse_functional("min_z:2")
     cfg = McConfig(replicates=400, depth=8, master_seed=1, caps=GrowthCaps(max_nodes=350))
     s = mc_importance_identity(pair_law, 1.0, fn, cfg, keep_values=True)
-    assert s.discarded == 1 and s.n == 399 and 333 not in s.kept
+    assert s.discarded == 1 and s.n == 399 and 302 not in s.kept
     assert s.unreliable
     assert "1 capped replicates discarded (1 size-biased, 0 plain reference)" in s.note
-    # seed 17 loses one replicate from each sample
-    s = mc_importance_identity(pair_law, 1.0, fn, McConfig(400, 8, 17, GrowthCaps(max_nodes=350)))
+    # seed 16, the lowest master seed whose run loses one replicate from
+    # each sample
+    s = mc_importance_identity(pair_law, 1.0, fn, McConfig(400, 8, 16, GrowthCaps(max_nodes=350)))
     assert s.unreliable and s.discarded == 2
     assert "2 capped replicates discarded (1 size-biased, 1 plain reference)" in s.note

@@ -1,5 +1,6 @@
-"""Seed-splitting determinism, the frozen mixing-function vectors, and
-batched generator construction against numpy's own seeding."""
+"""Seed-splitting determinism, the frozen mixing-function vectors, the
+counter stream against a scalar reference and for uniformity, and batched
+generator construction against numpy's own seeding."""
 
 import os
 import subprocess
@@ -12,7 +13,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import brwlab.rng as rng_mod
-from brwlab import replicate_rng, replicate_rngs, replicate_seed, splitmix64
+from brwlab import (
+    block_keys,
+    counter_uniforms,
+    replicate_keys,
+    replicate_rng,
+    replicate_rngs,
+    replicate_seed,
+    splitmix64,
+)
 
 MASK = (1 << 64) - 1
 
@@ -74,6 +83,108 @@ def test_negative_index_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the counter stream
+# ---------------------------------------------------------------------------
+
+
+def _scalar_splitmix64(x: int) -> int:
+    z = x & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def _scalar_uniform(master: int, r: int, g: int, k: int) -> float:
+    """Uniform ``k`` of block ``g`` of replicate ``r``, by the definition,
+    one Python integer at a time."""
+    key = _scalar_splitmix64(master + (r + 1) * 0x9E3779B97F4A7C15)
+    block = _scalar_splitmix64(key ^ (((g + 1) * 0xD1B54A32D192ED03) & MASK))
+    return (_scalar_splitmix64(block + (k + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+
+
+def _uniforms(master: int, ids, g: int, lengths) -> np.ndarray:
+    return counter_uniforms(block_keys(replicate_keys(master, ids), g), lengths)
+
+
+# uniforms 0-2 of block 0 of replicate 0 of master seed 0, frozen: a change
+# of the stream definition changes every Monte Carlo sample
+KNOWN_BLOCK_FROM_ZERO = [0.826027878428408, 0.6917740324130444, 0.6790888559808632]
+
+
+def test_counter_stream_known_answers():
+    assert _uniforms(0, [0], 0, [3]).tolist() == KNOWN_BLOCK_FROM_ZERO
+    assert [_scalar_uniform(0, 0, 0, k) for k in range(3)] == KNOWN_BLOCK_FROM_ZERO
+
+
+@pytest.mark.parametrize("master", [0, 2**32, 2**63 - 1, MASK])
+def test_counter_stream_matches_the_scalar_definition(master):
+    ids = [0, 1, 4095, 2**40]
+    assert replicate_keys(master, ids).tolist() == [replicate_seed(master, r) for r in ids]
+    for g in (0, 1, 29, 2**31):
+        u = _uniforms(master, ids, g, [5] * len(ids)).reshape(len(ids), 5)
+        want = [[_scalar_uniform(master, r, g, k) for k in range(5)] for r in ids]
+        assert u.tolist() == want, (master, g)
+
+
+def test_counter_blocks_concatenate_with_empty_and_single_blocks():
+    ids, lengths = [3, 4, 5, 6, 7, 8], [2, 0, 1, 0, 3, 1]
+    u = _uniforms(11, ids, 4, lengths)
+    want = [_scalar_uniform(11, r, 4, k) for r, n in zip(ids, lengths) for k in range(n)]
+    assert u.tolist() == want
+    assert _uniforms(11, ids, 4, [0] * 6).size == 0
+    assert _uniforms(11, [], 4, []).size == 0
+
+
+def test_counter_keys_reject_negative_ids_and_blocks():
+    with pytest.raises(ValueError):
+        replicate_keys(0, [2, -1])
+    with pytest.raises(ValueError):
+        block_keys(replicate_keys(0, [2]), -1)
+
+
+# upper 10^-6 point of chi-square with 63 degrees of freedom
+CHI2_63 = 131.37
+
+
+def _chi2(observed: np.ndarray) -> float:
+    expected = observed.sum() / observed.size
+    return float(((observed - expected) ** 2).sum() / expected)
+
+
+def test_counter_uniforms_are_uniform_on_64_bins():
+    u = _uniforms(7, np.arange(1024), 3, np.full(1024, 256))
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert _chi2(np.bincount((u * 64).astype(np.int64), minlength=64)) < CHI2_63
+
+
+def _pair_chi2(a: np.ndarray, b: np.ndarray) -> float:
+    """Chi-square of the 8x8 table of ``(a, b)`` pairs against independence
+    of two uniforms."""
+    cells = (a * 8).astype(np.int64) * 8 + (b * 8).astype(np.int64)
+    return _chi2(np.bincount(cells, minlength=64))
+
+
+def test_counter_uniforms_are_pairwise_independent():
+    reps, n = 4096, 16
+    u = _uniforms(5, np.arange(reps), 2, np.full(reps, n)).reshape(reps, n)
+    # lag 1 within a block
+    assert _pair_chi2(u[:, :-1].ravel(), u[:, 1:].ravel()) < CHI2_63
+    # the same k in adjacent replicates
+    assert _pair_chi2(u[:-1].ravel(), u[1:].ravel()) < CHI2_63
+    # the same (r, k) in adjacent generations
+    nxt = _uniforms(5, np.arange(reps), 3, np.full(reps, n)).reshape(reps, n)
+    assert _pair_chi2(u.ravel(), nxt.ravel()) < CHI2_63
+
+
+def test_block_generators_are_numpys_pcg64():
+    keys = block_keys(replicate_keys(9, [0, 1, 2]), 6)
+    for key, rng in zip(keys.tolist(), rng_mod.pcg64_generators(keys)):
+        assert np.array_equal(rng.multinomial([5, 9], [0.3, 0.7]),
+                              np.random.default_rng(key).multinomial([5, 9], [0.3, 0.7]))
+    assert rng_mod.pcg64_generators(keys[:0]) == []
+
+
+# ---------------------------------------------------------------------------
 # batched construction: the same PCG64 streams as numpy's own seeding
 # ---------------------------------------------------------------------------
 
@@ -112,9 +223,8 @@ def test_replicate_rng_is_the_one_replicate_case(master):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, MASK])
 def test_state_words_equal_seed_sequence_state(seed):
     want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-    assert rng_mod._pcg64_words(seed) == want.tolist()
     batched = rng_mod._pcg64_words(np.array([seed, seed], dtype=np.uint64))
-    assert np.array_equal(np.stack(batched, axis=-1), np.stack([want, want]))
+    assert np.array_equal(batched, np.stack([want, want]))
 
 
 def test_replicate_rngs_rejects_negative_ids_and_takes_none():
@@ -124,7 +234,7 @@ def test_replicate_rngs_rejects_negative_ids_and_takes_none():
 
 
 def test_precomputed_state_words_seed_only_a_pcg64():
-    seeded = replicate_rng(0, 0).bit_generator.seed_seq
+    seeded = replicate_rngs(0, [0])[0].bit_generator.seed_seq
     with pytest.raises(ValueError):
         seeded.generate_state(2, np.uint32)
 

@@ -20,8 +20,8 @@ from brwlab import (
     generation_sizes,
     grow_spined_batch,
     grow_spined_tree,
+    replicate_keys,
     replicate_rng,
-    replicate_rngs,
     rn_log_weight,
     sample_spine_walk,
     spine_positions,
@@ -32,6 +32,7 @@ from brwlab import (
 from brwlab.oracle import generation_positions, ray_positions
 from brwlab.spine import _spine_brood, _spine_tables
 from conftest import binary_zero_law, coin_pair_law, quad_or_twin_law
+from occupation_reference import CounterStream
 from oracle_reference import enumerate_spined_trees
 
 CAPS = GrowthCaps()
@@ -197,7 +198,7 @@ def _spined_reference(law, alpha, depth, caps, seed, reps):
     out = []
     for r in range(reps):
         population, log_w, capped_at, last, ray = occupation_reference.grow_one(
-            law, depth, caps, replicate_rng(seed, r), alpha, tables.log_m, spine_brood=hook)
+            law, depth, caps, CounterStream(seed, r), alpha, tables.log_m, spine_brood=hook)
         if capped_at >= 0:
             out.append((None, None, None, None, None, capped_at))
             continue
@@ -223,7 +224,7 @@ def test_spined_batch_matches_spined_trees_exactly(case, seed, monkeypatch):
     reps = 24
 
     def batch():
-        return grow_spined_batch(law, alpha, depth, caps, partial(replicate_rngs, seed), reps)
+        return grow_spined_batch(law, alpha, depth, caps, partial(replicate_keys, seed), reps)
 
     for above, cell in PATHS.values():
         monkeypatch.setattr(brw_mod, "_MULTINOMIAL_ABOVE", above)
@@ -295,7 +296,7 @@ def test_spined_occupation_matches_enumerated_joint_law(name, path, monkeypatch)
             seen.append((tuple(sorted(here.items())), round(spine, 9)))
 
     hook = partial(_spine_brood, law, _spine_tables(law, 1.0))
-    brw_mod._grow_occupied(law, depth, CAPS, partial(replicate_rngs, 4321), n, True, None,
+    brw_mod._grow_occupied(law, depth, CAPS, partial(replicate_keys, 4321), n, True, None,
                            record, hook)
     assert len(seen) == n  # spined replicates never die out
     counts = Counter(seen)
@@ -307,9 +308,9 @@ def test_spined_occupation_matches_enumerated_joint_law(name, path, monkeypatch)
 
 def test_spined_batch_records_chosen_generations(pair_law):
     full, full_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS,
-                                          partial(replicate_rngs, 4), 30)
+                                          partial(replicate_keys, 4), 30)
     some, some_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS,
-                                          partial(replicate_rngs, 4), 30, (0, 5, 8))
+                                          partial(replicate_keys, 4), 30, (0, 5, 8))
     for name in ("population", "log_w", "ray_position"):
         assert np.array_equal(getattr(some, name), getattr(full, name)[:, [0, 5, 8]])
     assert np.array_equal(some_weight, full_weight[:, [0, 5, 8]])
@@ -362,14 +363,14 @@ def test_spine_walks_match_the_two_block_definition(law, alpha, monkeypatch):
     for r in range(reps):
         walk = sample_spine_walk(law, alpha, depth, replicate_rng(5, r))
         assert np.array_equal(walk, _reference_walk(law, alpha, depth, replicate_rng(5, r)))
-    ends = spine_walk_ends(law, alpha, depth, partial(replicate_rngs, 5), reps)
+    ends = spine_walk_ends(law, alpha, depth, partial(replicate_keys, 5), reps)
     monkeypatch.setattr(spine_mod, "_WALK_UNIFORMS", 100)  # several blocks of walks
-    blocks = spine_walk_ends(law, alpha, depth, partial(replicate_rngs, 5), reps)
+    blocks = spine_walk_ends(law, alpha, depth, partial(replicate_keys, 5), reps)
     for r in range(reps):
-        assert ends[r] == blocks[r] == sample_spine_walk(law, alpha, depth, replicate_rng(5, r))[-1]
+        assert ends[r] == blocks[r] == sample_spine_walk(law, alpha, depth, CounterStream(5, r))[-1]
 
 
 def test_heavy_walks_stay_at_zero(heavy_law):
-    ends = spine_walk_ends(heavy_law, 0.0, 9, partial(replicate_rngs, 2), 5)
+    ends = spine_walk_ends(heavy_law, 0.0, 9, partial(replicate_keys, 2), 5)
     assert not ends.any()
     assert not sample_spine_walk(heavy_law, 0.0, 9, replicate_rng(2, 0)).any()
