@@ -99,7 +99,6 @@ from .rng import (
     counter_uniforms,
     replicate_keys,
     replicate_rng,
-    replicate_rngs,
     replicate_seed,
     splitmix64,
 )

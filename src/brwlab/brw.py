@@ -30,8 +30,8 @@ Ney 1972; Biggins 1977).  While ``Z_n`` is small a replicate draws
 ``Z_n`` uniforms, one per particle, as ``grow_tree`` does, and the
 blocks of a whole batch come from one ``rng.counter_uniforms`` call;
 past ``_MULTINOMIAL_ABOVE`` it draws one ``multinomial`` over the atoms
-from a PCG64 seeded with its block key, so its cost follows the occupied
-positions, not the particles.  No count may pass ``2^62``.
+from its block's PCG64 (``rng.block_multinomials``), so its cost follows
+the occupied positions, not the particles.  No count may pass ``2^62``.
 
 Spined replicates grow on the same engine, given the ``spine_brood``
 hook that ``spine`` supplies.  Each keeps the position of its spine
@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import DomainError, PopulationCapError, ResourceError
 from .offspring import FiniteLaw, Law, LogDivergentLaw, validate_law
-from .rng import block_keys, counter_uniforms, pcg64_generators
+from .rng import block_keys, block_multinomials, counter_uniforms
 
 _NEG_INF = float("-inf")
 
@@ -456,8 +456,9 @@ def grow_occupation(
     With ``Z_n`` up to ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
     atoms`` (always, for heavy tails) it takes the block's first ``Z_n``
     uniforms, one per particle with the particles taken position by
-    position; past it, ``multinomial(counts, p)`` on a PCG64 seeded with
-    the block key gives the atom counts at every position at once.
+    position; past it, ``multinomial(counts, p)`` on the block's PCG64
+    (``rng.block_multinomials``) gives the atom counts at every position
+    at once.
     Particles at one position are exchangeable, so either draw gives the
     law of the tree's positions.  While a replicate draws uniforms its
     ``Z_n`` and cap generation equal those of ``grow_tree`` on a generator
@@ -621,12 +622,9 @@ def _grow_occupied(
         over = totals > room
         many = np.flatnonzero(multi)
         if many.size:
-            # one multinomial per replicate over its rows, on a PCG64 seeded
-            # with its block key
-            lo, n_rows = first[many], b.rows[many]
-            draws = np.concatenate([
-                rng.multinomial(others[a : a + n], p)
-                for a, n, rng in zip(lo.tolist(), n_rows.tolist(), pcg64_generators(keys[many]))])
+            # one multinomial per replicate over its rows, drawn from its block
+            n_rows = b.rows[many]
+            draws = block_multinomials(keys[many], others[~drawn], n_rows, p)
             per_atom = np.add.reduceat(draws, np.cumsum(n_rows) - n_rows)
             if spined:
                 # the spine's brood, drawn above, joins its home row

@@ -519,7 +519,7 @@ def mc_cmd(
     if estimator == "triviality_scan":
         alpha = _single_alpha(_require(alpha_text, "--alpha"))
         grid = _parse_depth_grid(_require(depth_grid_text, "--depth-grid"))
-        cfg = McConfig(reps, max(grid), seed, caps, workers)
+        cfg = McConfig(reps, max(grid), seed, caps)
         report = mc_triviality_scan(law, alpha, grid, cfg, keep_values=keep)
         payload = {
             "estimator": report.estimator,
@@ -565,7 +565,7 @@ def mc_cmd(
         return
 
     depth = _require(depth, "--depth")
-    cfg = McConfig(reps, depth, seed, caps, workers)
+    cfg = McConfig(reps, depth, seed, caps)
     if estimator == "extinction":
         summary = mc_extinction(law, cfg, keep_values=keep)
     else:

@@ -19,25 +19,17 @@ block are the splitmix64 sequence started at its key.
 keys of their block ``g``, and ``counter_uniforms`` concatenated blocks
 of given lengths, all in one numpy pass in wrapping ``uint64``
 arithmetic, so a whole batch draws a generation without a Python call
-per replicate.  A block that
-needs a ``multinomial`` draws it from a PCG64 seeded with its block key
-instead (``pcg64_generators``).
+per replicate.  A block that needs a ``multinomial`` draws it instead
+from a PCG64 whose state is two splitmix64 words of its block key
+(``block_multinomials``).
 
 The tree API takes generators: ``replicate_rng(s, r)`` is numpy's
-``default_rng(replicate_seed(s, r))``.  numpy hashes an integer seed
-through ``SeedSequence``, which costs several times more than the
-``PCG64`` it seeds, so ``pcg64_generators`` builds the generators of many
-seeds at once instead: numpy's documented ``SeedSequence`` algorithm
-(pool mixing, then ``generate_state(4, uint64)``), vectorised in wrapping
-``uint64`` arithmetic, and each ``PCG64`` is seeded from its four
-precomputed state words.  ``numpy.random`` is imported on first use, not
-with this module, so a run that draws only counter uniforms never loads
-it.
+``default_rng(replicate_seed(s, r))``.  ``numpy.random`` is imported on
+first use, not with this module, so a run that draws only counter
+uniforms never loads it.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
@@ -120,99 +112,45 @@ def counter_uniforms(keys: np.ndarray, lengths) -> np.ndarray:
     return z * 2.0**-53
 
 
-# numpy's SeedSequence, for one 64-bit entropy value and no spawn key:
-# a pool of four 32-bit words, hashed with the constants INIT_A * MULT_A^k
-# while mixing (4 + 12 hashes) and INIT_B * MULT_B^k while generating state
-_M32 = 0xFFFFFFFF
+# the multinomial stream: a block that draws a multinomial takes it from a
+# PCG64 whose state is a pure function of the block key; the constants
+# are the first fractional words of pi, used by no uniform of the block
+_PCG_HI = 0x243F6A8885A308D3
+_PCG_LO = 0x13198A2E03707344
+_PCG_INC = 0xA4093822299F31D1  # the next word, made odd as PCG64's increment must be
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    out = [init]
-    for _ in range(count):
-        out.append((out[-1] * mult) & _M32)
-    return out
+def block_multinomials(keys: np.ndarray, counts: np.ndarray, rows, p) -> np.ndarray:
+    """``multinomial(counts[rows of key i], p)`` for the block with key
+    ``keys[i]``, for every ``i``, concatenated in order: ``counts`` holds
+    ``rows[i]`` consecutive counts for key ``i``, and the result has one
+    row of atom counts per count.
 
-
-_MIX_HASH = np.array(_hash_constants(0x43B0D7E5, 0x931E8875, 16), dtype=np.uint64)[:, None]
-_STATE_HASH = np.array(_hash_constants(0x8B51F9DD, 0x58F38DED, 8), dtype=np.uint64)[:, None]
-
-
-def _hashmix(value: np.ndarray, constants: np.ndarray, k: int, rows: int) -> np.ndarray:
-    """SeedSequence's hashmix of ``rows`` rows of words (or of one row,
-    broadcast), row ``j`` with hash constant ``k + j``."""
-    value = ((value ^ constants[k : k + rows]) * constants[k + 1 : k + rows + 1]) & _M32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    out = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-    return out ^ (out >> 16)
-
-
-def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` for each 64-bit
-    seed of a ``uint64`` array, one row of four words per seed.  Products
-    of two 32-bit words fit in 64 bits, so ``uint64`` arithmetic masked to
-    32 bits is exact.
-
-    A seed below ``2^32`` has one entropy word where a larger one has
-    two; with four pool slots the missing high word hashes exactly like
-    a zero one, so every seed is taken as ``(low, high)``.  Within one
-    source word the three pool updates are independent, so each source
-    word's updates, and the eight state hashes, run as one array
-    operation each."""
-    entropy = np.zeros((4, seeds.size), dtype=np.uint64)
-    entropy[0] = seeds & _M32
-    entropy[1] = seeds >> 32
-    pool = _hashmix(entropy, _MIX_HASH, 0, 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _MIX_HASH, 4 + 3 * src, 3))
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH, 0, 8)
-    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
-
-
-@cache
-def _seeded_pcg64():
-    """``words -> Generator``: a PCG64 generator seeded from its four
-    precomputed state words."""
+    Block ``i`` draws from a PCG64 (O'Neill 2014) with the 128-bit state
+    ``splitmix64(key ^ _PCG_HI) << 64 | splitmix64(key ^ _PCG_LO)`` and
+    the increment ``_PCG_INC``.  One generator is made per call, so no two
+    callers share one, and reseeded for each key, so a block never sees
+    another's draws; ``numpy.random`` is imported only once a block draws."""
+    if not keys.size:
+        return np.zeros((0, len(p)), dtype=np.int64)
     from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
 
-    class StateWords(ISeedSequence):
-        """Hands PCG64 the state words that its own seed sequence would
-        generate."""
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("precomputed state words seed a PCG64 only")
-            return self.words
-
-    return lambda words: Generator(PCG64(StateWords(words)))
-
-
-def pcg64_generators(seeds: np.ndarray) -> list[np.random.Generator]:
-    """One generator per 64-bit seed of a ``uint64`` array, in order; each
-    equals ``np.random.Generator(np.random.PCG64(int(seed)))``.  No seeds,
-    no import of ``numpy.random``."""
-    if not seeds.size:
-        return []
-    seeded = _seeded_pcg64()
-    return [seeded(w) for w in _pcg64_words(seeds)]
-
-
-def replicate_rngs(master_seed: int, ids) -> list[np.random.Generator]:
-    """Independent generators for replicates ``ids`` of a seeded run, in
-    order; each equals ``replicate_rng(master_seed, r)``."""
-    return pcg64_generators(replicate_keys(master_seed, ids))
+    gen = Generator(PCG64(0))
+    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": _PCG_INC},
+             "has_uint32": 0, "uinteger": 0}
+    hi = _splitmix64_inplace(keys ^ np.uint64(_PCG_HI)).tolist()
+    lo = _splitmix64_inplace(keys ^ np.uint64(_PCG_LO)).tolist()
+    ends = np.cumsum(rows).tolist()
+    draws = []
+    for h, l, start, end in zip(hi, lo, [0, *ends], ends):
+        state["state"]["state"] = h << 64 | l
+        gen.bit_generator.state = state
+        draws.append(gen.multinomial(counts[start:end], p))
+    return np.concatenate(draws)
 
 
 def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replicate of a seeded run.  For one
-    seed numpy's own seeding is the faster path."""
+    """Independent generator for one replicate of a seeded run."""
     from numpy.random import default_rng
 
     return default_rng(replicate_seed(master_seed, index))

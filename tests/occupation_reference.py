@@ -7,12 +7,12 @@ generation ``g`` reads block ``g`` of the replicate's counter stream
 (``CounterStream``): its first ``Z_n`` uniforms, one per particle, while
 ``Z_n`` is at most ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
 atoms`` (always, for heavy tails), and one ``multinomial(counts, p)``
-over the atoms, on a PCG64 seeded with the block key, past it.  A spined
-replicate (``spine_brood`` given) takes two more uniforms for the spine
-particle's size-biased brood, as ``grow_spined_tree`` does: the last two
-of ``Z_n + 2``, or the block's first two after a multinomial.  The
-budgets are read from ``brwlab.brw`` at call time, so a test that
-patches them patches both sides.
+over the atoms, on the block's PCG64 (``CounterStream.generator``), past
+it.  A spined replicate (``spine_brood`` given) takes two more uniforms
+for the spine particle's size-biased brood, as ``grow_spined_tree``
+does: the last two of ``Z_n + 2``, or the block's first two after a
+multinomial.  The budgets are read from ``brwlab.brw`` at call time, so
+a test that patches them patches both sides.
 """
 
 from __future__ import annotations
@@ -23,7 +23,20 @@ import numpy as np
 
 import brwlab.brw as brw
 from brwlab import FiniteLaw, GrowthCaps
-from brwlab.rng import block_keys, counter_uniforms, replicate_seed
+from brwlab.rng import block_keys, counter_uniforms, replicate_seed, splitmix64
+
+
+def block_pcg64(key: int) -> np.random.Generator:
+    """A fresh PCG64 in the state of the block with key ``key``: its
+    128-bit state is two splitmix64 words of the key, its increment a
+    fixed odd constant."""
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": splitmix64(key ^ 0x243F6A8885A308D3) << 64
+                            | splitmix64(key ^ 0x13198A2E03707344),
+                            "inc": 0xA4093822299F31D1},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 class CounterStream:
@@ -42,9 +55,8 @@ class CounterStream:
         return counter_uniforms(block_keys(self.key, g), [n])
 
     def generator(self, g: int) -> np.random.Generator:
-        """The PCG64 generator of block ``g``, seeded with its key by
-        numpy's own seeding."""
-        return np.random.default_rng(int(block_keys(self.key, g)[0]))
+        """The PCG64 generator of block ``g``."""
+        return block_pcg64(int(block_keys(self.key, g)[0]))
 
     def random(self, n: int | None = None):
         u = self.block(self.calls, 1 if n is None else n)

@@ -278,6 +278,19 @@ def test_mc_extinction_needs_no_alpha(capsys):
     assert json.loads(out)["reference_value"] == pytest.approx(0.25, abs=1e-6)
 
 
+def test_mc_extinction_depth_past_the_cap_exits_one(capsys):
+    code, _, err = run_cli(
+        [
+            "mc", "--estimator", "extinction", "--model",
+            str(REPO / "models" / "critical_coin.json"),
+            "--depth", "200000", "--reps", "10", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "depth 200000 exceeds caps.max_depth 100000" in err
+
+
 def test_mc_scan_payload(capsys):
     code, out, _ = run_cli(
         [

@@ -50,8 +50,6 @@ def test_config_rejects_degenerate_runs():
         McConfig(replicates=1, depth=3, master_seed=0)
     with pytest.raises(DomainError):
         McConfig(replicates=10, depth=-1, master_seed=0)
-    with pytest.raises(DomainError):
-        McConfig(replicates=10, depth=3, master_seed=0, workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +87,6 @@ def test_mean_w_se_shrinks_with_replicates(pair_law):
     large = mc_mean_w(pair_law, 1.0, McConfig(replicates=1600, depth=6, master_seed=7))
     ratio = small.se / large.se
     assert 2.0 < ratio < 8.0  # ideal 4, allow sampling noise
-
-
-def test_mean_w_deterministic_across_workers(pair_law):
-    one = mc_mean_w(pair_law, 1.0, McConfig(replicates=400, depth=6, master_seed=5, workers=1))
-    four = mc_mean_w(pair_law, 1.0, McConfig(replicates=400, depth=6, master_seed=5, workers=4))
-    assert one.estimate == four.estimate
-    assert one.se == four.se
-
-
-# ---------------------------------------------------------------------------
-# spine slope
-# ---------------------------------------------------------------------------
 
 
 def test_spine_slope_alpha_zero(pair_law):
@@ -152,6 +138,21 @@ def test_extinction_critical_law(critical_law):
     assert s.passed
     # at depth 40 the pgf iterate is still well below the limit 1
     assert 0.8 < s.reference < 1.0
+
+
+def test_extinction_band_takes_the_exact_bernoulli_error(critical_law):
+    # at depth 1000 with 100 replicates most runs keep no survivor, so the
+    # sample standard error is 0; the band is four exact errors
+    # sqrt(q_n (1 - q_n) / n) of the pgf reference wide, and se stays the
+    # sample's
+    for seed in range(40):
+        s = mc_extinction(critical_law, McConfig(replicates=100, depth=1000, master_seed=seed),
+                          keep_values=True)
+        q = s.reference
+        assert s.band_se == math.sqrt(q * (1 - q) / 100)
+        assert s.se == float(np.std(s.values, ddof=1) / 10)
+        if s.se == 0.0:
+            assert s.passed, seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Seed-splitting determinism, the frozen mixing-function vectors, the
-counter stream against a scalar reference and for uniformity, and batched
-generator construction against numpy's own seeding."""
+counter stream against a scalar reference and for uniformity, and the
+multinomial blocks' PCG64 state against a scalar construction."""
 
 import os
 import subprocess
@@ -18,10 +18,10 @@ from brwlab import (
     counter_uniforms,
     replicate_keys,
     replicate_rng,
-    replicate_rngs,
     replicate_seed,
     splitmix64,
 )
+from occupation_reference import block_pcg64
 
 MASK = (1 << 64) - 1
 
@@ -176,67 +176,51 @@ def test_counter_uniforms_are_pairwise_independent():
     assert _pair_chi2(u.ravel(), nxt.ravel()) < CHI2_63
 
 
-def test_block_generators_are_numpys_pcg64():
-    keys = block_keys(replicate_keys(9, [0, 1, 2]), 6)
-    for key, rng in zip(keys.tolist(), rng_mod.pcg64_generators(keys)):
-        assert np.array_equal(rng.multinomial([5, 9], [0.3, 0.7]),
-                              np.random.default_rng(key).multinomial([5, 9], [0.3, 0.7]))
-    assert rng_mod.pcg64_generators(keys[:0]) == []
+# ---------------------------------------------------------------------------
+# multinomial blocks: a PCG64 reseeded from each block key
+# ---------------------------------------------------------------------------
+
+P = [0.25, 0.5, 0.25]
+
+
+def test_block_multinomials_known_answers():
+    keys = [0, 2**63 - 1, MASK]
+    counts = np.array([7, 0, 30, 1000, 5, 12], dtype=np.int64)
+    rows = [1, 3, 2]
+    got = rng_mod.block_multinomials(np.array(keys, dtype=np.uint64), counts, rows, P)
+    want = np.concatenate([block_pcg64(keys[0]).multinomial(counts[:1], P),
+                           block_pcg64(keys[1]).multinomial(counts[1:4], P),
+                           block_pcg64(keys[2]).multinomial(counts[4:], P)])
+    assert got.tolist() == want.tolist()
+    assert (got.sum(axis=1) == counts).all()
+
+
+def test_block_multinomials_carry_nothing_between_keys():
+    a, b = np.array([3], dtype=np.uint64), np.array([4], dtype=np.uint64)
+    counts = np.array([500, 40], dtype=np.int64)
+    alone = rng_mod.block_multinomials(b, counts[1:], [1], P)
+    after = rng_mod.block_multinomials(np.concatenate([a, b]), counts, [1, 1], P)
+    assert after[1:].tolist() == alone.tolist()
+
+
+def test_block_multinomials_of_no_keys_are_empty():
+    out = rng_mod.block_multinomials(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64),
+                                     [], P)
+    assert out.shape == (0, len(P))
 
 
 # ---------------------------------------------------------------------------
-# batched construction: the same PCG64 streams as numpy's own seeding
+# tree generators: numpy's own seeding of the replicate key
 # ---------------------------------------------------------------------------
 
 EDGE_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, MASK]
 
 
-def _numpy_rng(master: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(replicate_seed(master, index)))
-
-
-def _assert_same_streams(master: int, ids: list[int]) -> None:
-    rngs = replicate_rngs(master, np.array(ids, dtype=np.int64))
-    assert len(rngs) == len(ids)
-    for rng, r in zip(rngs, ids):
-        assert np.array_equal(rng.random(4), _numpy_rng(master, r).random(4)), (master, r)
-
-
-@pytest.mark.parametrize("master", EDGE_MASTERS)
-def test_replicate_rngs_match_numpy_seeding(master):
-    _assert_same_streams(master, [0, 1, 2, 3, 4095, 4096, 4999, 5000])
-
-
-@given(st.integers(0, MASK), st.lists(st.integers(0, 5000), min_size=1, max_size=12))
-def test_replicate_rngs_match_numpy_seeding_on_any_ids(master, ids):
-    _assert_same_streams(master, ids)
-
-
 @pytest.mark.parametrize("master", EDGE_MASTERS)
 def test_replicate_rng_is_the_one_replicate_case(master):
     for r in [0, 5, 4999]:
-        want = _numpy_rng(master, r).random(4)
+        want = np.random.Generator(np.random.PCG64(replicate_seed(master, r))).random(4)
         assert np.array_equal(replicate_rng(master, r).random(4), want)
-        assert np.array_equal(replicate_rngs(master, [r])[0].random(4), want)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, MASK])
-def test_state_words_equal_seed_sequence_state(seed):
-    want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-    batched = rng_mod._pcg64_words(np.array([seed, seed], dtype=np.uint64))
-    assert np.array_equal(batched, np.stack([want, want]))
-
-
-def test_replicate_rngs_rejects_negative_ids_and_takes_none():
-    with pytest.raises(ValueError):
-        replicate_rngs(0, [3, -1])
-    assert replicate_rngs(0, []) == []
-
-
-def test_precomputed_state_words_seed_only_a_pcg64():
-    seeded = replicate_rngs(0, [0])[0].bit_generator.seed_seq
-    with pytest.raises(ValueError):
-        seeded.generate_state(2, np.uint32)
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
