@@ -155,7 +155,9 @@ def _atoms(law: Law, u: np.ndarray) -> np.ndarray:
     The one place where uniforms become broods: tree growth feeds it one
     replicate's block, batched growth the blocks of many replicates
     concatenated."""
-    cdf = law._tables.cum_p if isinstance(law, FiniteLaw) else law._cdf
+    if isinstance(law, LogDivergentLaw):
+        return law._atoms(u)
+    cdf = law._tables.cum_p
     if cdf.size > _SCAN_ATOMS:
         return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1).astype(np.int64)
     ai = np.zeros(u.shape, dtype=np.int64)

@@ -13,10 +13,12 @@ displacements ``(x_1, ..., x_L)``.  Two families are supported.
     log-moment ``E[L log L]`` diverges exactly when ``a <= 2``, which is
     the textbook way to produce a degenerate martingale limit without
     touching the drift condition.  Normalizer and moments are computed by
-    series summation with Euler-Maclaurin tail corrections whose error is
-    bounded explicitly (far below 1e-9); sampling uses an inverse-CDF
-    table truncated at ``n_max`` with the tail mass lumped into the last
-    atom, while classification always uses the ideal untruncated law.
+    summing a short head with Euler-Maclaurin tail corrections whose
+    error is bounded explicitly (far below 1e-9).  Sampling inverts the
+    law truncated at ``n_max``, the tail mass lumped into the last atom:
+    a table over the head, and the tail series past it, so that nothing
+    grows with ``n_max``.  Classification always uses the ideal
+    untruncated law.
 
 Sign convention
 ---------------
@@ -54,7 +56,6 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -72,12 +73,16 @@ BOUNDARY_TOL = 1e-9
 SERIES_TOL = 1e-9
 FIXED_POINT_TOL = 1e-14
 MAX_FIXED_POINT_ITER = 100_000
-N_MAX_LIMIT = 10_000_000  # heavy-tail truncation; the sampling table holds n_max floats
+N_MAX_LIMIT = 10_000_000  # heavy-tail truncation; no table or set-up cost grows with it
 # past about 1900, (log 2)^-a overflows; long before that the law is binary
-# to double precision and the tail integral takes mpmath half a second
+# to double precision, no uniform reaches past the head table, and the
+# tail integral takes mpmath half a second
 TAIL_EXPONENT_LIMIT = 1000.0
 
-_SERIES_HORIZON = 1 << 20
+_SERIES_HORIZON = 1 << 20  # terms summed by pgf_eval before its tail correction
+# heavy-tail atoms n <= _HEAD are summed term by term and tabulated; past
+# them every series and cdf is an Euler-Maclaurin tail
+_HEAD = 1 << 12
 
 
 def stable_sum(values: Iterable[float]) -> float:
@@ -148,14 +153,20 @@ class LogDivergentLaw:
         object.__setattr__(self, "tail_exponent", float(self.tail_exponent))
         object.__setattr__(self, "n_max", int(self.n_max))
 
-    # both are shared by every law with the same (tail_exponent, n_max)
+    # all are shared by every law with the same (tail_exponent, n_max)
     @property
     def _exact(self) -> "_LogFamilyExact":
         return _log_family_exact(self.tail_exponent, self.n_max)
 
     @property
     def _cdf(self) -> np.ndarray:
-        return _log_family_cdf(self.tail_exponent, self.n_max)
+        """Read-only head table of the count law (see ``_HeavySampler``)."""
+        return _heavy_sampler(self.tail_exponent, self.n_max, False).cdf
+
+    def _atoms(self, u: np.ndarray, size_biased: bool = False) -> np.ndarray:
+        """Atom index (brood size minus 2) of each uniform, by inversion of
+        the count law, or of its size-biased law ``n p_n / E[L]``."""
+        return _heavy_sampler(self.tail_exponent, self.n_max, size_biased).atoms(u)
 
 
 Law = Union[FiniteLaw, LogDivergentLaw]
@@ -192,6 +203,8 @@ def _em_tail(p: int, b: float, M: int, integral: float) -> tuple[float, float]:
 
 def _tail_sq(a: float, M: int) -> tuple[float, float]:
     """Tail of the normalizer series ``sum 1/(n^2 (log n)^a)`` from M."""
+    import mpmath as mp  # 25 ms to import, and only heavy-tail laws need it
+
     with mp.workdps(30):
         integral = float(mp.gammainc(1 - a, mp.log(M)))
     return _em_tail(2, a, M, integral)
@@ -201,6 +214,17 @@ def _tail_lin(b: float, M: int) -> tuple[float, float]:
     """Tail of ``sum 1/(n (log n)^b)`` from M, for b > 1 (closed-form integral)."""
     integral = math.log(M) ** (1.0 - b) / (b - 1.0)
     return _em_tail(1, b, M, integral)
+
+
+def _lin_between(b: float, lo: int, hi: int) -> tuple[float, float]:
+    """``sum 1/(n (log n)^b)`` over lo <= n < hi, for b > 1: the difference
+    of two Euler-Maclaurin tails, its integrals subtracted through
+    ``expm1`` so that nothing cancels as b approaches 1."""
+    llo, lhi = math.log(math.log(lo)), math.log(math.log(hi))
+    integral = math.exp((1.0 - b) * lhi) * math.expm1((1.0 - b) * (llo - lhi)) / (b - 1.0)
+    t_lo, e_lo = _em_tail(1, b, lo, 0.0)
+    t_hi, e_hi = _em_tail(1, b, hi, 0.0)
+    return integral + t_lo - t_hi, e_lo + e_hi
 
 
 def _head(p: int, b: float, lo: int, hi: int) -> float:
@@ -217,22 +241,28 @@ def _log_family_exact(a: float, n_max: int) -> _LogFamilyExact:
         )
     if not 4 <= n_max <= N_MAX_LIMIT:
         raise DomainError(f"n_max must lie in [4, {N_MAX_LIMIT}], got {n_max}")
-    N = _SERIES_HORIZON
-    tz, ez = _tail_sq(a, N + 1)
-    z = _head(2, a, 2, N) + tz
+    K = _HEAD
+    tz, ez = _tail_sq(a, K + 1)
+    z = _head(2, a, 2, K) + tz
     c = 1.0 / z
-    tm, em = _tail_lin(a, N + 1)
-    mean = c * (_head(1, a, 2, N) + tm)
+    head_lin = _head(1, a, 2, K)
+    tm, em = _tail_lin(a, K + 1)
+    mean = c * (head_lin + tm)
     if a > 2.0:
-        tl, el = _tail_lin(a - 1.0, N + 1)
-        llogl = c * (_head(1, a - 1.0, 2, N) + tl)
+        tl, el = _tail_lin(a - 1.0, K + 1)
+        llogl = c * (_head(1, a - 1.0, 2, K) + tl)
     else:
         llogl, el = math.inf, 0.0
     # truncated law: mass at n >= n_max lumped into the n_max atom
     t_lump, e_lump = _tail_sq(a, n_max)
     lump = c * t_lump
-    trunc_mean = c * _head(1, a, 2, n_max - 1) + n_max * lump
-    err = c * (ez + em + el) + abs(mean) * c * ez + n_max * c * e_lump
+    if n_max <= K + 1:
+        trunc_lin, e_cut = _head(1, a, 2, n_max - 1), 0.0
+    else:
+        t_cut, e_cut = _lin_between(a, K + 1, n_max)
+        trunc_lin = head_lin + t_cut
+    trunc_mean = c * trunc_lin + n_max * lump
+    err = c * (ez + em + el + e_cut) + abs(mean) * c * ez + n_max * c * e_lump
     if err > SERIES_TOL:
         raise DomainError(
             f"series tail error bound {err!r} exceeds {SERIES_TOL} for a={a}"
@@ -240,24 +270,129 @@ def _log_family_exact(a: float, n_max: int) -> _LogFamilyExact:
     return _LogFamilyExact(c, mean, llogl, lump, trunc_mean, err)
 
 
-# a table holds n_max floats (80 MB at N_MAX_LIMIT), so few are kept
-@lru_cache(maxsize=4)
-def _log_family_cdf(a: float, n_max: int) -> np.ndarray:
-    """Read-only sampling table over ``2..n_max``, the ideal tail lumped
-    into ``n_max``."""
-    c = _log_family_exact(a, n_max).normalizer
-    n = np.arange(2, n_max, dtype=np.float64)
+def _gamma_ratio(s: float, x: np.ndarray) -> np.ndarray:
+    """``Gamma(s, x) e^x x^-s`` for s <= 0 and x >= 1, elementwise: Legendre's
+    continued fraction by the modified Lentz method (Press et al.,
+    *Numerical Recipes*, 3rd ed., section 6.2), whose denominators stay
+    positive for these arguments."""
+    den = x + 1.0 - s
+    d = 1.0 / den
+    h, c = d, np.full(x.shape, np.inf)
+    for i in range(1, 1000):
+        an = -i * (i - s)
+        den = den + 2.0
+        d = 1.0 / (an * d + den)
+        c = den + an / c
+        delta = d * c
+        h = h * delta
+        if np.all(np.abs(delta - 1.0) <= 1e-15):
+            return h
+    raise NoConvergenceError(float(h.max()), 1000)
+
+
+def _log_tail(p: int, b: float, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log F`` and ``B``, elementwise, where ``F(M)`` is the Euler-Maclaurin
+    sum of ``n^-p (log n)^-b`` over n >= M in floats, for p = 1 or 2.
+
+    With ``x = log M``, ``F = x^-b e^-(p-1)x B``: the integral is
+    ``x^(1-b) / (b-1)`` for p = 1 and ``Gamma(1-b, x)`` for p = 2, and
+    ``d log F / d x = -1/B`` up to the derivatives of the correction terms.
+    The log form neither overflows nor underflows over the law's domain.
+    """
+    x = np.log(M)
+    e = 1.0 / M
+    integral = x / (b - 1.0) if p == 1 else x * _gamma_ratio(1.0 - b, x)
+    B = integral + e * (0.5 + (p + b / x) * e / 12.0)
+    return np.log(B) - b * np.log(x) - (p - 1) * x, B
+
+
+def _invert_tail(p: int, b: float, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Smallest n in [lo, hi) with ``F(n + 1) < y`` (``F`` as in ``_log_tail``),
+    or ``hi`` where there is none.
+
+    Newton's method on ``log F(e^x) = log y``, from ``x = log lo`` or, for
+    p = 1, from the root of the integral alone: ``log F`` is convex and
+    decreasing in x, and both starts lie left of the root, so the
+    iterates climb to it.  The slope leaves out the correction terms,
+    which are ``O(1/M)`` of it, so near the root each step cuts the error
+    by a factor of about M.  Once a step falls below 1e-10 x, the floor
+    of ``e^x`` is the answer, except for uniforms within rounding of a
+    cdf boundary.
+    """
+    log_y = np.log(y)
+    x_lo, x_hi = math.log(lo), math.log(hi + 1)
+    if p == 1:
+        log_x = (log_y + math.log(b - 1.0)) / (1.0 - b)
+        x = np.clip(np.exp(np.minimum(log_x, math.log(x_hi))), x_lo, x_hi)
+    else:
+        x = np.full(y.shape, x_lo)
+    for _ in range(100):
+        log_f, B = _log_tail(p, b, np.exp(x))
+        moved = np.clip(x + (log_f - log_y) * B, x_lo, x_hi)
+        done = np.all(np.abs(moved - x) <= 1e-10 * x)
+        x = moved
+        if done:
+            break
+    return np.clip(np.floor(np.exp(x)), lo, hi).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _HeavySampler:
+    """Inverse-CDF sampler of a heavy-tail count law with ``O(_HEAD)`` state.
+
+    ``cdf[i]`` is ``P[L <= i + 2]`` for the atoms ``n = 2..first - 1``,
+    computed as one cumulative sum (the head of the full table, bit for
+    bit); its last entry is 1.0 and stands for ``n >= first``.  Past the
+    head the law's tail is ``P[L > n] = (F(n + 1) - shift) / scale`` for
+    ``n < n_max``, with ``F`` the float series tail of ``_log_tail`` of
+    order ``p``, and ``_invert_tail`` solves it for a uniform past the
+    head.  When ``first == n_max`` the table is the whole law.
+    """
+
+    cdf: np.ndarray
+    first: int
+    n_max: int
+    p: int
+    b: float
+    scale: float
+    shift: float
+
+    def atoms(self, u: np.ndarray) -> np.ndarray:
+        i = np.minimum(np.searchsorted(self.cdf, u, side="right"), self.cdf.size - 1)
+        if self.first < self.n_max:
+            tail = i == self.cdf.size - 1
+            if tail.any():
+                # 1 - u is exact: the head holds more than half the mass
+                y = (1.0 - u[tail]) * self.scale + self.shift
+                i[tail] = _invert_tail(self.p, self.b, y, self.first, self.n_max) - 2
+        return i
+
+
+@lru_cache(maxsize=128)
+def _heavy_sampler(a: float, n_max: int, size_biased: bool) -> _HeavySampler:
+    """The sampler of the count law (``P[L > n] = c T2(n + 1)``) or of the
+    size-biased law (``P[L > n] = (c (T1(n + 1) - T1(n_max)) + n_max lump)
+    / truncated_mean``), where ``Tp`` sums ``n^-p (log n)^-a``."""
+    exact = _log_family_exact(a, n_max)
+    c = exact.normalizer
+    first = min(n_max, _HEAD + 1)
+    n = np.arange(2, first, dtype=np.float64)
     probs = c / (n * n * np.log(n) ** a)
-    lump = 1.0 - probs.sum()
-    cdf = np.empty(n_max - 1)
+    if size_biased:
+        probs = probs * n / exact.truncated_mean
+    elif probs.sum() > 1.0:
+        raise NormalizationError(
+            f"truncated table mass exceeds one by {probs.sum() - 1.0!r}; n_max too small"
+        )
+    cdf = np.empty(first - 1)
     np.cumsum(probs, out=cdf[:-1])
     cdf[-1] = 1.0
-    if lump < 0:
-        raise NormalizationError(
-            f"truncated table mass exceeds one by {-lump!r}; n_max too small"
-        )
     cdf.flags.writeable = False
-    return cdf
+    if size_biased:
+        log_cut, _ = _log_tail(1, a, np.array([float(n_max)]))
+        shift = math.exp(float(log_cut[0])) - n_max * exact.lump_mass / c
+        return _HeavySampler(cdf, first, n_max, 1, a, exact.truncated_mean / c, shift)
+    return _HeavySampler(cdf, first, n_max, 2, a, 1.0 / c, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +502,18 @@ def sample_realization(law: Law, rng: np.random.Generator) -> np.ndarray:
     """Draw one reproduction event; consumes exactly one uniform.
 
     Returns the displacement array of the brood (possibly empty).  Finite
-    laws invert the cumulative atom probabilities; the heavy-tail family
-    inverts its truncated count table and returns that many zeros.
+    laws invert the cumulative atom probabilities.  The heavy-tail family
+    inverts its truncated count law, the mass past ``n_max`` lumped into
+    ``n_max``: a table for brood sizes up to 4096, and past it the
+    Euler-Maclaurin tail series, solved for the brood size; it returns
+    that many zeros.
     """
     u = rng.random()
     if isinstance(law, FiniteLaw):
         t = law._tables
         i = min(int(np.searchsorted(t.cum_p, u, side="right")), len(law.atoms) - 1)
         return np.array(law.atoms[i].displacements, dtype=np.float64)
-    cdf = law._cdf
-    i = min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
-    return np.zeros(i + 2)
+    return np.zeros(int(law._atoms(np.array([u]))[0]) + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .offspring import (
     FiniteLaw,
     Law,
     LogDivergentLaw,
+    _heavy_sampler,
     tilted_mass,
     validate_law,
 )
@@ -68,7 +69,10 @@ class _SpineTables:
     to the widest brood: ``child_disp[a]`` holds the displacements, and
     ``child_cum[a]`` the within-brood cdf of the distinguished-child
     choice without its last entry, padded with ``inf``, so that the
-    chosen slot is the number of entries at or below a uniform.
+    chosen slot is the number of entries at or below a uniform.  For a
+    heavy-tail law ``atom_cum`` is the head table of its size-biased
+    count law, which ``LogDivergentLaw._atoms`` inverts, and the other
+    arrays are empty.
     """
 
     atom_cum: np.ndarray
@@ -97,17 +101,12 @@ def _spine_tables(law: Law, alpha: float) -> _SpineTables:
             child_disp[a, : atom.count] = atom.displacements
         atom_ids = np.array(atom_ids, dtype=np.int64)
         atom_cum = np.cumsum(biased)
+        atom_cum[-1] = 1.0
     else:
         # heavy-tail family: displacements are all zero, so the biased
         # count law is n p_n / mean and the child choice is uniform
-        cdf = law._cdf
-        probs = np.diff(np.concatenate([[0.0], cdf]))
-        counts = np.arange(2, law.n_max + 1, dtype=np.float64)
-        biased = probs * counts
-        atom_cum = np.cumsum(biased / biased.sum())
-        atom_ids = np.arange(len(cdf), dtype=np.int64)
-        child_cum = child_disp = np.empty((0, 0))
-    atom_cum[-1] = 1.0
+        atom_cum = _heavy_sampler(law.tail_exponent, law.n_max, True).cdf
+        atom_ids = child_cum = child_disp = np.empty((0, 0))
     return _SpineTables(atom_cum, atom_ids, child_cum, child_disp, math.log(m))
 
 
@@ -116,15 +115,16 @@ def _spine_brood(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Atom index of each size-biased brood and its chosen child's slot,
     one ``(u_atom, u_child)`` pair each, for arrays of any shape."""
+    if isinstance(law, LogDivergentLaw):
+        atom = law._atoms(u_atom, size_biased=True)
+        count = atom + 2
+        return atom, np.minimum((u_child * count).astype(np.int64), count - 1)
     row = np.searchsorted(tables.atom_cum, u_atom, side="right")
     atom = tables.atom_ids[np.minimum(row, tables.atom_cum.size - 1)]
-    if isinstance(law, FiniteLaw):
-        slot = np.zeros(atom.shape, dtype=np.int64)
-        for column in tables.child_cum.T:
-            slot += column[atom] <= u_child
-        return atom, slot
-    count = atom + 2
-    return atom, np.minimum((u_child * count).astype(np.int64), count - 1)
+    slot = np.zeros(atom.shape, dtype=np.int64)
+    for column in tables.child_cum.T:
+        slot += column[atom] <= u_child
+    return atom, slot
 
 
 def _spine_log_weight(

@@ -17,11 +17,13 @@ a test that patches them patches both sides.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 import brwlab.brw as brw
+import heavy_tail_reference
 from brwlab import FiniteLaw, GrowthCaps
 from brwlab.rng import block_keys, counter_uniforms, replicate_seed, splitmix64
 
@@ -64,11 +66,14 @@ class CounterStream:
         return float(u[0]) if n is None else u
 
 
+@functools.lru_cache(maxsize=8)
+def _heavy_cdf(law) -> np.ndarray:
+    """The whole cumulative table of a heavy-tail law (small ``n_max`` only)."""
+    return heavy_tail_reference.full_cdf(law.tail_exponent, law.n_max, law._exact.normalizer)
+
+
 def _atom(law, u: float) -> int:
-    if isinstance(law, FiniteLaw):
-        cdf = law._tables.cum_p
-    else:
-        cdf = law._cdf
+    cdf = law._tables.cum_p if isinstance(law, FiniteLaw) else _heavy_cdf(law)
     return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
 
 

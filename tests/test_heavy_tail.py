@@ -1,0 +1,185 @@
+"""The heavy-tail law ``LogDivergentLaw`` without ``n_max``-sized tables.
+
+Its constants come from a short head plus Euler-Maclaurin tails, and its
+sampler keeps a head table and inverts uniforms past it through the
+tail series.  These tests hold both to the full-horizon reference in
+``heavy_tail_reference`` (the computation they replaced), to mpmath, and
+to a memory bound, and check that importing brwlab loads neither mpmath
+nor ``numpy.random``.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+import heavy_tail_reference as ref
+from brwlab import DomainError, LogDivergentLaw
+from brwlab.offspring import (
+    _HEAD,
+    N_MAX_LIMIT,
+    SERIES_TOL,
+    _gamma_ratio,
+    _heavy_sampler,
+    _log_family_exact,
+    _log_tail,
+)
+from brwlab.spine import _spine_tables
+
+REPO = Path(__file__).resolve().parent.parent
+CONSTANTS = ("normalizer", "mean", "llogl", "lump_mass", "truncated_mean")
+
+
+def _within_ulps(x: float, y: float, ulps: int) -> bool:
+    return x == y or abs(x - y) <= ulps * math.ulp(max(abs(x), abs(y)))
+
+
+def test_import_loads_neither_mpmath_nor_numpy_random():
+    code = ("import json, sys, brwlab, brwlab.cli; "
+            "print(json.dumps([m for m in ('mpmath', 'numpy.random') if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# ---------------------------------------------------------------------------
+# constants
+# ---------------------------------------------------------------------------
+
+
+# n_max = 4097 is the last truncation summed term by term, 4098 the first
+# that takes the tail difference
+@pytest.mark.parametrize("n_max", [100, _HEAD + 1, _HEAD + 2, 10**6])
+@pytest.mark.parametrize("a", [1.01, 1.5, 3.0, 10.0])
+def test_constants_match_full_horizon_reference(a, n_max):
+    exact, old = _log_family_exact(a, n_max), ref.exact_constants(a, n_max)
+    for name in CONSTANTS:
+        assert _within_ulps(getattr(exact, name), old[name], 4), name
+    assert exact.tail_error_bound <= SERIES_TOL
+
+
+def test_constants_at_n_max_limit_match_mpmath():
+    # the full-horizon reference sums 10^7 floats for the truncated mean
+    # here and lands 5 ulp from the 30-digit value, so this point is held
+    # to mpmath instead
+    a, n_max = 1.5, N_MAX_LIMIT
+    exact = _log_family_exact(a, n_max)
+
+    def f2(n):
+        return 1 / (n**2 * mp.log(n) ** a)
+
+    def f1(n):
+        return 1 / (n * mp.log(n) ** a)
+
+    with mp.workdps(30):
+        c = 1 / (mp.fsum(f2(n) for n in range(2, _HEAD + 1)) + mp.sumem(f2, [_HEAD + 1, mp.inf]))
+        lump = c * mp.sumem(f2, [n_max, mp.inf])
+        lin = mp.fsum(f1(n) for n in range(2, _HEAD + 1)) + mp.sumem(f1, [_HEAD + 1, n_max - 1])
+        want = {"normalizer": float(c), "lump_mass": float(lump),
+                "truncated_mean": float(c * lin + n_max * lump)}
+    for name, value in want.items():
+        assert _within_ulps(getattr(exact, name), value, 4), name
+
+
+@pytest.mark.parametrize("a", [1.0001, 1.5, 2.0, 3.0, 50.0, 1000.0])
+def test_tail_error_bound_within_series_tol(a):
+    for n_max in (4, 1000, 10**6, N_MAX_LIMIT):
+        try:
+            exact = _log_family_exact(a, n_max)
+        except DomainError:
+            # refused by the bound of the lump, which no head length changes
+            assert ref.exact_constants(a, n_max)["tail_error_bound"] > SERIES_TOL
+            continue
+        assert exact.tail_error_bound <= SERIES_TOL
+
+
+# ---------------------------------------------------------------------------
+# float tail series
+# ---------------------------------------------------------------------------
+
+TAIL_EXPONENTS = [1.0001, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0]
+TAIL_STARTS = np.unique(np.round(np.geomspace(4, N_MAX_LIMIT, 25)))
+
+
+def test_gamma_continued_fraction_matches_mpmath():
+    x = np.log(TAIL_STARTS)
+    for a in TAIL_EXPONENTS:
+        got = _gamma_ratio(1.0 - a, x)
+        with mp.workdps(30):
+            for xi, g in zip(x.tolist(), got.tolist()):
+                X = mp.mpf(xi)
+                want = mp.gammainc(1 - a, X) * mp.exp(X) * X ** (a - 1)
+                assert abs(g - want) <= 1e-13 * want, (a, xi)
+
+
+def test_log_tail_matches_mpmath():
+    for a in TAIL_EXPONENTS:
+        for p in (1, 2):
+            got, _ = _log_tail(p, a, TAIL_STARTS)
+            with mp.workdps(30):
+                for M, g in zip(TAIL_STARTS.tolist(), got.tolist()):
+                    M = mp.mpf(M)
+                    L = mp.log(M)
+                    f = M**-p * L**-a
+                    integral = L ** (1 - a) / (a - 1) if p == 1 else mp.gammainc(1 - a, L)
+                    want = mp.log(integral + f / 2 + f * (p / M + a / (M * L)) / 12)
+                    assert abs(g - want) <= 1e-13 * max(1, abs(want)), (a, p, float(M))
+
+
+# ---------------------------------------------------------------------------
+# sampler
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size_biased", [False, True])
+@pytest.mark.parametrize("n_max", [1 << 16, 1000])
+@pytest.mark.parametrize("a", [1.5, 3.0])
+def test_sampler_matches_full_table(a, n_max, size_biased):
+    """The head table is the prefix of the full cumulative table bit for
+    bit, and every uniform, densely past the head, draws the full table's
+    atom, unless it lies within 1e-12 of one of that table's entries."""
+    exact = _log_family_exact(a, n_max)
+    full = ref.full_cdf(a, n_max, exact.normalizer, exact.truncated_mean if size_biased else None)
+    head = _heavy_sampler(a, n_max, size_biased).cdf
+    assert head.size == min(n_max - 1, _HEAD)
+    assert np.array_equal(head[:-1], full[: head.size - 1]) and head[-1] == 1.0
+    u = np.concatenate([np.linspace(0.0, 1.0, 20_000, endpoint=False),
+                        np.linspace(head[-2], 1.0, 100_000, endpoint=False),
+                        1.0 - 2.0**-53 * np.arange(1, 1000)])
+    got = LogDivergentLaw(a, n_max)._atoms(u, size_biased)
+    want = np.minimum(np.searchsorted(full, u, side="right"), full.size - 1)
+    assert want.max() == n_max - 2 and np.count_nonzero(want >= head.size - 1) >= 100_000
+    off = np.flatnonzero(got != want)
+    edge = full[np.minimum(got[off], want[off])]
+    assert np.all(np.abs(u[off] - edge) <= 1e-12), u[off][np.abs(u[off] - edge) > 1e-12]
+
+
+# stated before measuring: the whole set-up of one heavy-tail law at
+# n_max = 10^7 (constants, both samplers, spine tables and a few draws)
+# allocates under 2 MB; its full tables took 80 MB each
+SETUP_PEAK_BYTES = 2_000_000
+
+
+def test_setup_allocates_nothing_n_max_sized():
+    _log_family_exact(1.75, 5000)  # loads mpmath outside the measurement
+    for cached in (_log_family_exact, _heavy_sampler, _spine_tables):
+        cached.cache_clear()
+    law = LogDivergentLaw(1.5, N_MAX_LIMIT)
+    u = np.array([0.5, 1.0 - 1e-6, 1.0 - 2.0**-53])
+    tracemalloc.start()
+    try:
+        law._exact, law._cdf, _spine_tables(law, 0.0)
+        plain, biased = law._atoms(u), law._atoms(u, size_biased=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plain[-1] == biased[-1] == N_MAX_LIMIT - 2  # the lump
+    assert peak < SETUP_PEAK_BYTES
