@@ -30,8 +30,10 @@ Ney 1972; Biggins 1977).  While ``Z_n`` is small a replicate draws
 ``Z_n`` uniforms, one per particle, as ``grow_tree`` does, and the
 blocks of a whole batch come from one ``rng.counter_uniforms`` call;
 past ``_MULTINOMIAL_ABOVE`` it draws one ``multinomial`` over the atoms
-from its block's PCG64 (``rng.block_multinomials``), so its cost follows
-the occupied positions, not the particles.  No count may pass ``2^62``.
+per occupied position, a chain of counter-stream binomials on
+sub-blocks of its block (``rng.counter_multinomials``), so its cost
+follows the occupied positions, not the particles, and the rows of a
+whole batch are drawn together.  No count may pass ``2^62``.
 
 Spined replicates grow on the same engine, given the ``spine_brood``
 hook that ``spine`` supplies.  Each keeps the position of its spine
@@ -71,7 +73,7 @@ import numpy as np
 
 from .errors import DomainError, PopulationCapError, ResourceError
 from .offspring import FiniteLaw, Law, LogDivergentLaw, validate_law
-from .rng import block_keys, block_multinomials, counter_uniforms
+from .rng import block_keys, counter_multinomials, counter_uniforms
 
 _NEG_INF = float("-inf")
 
@@ -458,9 +460,9 @@ def grow_occupation(
     With ``Z_n`` up to ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
     atoms`` (always, for heavy tails) it takes the block's first ``Z_n``
     uniforms, one per particle with the particles taken position by
-    position; past it, ``multinomial(counts, p)`` on the block's PCG64
-    (``rng.block_multinomials``) gives the atom counts at every position
-    at once.
+    position; past it, ``multinomial(counts, p)`` as conditional binomials
+    on sub-blocks of the block (``rng.counter_multinomials``) gives the
+    atom counts at every position at once.
     Particles at one position are exchangeable, so either draw gives the
     law of the tree's positions.  While a replicate draws uniforms its
     ``Z_n`` and cap generation equal those of ``grow_tree`` on a generator
@@ -626,7 +628,7 @@ def _grow_occupied(
         if many.size:
             # one multinomial per replicate over its rows, drawn from its block
             n_rows = b.rows[many]
-            draws = block_multinomials(keys[many], others[~drawn], n_rows, p)
+            draws = counter_multinomials(keys[many], others[~drawn], n_rows, p)
             per_atom = np.add.reduceat(draws, np.cumsum(n_rows) - n_rows)
             if spined:
                 # the spine's brood, drawn above, joins its home row

@@ -1,8 +1,10 @@
 """Monte Carlo estimators with exact references where one exists.
 
 Seeding: replicate ``r`` always draws the counter stream of its key
-``replicate_seed(master_seed, r)`` (see ``rng``); results are merged in
-replicate order, so estimates are bit-identical for any worker count.
+``replicate_seed(master_seed, r)`` (see ``rng``), its multinomial blocks
+included, so no estimator builds a numpy generator or imports
+``numpy.random``; results are merged in replicate order, so estimates
+are bit-identical for any worker count.
 The batched engines take a batch's keys from one call, ``keys_for(ids) =
 replicate_keys(master_seed, ids)``.
 Replicates whose tree growth hits the node cap are discarded, and a run
@@ -57,7 +59,6 @@ import numpy as np
 # grow_tree, martingale_trajectory and grow_spined_tree are unused here but
 # stay bound: perfbench/tracing.py patches them in this module
 from .brw import (  # noqa: F401
-    BatchGrowth,
     GrowthCaps,
     LabelledTree,
     _check_growth,
@@ -458,12 +459,31 @@ def functional_on_outcome(fn: Functional, law: FiniteLaw, t, depth: int) -> floa
     return _functional_value(fn, len(positions), max_pos)
 
 
-def _functional_values(fn: Functional, grown: BatchGrowth) -> np.ndarray:
-    """``F`` of each replicate of a batch grown to its last generation
-    with ``alpha``; 0 for a replicate extinct there."""
-    z = grown.population[:, -1].tolist()
-    top = grown.max_position.tolist()
-    return np.array([_functional_value(fn, n, x) if n else 0.0 for n, x in zip(z, top)])
+def _exps(x: np.ndarray) -> np.ndarray:
+    """``_safe_exp`` of each entry.  ``math.exp``, not ``np.exp``, which
+    differs from it in the last bit on about 5% of inputs: every artifact
+    that holds an importance value would move."""
+    try:
+        return np.array(list(map(math.exp, x.tolist())))
+    except OverflowError:
+        return np.array([_safe_exp(v) for v in x.tolist()])
+
+
+def _functional_values(fn: Functional, z: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``F`` at each ``(Z_n, largest position)`` pair, as ``_functional_value``
+    gives it (``math.exp`` included), but 0 wherever ``Z_n = 0``."""
+    if fn.kind == "exp_neg_max":
+        with np.errstate(invalid="ignore"):
+            e = np.array(list(map(math.exp, (-fn.param * top).tolist())))
+        return np.where(z > 0, e, 0.0)
+    k = int(fn.param)
+    if fn.kind == "one":
+        f = z > 0
+    elif fn.kind == "indicator_z":
+        f = (z == k) & (z > 0)
+    else:
+        f = np.minimum(z, k)
+    return f.astype(np.float64)
 
 
 def _exact_reference(law: FiniteLaw, alpha: float, log_m: float, fn: Functional,
@@ -474,8 +494,7 @@ def _exact_reference(law: FiniteLaw, alpha: float, log_m: float, fn: Functional,
     level = _Enumeration(law, alpha, depth).levels[depth]
     alive = level.z > 0
     p, log_e = level.p[alive], level.log_e[alive]
-    f = np.array([_functional_value(fn, z, top) for z, top in
-                  zip(level.z[alive].tolist(), level.top[alive].tolist())])
+    f = _functional_values(fn, level.z[alive], level.top[alive])
     ref = math.fsum((p * f).tolist())
     hit = f != 0
     with np.errstate(over="ignore"):
@@ -524,8 +543,9 @@ def mc_importance_identity(
     sized, _ = grow_spined_batch(law, alpha, cfg.depth, cfg.caps, _streams(cfg),
                                  cfg.replicates, gens)
     kept, discarded = _screen(cfg, sized.capped_at >= 0)
-    f = _functional_values(functional, sized)[kept].tolist()
-    values = [v * _safe_exp(-x) for v, x in zip(f, sized.log_w[kept, 0].tolist())]
+    f = _functional_values(functional, sized.population[kept, -1], sized.max_position[kept])
+    with np.errstate(invalid="ignore"):
+        values = f * _exps(-sized.log_w[kept, 0])
     name = f"importance[{functional.name}]"
 
     exact_ref = isinstance(law, FiniteLaw) and count_outcomes(law, cfg.depth) <= min(
@@ -543,7 +563,8 @@ def mc_importance_identity(
     plain = grow_occupation(law, cfg.depth, cfg.caps, _streams(cfg, cfg.replicates),
                             cfg.replicates, alpha, profile.log_m, gens)
     ref_kept, ref_discarded = _screen(cfg, plain.capped_at >= 0)
-    ref, ref_se, _ = _mean_se(_functional_values(functional, plain)[ref_kept])
+    ref, ref_se, _ = _mean_se(_functional_values(functional, plain.population[ref_kept, -1],
+                                                 plain.max_position[ref_kept]))
     notes = [f"reference: plain-law Monte Carlo of E[F; alive], se {ref_se:.3g}",
              *_importance_discards(discarded, ref_discarded)]
     return _summary(

@@ -17,8 +17,10 @@ displacements ``(x_1, ..., x_L)``.  Two families are supported.
     error is bounded explicitly (far below 1e-9).  Sampling inverts the
     law truncated at ``n_max``, the tail mass lumped into the last atom:
     a table over the head, and the tail series past it, so that nothing
-    grows with ``n_max``.  Classification always uses the ideal
-    untruncated law.
+    grows with ``n_max``.  The tilted mass is the mean of that truncated
+    law, the law that is sampled, so it normalises ``W_n`` and the spine
+    weight; the ``L log L`` moment, and so the classification, is the
+    ideal untruncated law's.
 
 Sign convention
 ---------------
@@ -382,7 +384,7 @@ def _heavy_sampler(a: float, n_max: int, size_biased: bool) -> _HeavySampler:
         probs = probs * n / exact.truncated_mean
     elif probs.sum() > 1.0:
         raise NormalizationError(
-            f"truncated table mass exceeds one by {probs.sum() - 1.0!r}; n_max too small"
+            f"truncated table mass exceeds one by {float(probs.sum()) - 1.0!r}; n_max too small"
         )
     cdf = np.empty(first - 1)
     np.cumsum(probs, out=cdf[:-1])
@@ -588,7 +590,9 @@ def tilted_mass(law: Law, alpha: float) -> float:
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     if isinstance(law, LogDivergentLaw):
-        return law._exact.mean  # all displacements are zero
+        # all displacements are zero; the mean of the truncated law that
+        # is sampled, which normalises W_n and the spine weight
+        return law._exact.truncated_mean
     total = stable_sum(a.probability * _tilt_weight(a, alpha) for a in law.atoms)
     if math.isinf(total):
         raise MassOverflowError(f"tilted mass overflowed at alpha={alpha!r}")

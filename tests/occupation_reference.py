@@ -7,12 +7,15 @@ generation ``g`` reads block ``g`` of the replicate's counter stream
 (``CounterStream``): its first ``Z_n`` uniforms, one per particle, while
 ``Z_n`` is at most ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
 atoms`` (always, for heavy tails), and one ``multinomial(counts, p)``
-over the atoms, on the block's PCG64 (``CounterStream.generator``), past
-it.  A spined replicate (``spine_brood`` given) takes two more uniforms
-for the spine particle's size-biased brood, as ``grow_spined_tree``
-does: the last two of ``Z_n + 2``, or the block's first two after a
-multinomial.  The budgets are read from ``brwlab.brw`` at call time, so
-a test that patches them patches both sides.
+over the atoms past it (``CounterStream.multinomial``): the engine's
+chain of conditional binomials, drawn here one binomial at a time.
+``rng.binomials`` is a pure function of its sub-block key, count and
+probability, so the parity holds entry by entry.  A spined replicate
+(``spine_brood`` given) takes two more uniforms for the spine
+particle's size-biased brood, as ``grow_spined_tree`` does: the last two
+of ``Z_n + 2``, or the block's first two after a multinomial.  The
+budgets are read from ``brwlab.brw`` at call time, so a test that
+patches them patches both sides.
 """
 
 from __future__ import annotations
@@ -25,20 +28,10 @@ import numpy as np
 import brwlab.brw as brw
 import heavy_tail_reference
 from brwlab import FiniteLaw, GrowthCaps
-from brwlab.rng import block_keys, counter_uniforms, replicate_seed, splitmix64
+from brwlab.rng import binomials, block_keys, counter_uniforms, replicate_seed, splitmix64
 
-
-def block_pcg64(key: int) -> np.random.Generator:
-    """A fresh PCG64 in the state of the block with key ``key``: its
-    128-bit state is two splitmix64 words of the key, its increment a
-    fixed odd constant."""
-    bits = np.random.PCG64()
-    bits.state = {"bit_generator": "PCG64",
-                  "state": {"state": splitmix64(key ^ 0x243F6A8885A308D3) << 64
-                            | splitmix64(key ^ 0x13198A2E03707344),
-                            "inc": 0xA4093822299F31D1},
-                  "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(bits)
+_MASK = (1 << 64) - 1
+_BLOCK_MULT = 0xD1B54A32D192ED03
 
 
 class CounterStream:
@@ -56,9 +49,25 @@ class CounterStream:
         """The first ``n`` uniforms of block ``g``."""
         return counter_uniforms(block_keys(self.key, g), [n])
 
-    def generator(self, g: int) -> np.random.Generator:
-        """The PCG64 generator of block ``g``."""
-        return block_pcg64(int(block_keys(self.key, g)[0]))
+    def multinomial(self, g: int, counts: list[int], p: list[float]) -> list[list[int]]:
+        """``multinomial(n, p)`` of each count of block ``g``, one
+        binomial at a time: cell ``c`` of row ``j`` is ``binomials`` of the
+        count left, at ``p[c]`` over the mass left, on sub-block ``j *
+        len(p) + c``, whose key is computed here by the scalar definition;
+        the last cell takes the rest."""
+        block = int(block_keys(self.key, g)[0])
+        draws = []
+        for j, n in enumerate(counts):
+            row, rest = [], 1.0
+            for c, pc in enumerate(p[:-1]):
+                sub = splitmix64(block ^ (((j * len(p) + c + 1) * _BLOCK_MULT) & _MASK))
+                k = int(binomials(np.array([sub], dtype=np.uint64), [n],
+                                  pc / rest if rest > 0 else 1.0)[0])
+                row.append(k)
+                n -= k
+                rest -= pc
+            draws.append([*row, n])
+        return draws
 
     def random(self, n: int | None = None):
         u = self.block(self.calls, 1 if n is None else n)
@@ -118,8 +127,8 @@ def grow_one(law, depth: int, caps: GrowthCaps, stream: CounterStream, alpha: fl
         if finite and z > brw._MULTINOMIAL_ABOVE + brw._MULTINOMIAL_CELL * len(pairs) * atoms:
             p = np.diff(np.minimum(law._tables.cum_p, 1.0), prepend=0.0)
             others = [c - (spine_brood is not None and x == spine) for x, c in pairs]
-            draws = stream.generator(g).multinomial(others, p)
-            for (x, _), row in zip(pairs, draws.tolist()):
+            draws = stream.multinomial(g, others, p.tolist())
+            for (x, _), row in zip(pairs, draws):
                 for a, k in enumerate(row):
                     add(x, a, k)
             if spine_brood is not None:

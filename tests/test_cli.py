@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import brwlab.cli as cli_mod
-from brwlab import CheckResult, McSummary
+from brwlab import CheckResult, McSummary, classify, load_law
 from brwlab.cli import _dispatch
 
 REPO = Path(__file__).resolve().parent.parent
@@ -485,6 +485,46 @@ def test_deep_scan_decays_in_seconds_and_megabytes(tmp_path):
     assert facts["rss_mb"] < 150.0
 
 
+def _boundary_alpha(model: str, lo: float, hi: float) -> float:
+    """The root of ``classify(law, alpha).gap`` in ``[lo, hi]``, by bisection
+    to adjacent floats: a hand-rounded alpha* lies outside the 1e-9
+    boundary band and classifies NONTRIVIAL."""
+    law = load_law(model)
+    gap = lambda a: classify(law, a).gap  # noqa: E731
+    assert gap(lo) * gap(hi) < 0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return min((lo, hi), key=lambda a: abs(gap(a)))
+        if (gap(mid) > 0) == (gap(lo) > 0):
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("model, reps, grid", [
+    (MODEL, 1000, "10,20,40,60,80"),
+    (QUAD, 500, "4,8,16,24,32,38"),
+])
+def test_boundary_scan_decays_in_seconds_and_megabytes(tmp_path, model, reps, grid):
+    # at alpha* W_n -> 0 like n^(-1/2) (Seneta-Heyde norming); the deep
+    # generations hold up to about 4 * 10^15 particles per replicate, drawn
+    # as counter-stream binomials.  The bounds are the deep scan's above
+    alpha = _boundary_alpha(model, 1.0, 5.0)
+    out = tmp_path / "scan.json"
+    facts, err, seconds = _measured_cli([
+        "mc", "--model", model, "--estimator", "triviality_scan", "--alpha", repr(alpha),
+        "--depth-grid", grid, "--reps", str(reps), "--max-nodes", str(2**62),
+        "--seed", "1", "--out", str(out)])
+    assert facts["code"] == 0, err
+    payload = json.loads(out.read_text())
+    assert payload["classification"] == "TRIVIAL_DRIFT_BOUNDARY"
+    assert payload["verdict"] == "DECAYING" and payload["agrees"] is True
+    assert payload["n"] == reps and payload["discarded"] == 0
+    assert seconds < 5.0
+    assert facts["rss_mb"] < 150.0
+
+
 def test_deep_importance_in_seconds_and_megabytes(tmp_path):
     # spined replicates grow as occupation measures plus one spine
     # particle: depth 16 of quad_or_twin holds about 5 * 10^7 particles
@@ -537,20 +577,45 @@ def test_estimator_runs_leave_numpy_ma_unloaded(tmp_path):
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0, 0, 0], False]
 
 
-def test_extinction_run_leaves_numpy_random_unloaded(tmp_path):
-    # below the multinomial budget every uniform comes from the counter
-    # stream, so a run never builds a numpy generator nor imports the
-    # module, which costs a run about 4 MB of peak memory
-    args = ["mc", "--estimator", "extinction", "--model", MODEL, "--depth", "30",
-            "--reps", "5000", "--seed", "3", "--out", str(tmp_path / "ext.json")]
-    code = ("import json, sys\nfrom brwlab.cli import _dispatch\n"
-            "code = _dispatch(json.loads(sys.argv[1]))\n"
-            "print(json.dumps([code, 'numpy.random' in sys.modules]))")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(args)], capture_output=True,
+def test_no_run_loads_numpy_random(tmp_path):
+    # every draw, multinomial blocks included, comes from the counter
+    # stream, so no run builds a numpy generator nor imports the module,
+    # which costs a run 13-15 ms and about 6 MB; the child counts the
+    # multinomial calls of each run, to show the binomial path ran
+    heavy = str(REPO / "models" / "heavy_tail.json")
+    runs = [
+        ["mc", "--estimator", "extinction", "--model", MODEL, "--depth", "30", "--reps", "5000"],
+        ["mc", "--estimator", "mean_w", "--model", MODEL, "--alpha", "1", "--depth", "12",
+         "--reps", "2000"],
+        ["mc", "--estimator", "triviality_scan", "--model", QUAD, "--alpha", "5",
+         "--depth-grid", "2,12,24", "--reps", "16", "--max-nodes", str(2**62)],
+        ["mc", "--estimator", "spine_slope", "--model", MODEL, "--alpha", "1", "--depth", "20",
+         "--reps", "100"],
+        ["mc", "--estimator", "importance", "--functional", "min_z:2", "--model", MODEL,
+         "--alpha", "1", "--depth", "12", "--reps", "500"],
+        ["mc", "--estimator", "importance", "--functional", "one", "--model", heavy,
+         "--alpha", "0", "--depth", "2", "--reps", "50", "--max-nodes", str(2**62)],
+        ["simulate", "--model", MODEL, "--alpha", "1", "--depth", "10", "--reps", "20"],
+        ["spine", "--model", MODEL, "--alpha", "1", "--depth", "10", "--reps", "20"],
+    ]
+    runs = [[*args, "--seed", "3", "--out", str(tmp_path / f"{i}.out")]
+            for i, args in enumerate(runs)]
+    code = ("import json, sys\nimport brwlab.brw as brw\nfrom brwlab.cli import _dispatch\n"
+            "calls = [0]\ndraw = brw.counter_multinomials\n"
+            "def counted(*args):\n    calls[0] += 1\n    return draw(*args)\n"
+            "brw.counter_multinomials = counted\nresults = []\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    calls[0] = 0\n    results.append([_dispatch(args), calls[0]])\n"
+            "print(json.dumps([results, 'numpy.random' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
                           text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
                           timeout=120)
     assert proc.stdout, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, False]
+    results, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [code for code, _ in results] == [0] * len(runs)
+    assert loaded is False
+    # mean_w and the deep scan draw multinomial blocks
+    assert results[1][1] > 0 and results[2][1] > 0
 
 
 # ---------------------------------------------------------------------------

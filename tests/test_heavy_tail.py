@@ -5,7 +5,8 @@ sampler keeps a head table and inverts uniforms past it through the
 tail series.  These tests hold both to the full-horizon reference in
 ``heavy_tail_reference`` (the computation they replaced), to mpmath, and
 to a memory bound, and check that importing brwlab loads neither mpmath
-nor ``numpy.random``.
+nor ``numpy.random``.  The last tests check that ``W_n`` and the spine
+weight are normalised by the mean of the truncated law that is sampled.
 """
 
 import json
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 import heavy_tail_reference as ref
-from brwlab import DomainError, LogDivergentLaw
+from brwlab import DomainError, GrowthCaps, LogDivergentLaw, NormalizationError, classify, load_law
+from brwlab.mc import McConfig, mc_importance_identity, parse_functional
 from brwlab.offspring import (
     _HEAD,
     N_MAX_LIMIT,
@@ -183,3 +185,50 @@ def test_setup_allocates_nothing_n_max_sized():
         tracemalloc.stop()
     assert plain[-1] == biased[-1] == N_MAX_LIMIT - 2  # the lump
     assert peak < SETUP_PEAK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# W_n normalised by the mean of the sampled, truncated law
+# ---------------------------------------------------------------------------
+
+
+def test_size_biased_inverse_weight_has_mean_one():
+    # E_sized[1/W_1] = 1 exactly: W_1 = Z_1 / m and the spine brood is
+    # n p_n / E[L], so it holds when m is the mean of the law sampled.
+    # Enumerated over the 99 atoms of the truncated law at n_max = 100,
+    # once from the brute-force pmf and once from the sampler's table
+    law = LogDivergentLaw(1.5, 100)
+    c = law._exact.normalizer
+    n = np.arange(2, 101, dtype=np.float64)
+    pmf = c / (n * n * np.log(n) ** 1.5)
+    pmf[-1] = 1.0 - math.fsum(pmf[:-1].tolist())  # the lump at n_max
+    sized = pmf * n / math.fsum((pmf * n).tolist())
+    m = math.exp(classify(law, 0.0).log_m)
+    # the series constants are good to SERIES_TOL
+    assert abs(math.fsum((sized * m / n).tolist()) - 1.0) < SERIES_TOL
+    tables = _spine_tables(law, 0.0)
+    table = np.diff(tables.atom_cum, prepend=0.0)
+    assert table.size == 99
+    assert abs(math.fsum((table * math.exp(tables.log_m) / n).tolist()) - 1.0) < 1e-12
+    # the classification still speaks of the ideal law: E[L log L] = inf
+    assert math.isinf(classify(law, 0.0).llogl)
+    assert classify(law, 0.0).classification.name == "TRIVIAL_LLOGL"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_shipped_heavy_tail_passes_the_importance_identity(seed):
+    # importance of F = 1 estimates E_sized[1/W_n] = 1 (the law never dies
+    # out); normalised by the ideal mean it read 1.2^n and failed 9 of these
+    # 12 runs.  1.5-3 s per seed
+    law = load_law(str(REPO / "models" / "heavy_tail.json"))
+    for depth, reps in ((1, 2000), (2, 500), (3, 200), (4, 60)):
+        cfg = McConfig(reps, depth, seed, GrowthCaps(max_nodes=2**62))
+        summary = mc_importance_identity(law, 0.0, parse_functional("one"), cfg)
+        assert summary.passed and not summary.unreliable, (depth, summary.estimate)
+
+
+def test_rounding_refusal_prints_a_plain_float():
+    # a head sum that rounds above one by an ulp is still refused (a law
+    # with a > 11), and its message shows a float, not a numpy repr
+    with pytest.raises(NormalizationError, match=r"exceeds one by 2\.2"):
+        _heavy_sampler(14.692307692307692, 1000, False)

@@ -1,7 +1,9 @@
 """Seed-splitting determinism, the frozen mixing-function vectors, the
 counter stream against a scalar reference and for uniformity, and the
-multinomial blocks' PCG64 state against a scalar construction."""
+counter-stream binomials against a scalar transcription of BTRD, frozen
+answers and the binomial law."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +23,6 @@ from brwlab import (
     replicate_seed,
     splitmix64,
 )
-from occupation_reference import block_pcg64
 
 MASK = (1 << 64) - 1
 
@@ -177,36 +178,224 @@ def test_counter_uniforms_are_pairwise_independent():
 
 
 # ---------------------------------------------------------------------------
-# multinomial blocks: a PCG64 reseeded from each block key
+# counter-stream binomials and multinomials
 # ---------------------------------------------------------------------------
 
 P = [0.25, 0.5, 0.25]
 
+_FC = [0.08106146679532726, 0.04134069595540929, 0.02767792568499834, 0.02079067210376509,
+       0.01664469118982119, 0.01387612882307075, 0.01189670994589177, 0.01041126526197209,
+       0.009255462182712733, 0.008330563433362871]
 
-def test_block_multinomials_known_answers():
+
+def _scalar_fc(k: float) -> float:
+    if k < 10:
+        return _FC[int(k)]
+    k1 = 1.0 / (k + 1.0)
+    return (1.0 / 12 - (1.0 / 360 - k1 * k1 / 1260) * k1 * k1) * k1
+
+
+def _block_uniform(key: int, k: int) -> float:
+    return (_scalar_splitmix64(key + (k + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+
+
+def _scalar_binomial(key: int, n: int, p: float) -> int:
+    """``binomials`` of one row, transcribed from Hormann's BTRD (1993) and
+    sequential inversion one Python float at a time."""
+    p = min(max(p, 0.0), 1.0)
+    q = min(p, 1.0 - p)
+    if q == 0.0 or n == 0:
+        k = 0
+    elif n * q < 10:
+        u, s = _block_uniform(key, 0), q / (1.0 - q)
+        a, r, k = (n + 1.0) * s, math.exp(n * math.log1p(-q)), 0
+        while u > r:
+            u -= r
+            k += 1
+            r1 = (a / k - s) * r
+            if r1 < 2.0**-52 and r1 < r:
+                break
+            r = r1
+        k = min(k, n)
+    else:
+        r, nf = q / (1.0 - q), float(n)
+        npq = nf * (q * (1.0 - q))
+        b = math.sqrt(npq) * 2.53 + 1.15
+        a2 = b * 0.0496 + (0.02 * q - 0.1746)
+        c = nf * q + 0.5
+        vr = 0.92 - 4.2 / b
+        m = math.floor((nf + 1.0) * q)
+        j = 0
+        while True:
+            v = _block_uniform(key, 2 * j)
+            u = v / vr - 0.43
+            j += 1
+            if v <= 0.86 * vr:
+                k = math.floor((a2 / (0.5 - abs(u)) + b) * u + c)
+                break
+            w = _block_uniform(key, 2 * j - 1)
+            if v >= vr:
+                u = w - 0.5
+            else:
+                u = v / vr - 0.93
+                u = (-0.5 if u < 0 else 0.5) - u
+                v = w * vr
+            us = 0.5 - abs(u)
+            if us == 0.0:
+                continue
+            k = math.floor((a2 / us + b) * u + c)
+            if k < 0 or k > nf:
+                continue
+            v = v * ((2.83 + 5.1 / b) * math.sqrt(npq)) / (0.5 * a2 / (us * us) + b)
+            km = abs(k - m)
+            if km <= 15:
+                f = 1.0 if m < k else v
+                for i in range(min(k, m) + 1, max(k, m) + 1):
+                    f = f * ((nf + 1.0) * r / i - r)
+                if (v <= f) if m < k else (f <= 1.0):
+                    break
+                continue
+            lv = math.log(v) if v > 0 else -math.inf
+            rho = (km / npq) * (((km / 3.0 + 0.625) * km + 1.0 / 6) / npq + 0.5)
+            t = -km * km / (2.0 * npq)
+            if lv < t - rho:
+                break
+            if lv > t + rho:
+                continue
+            nm = nf - m + 1.0
+            h = (m + 0.5) * math.log((m + 1.0) / (r * nm)) + _scalar_fc(m) + _scalar_fc(nf - m)
+            nk = nf - k + 1.0
+            if lv <= (h + (nf + 1.0) * math.log(nm / nk) + (k + 0.5) * math.log(nk * r / (k + 1.0))
+                      - _scalar_fc(k) - _scalar_fc(nf - k)):
+                break
+        k = min(int(k), n)
+    return n - k if p > 0.5 else k
+
+
+def _keys(*values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
+# binomials of keys 0..5 at (n, p) pairs that take inversion, BTRD and the
+# reflection p > 1/2, frozen: a change of the stream definition changes
+# every sample past the multinomial budget
+KNOWN_BINOMIALS = {
+    (7, 0.3): [4, 2, 2, 1, 2, 2],
+    (60, 0.25): [14, 18, 18, 13, 7, 19],
+    (2000, 0.8): [1604, 1586, 1584, 1617, 1595, 1598],
+    (10**15, 0.5): [499999975884235, 500000008607225, 500000009972212, 499999984584035,
+                    500000001726794, 499999999577136],
+}
+
+
+def test_binomials_known_answers():
+    for (n, p), want in KNOWN_BINOMIALS.items():
+        got = rng_mod.binomials(_keys(*range(6)), np.full(6, n), p).tolist()
+        assert got == want, (n, p)
+        assert got == [_scalar_binomial(k, n, p) for k in range(6)], (n, p)
+
+
+@pytest.mark.parametrize("n", [1, 9, 33, 50, 51, 700, 12345, 2**40 + 7, 2**62])
+@pytest.mark.parametrize("p", [1e-9, 0.03, 0.2, 0.3, 0.5, 0.77, 0.999])
+def test_binomials_match_the_scalar_transcription(n, p):
+    keys = replicate_keys(n % 1000 + int(1000 * p), np.arange(400))
+    got = rng_mod.binomials(keys, np.full(400, n), p).tolist()
+    assert got == [_scalar_binomial(k, n, p) for k in keys.tolist()]
+
+
+def test_binomials_of_degenerate_rows():
+    keys = _keys(1, 2, 3)
+    n = np.array([0, 5, 2**62])
+    assert rng_mod.binomials(keys, n, 0.0).tolist() == [0, 0, 0]
+    assert rng_mod.binomials(keys, n, -0.5).tolist() == [0, 0, 0]
+    assert rng_mod.binomials(keys, n, 1.0).tolist() == n.tolist()
+    assert rng_mod.binomials(keys, n, 1.5).tolist() == n.tolist()
+    assert rng_mod.binomials(_keys(), np.zeros(0, dtype=np.int64), 0.5).size == 0
+
+
+KNOWN_MULTINOMIALS = [[0, 4, 3], [0, 0, 0], [9, 11, 10], [258, 517, 225], [1, 3, 1], [3, 7, 2]]
+
+
+def test_counter_multinomials_known_answers():
     keys = [0, 2**63 - 1, MASK]
     counts = np.array([7, 0, 30, 1000, 5, 12], dtype=np.int64)
     rows = [1, 3, 2]
-    got = rng_mod.block_multinomials(np.array(keys, dtype=np.uint64), counts, rows, P)
-    want = np.concatenate([block_pcg64(keys[0]).multinomial(counts[:1], P),
-                           block_pcg64(keys[1]).multinomial(counts[1:4], P),
-                           block_pcg64(keys[2]).multinomial(counts[4:], P)])
-    assert got.tolist() == want.tolist()
+    got = rng_mod.counter_multinomials(np.array(keys, dtype=np.uint64), counts, rows, P)
+    assert got.tolist() == KNOWN_MULTINOMIALS
     assert (got.sum(axis=1) == counts).all()
+    # row j of a block draws cell c from its sub-block j * atoms + c, as
+    # binomials of the count left at the probability left
+    want = []
+    for key, first, n_rows in zip(keys, [0, 1, 4], rows):
+        for j in range(n_rows):
+            n, rest, row = int(counts[first + j]), 1.0, []
+            for c, pc in enumerate(P[:-1]):
+                sub = _scalar_splitmix64(key ^ (((j * 3 + c + 1) * 0xD1B54A32D192ED03) & MASK))
+                row.append(_scalar_binomial(sub, n, pc / rest))
+                n -= row[-1]
+                rest -= pc
+            want.append([*row, n])
+    assert got.tolist() == want
 
 
-def test_block_multinomials_carry_nothing_between_keys():
-    a, b = np.array([3], dtype=np.uint64), np.array([4], dtype=np.uint64)
-    counts = np.array([500, 40], dtype=np.int64)
-    alone = rng_mod.block_multinomials(b, counts[1:], [1], P)
-    after = rng_mod.block_multinomials(np.concatenate([a, b]), counts, [1, 1], P)
+def test_counter_multinomials_carry_nothing_between_keys():
+    a, b = _keys(3), _keys(4)
+    counts = np.array([500, 40, 9, 10**12], dtype=np.int64)
+    alone = rng_mod.counter_multinomials(b, counts[1:], [3], P)
+    after = rng_mod.counter_multinomials(np.concatenate([a, b]), counts, [1, 3], P)
     assert after[1:].tolist() == alone.tolist()
+    # a binomial row depends on its own key, count and p alone
+    keys, n = _keys(5, 6, 7, 8), np.array([10**9, 3, 80, 0])
+    whole = rng_mod.binomials(keys, n, 0.4).tolist()
+    assert whole == [rng_mod.binomials(keys[i:i + 1], n[i:i + 1], 0.4)[0] for i in range(4)]
 
 
-def test_block_multinomials_of_no_keys_are_empty():
-    out = rng_mod.block_multinomials(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64),
-                                     [], P)
+def test_counter_multinomials_of_no_keys_are_empty():
+    out = rng_mod.counter_multinomials(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64),
+                                       [], P)
     assert out.shape == (0, len(P))
+
+
+def test_counter_multinomials_at_the_count_limit():
+    n, reps = 2**62, 2000
+    keys = replicate_keys(9, np.arange(reps))
+    for p in ([0.5, 0.5], [0.2, 0.8], [0.1, 0.3, 0.6], [1e-17, 0.5, 0.5 - 1e-17]):
+        draws = rng_mod.counter_multinomials(keys, np.full(reps, n), np.ones(reps), p)
+        assert (draws >= 0).all() and (draws <= n).all()
+        assert (draws.sum(axis=1) == n).all()
+        # within six standard deviations of the mean, to float resolution
+        first = draws[:, 0].astype(np.float64)
+        sd = math.sqrt(n * p[0] * (1 - p[0]))
+        assert abs(first.mean() - n * p[0]) <= 6 * sd / math.sqrt(reps) + 2.0**11
+    for p in (0.2, 0.5, 0.9):
+        k = rng_mod.binomials(keys, np.full(reps, n), p)
+        assert (k >= 0).all() and (k <= n).all()
+
+
+LAW_DRAWS = 10**6
+LAW_P_MIN = 1e-4  # chi-square p-value floor, fixed before any run
+
+
+@pytest.mark.parametrize("n", [12, 50, 2000, 10**6])
+@pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 0.8])
+def test_binomials_follow_the_binomial_law(n, p):
+    # per-value chi-square against the exact pmf, cells with an expected
+    # count under 5 pooled into the two tails; (50, 0.3) sits just above
+    # the BTRD switch at n min(p, 1 - p) = 10, (12, p) below it
+    from scipy import stats
+
+    keys = replicate_keys(1000 * n + int(10 * p), np.arange(LAW_DRAWS))
+    draws = rng_mod.binomials(keys, np.full(LAW_DRAWS, n), p)
+    assert draws.min() >= 0 and draws.max() <= n
+    observed = np.bincount(draws, minlength=n + 1).astype(np.float64)
+    expected = stats.binom.pmf(np.arange(n + 1), n, p) * LAW_DRAWS
+    big = np.flatnonzero(expected >= 5)
+    lo, hi = big[0], big[-1] + 1
+    cells_o = [observed[:lo].sum(), *observed[lo:hi], observed[hi:].sum()]
+    cells_e = [expected[:lo].sum(), *expected[lo:hi], expected[hi:].sum()]
+    pairs = [(o, e) for o, e in zip(cells_o, cells_e) if e > 0]
+    chi2 = sum((o - e) ** 2 / e for o, e in pairs)
+    assert stats.chi2.sf(chi2, len(pairs) - 1) > LAW_P_MIN
 
 
 # ---------------------------------------------------------------------------
