@@ -43,8 +43,10 @@ Pemantle and Peres 1995), so each generation the hook's brood stands in
 for the plain brood of one particle of the home row, and the ray moves
 to the chosen child.  The hook runs once per batch and generation, on
 the last two uniforms of every replicate's block.  The replicates equal
-``grow_spined_tree`` in law, not bit for bit.  Uniforms become broods in one place, ``_atoms``, for
-trees and batches alike, and spine broods in one place, the hook.
+``grow_spined_tree`` in law, not bit for bit.
+
+Uniforms become broods in one place, ``_atoms``, for trees and batches
+alike, and spine broods in one place, the hook.
 
 A batch whose next generation passes ``_BATCH_PARTICLES`` uniforms plus
 frontier rows splits in two; beyond that size one replicate's arrays

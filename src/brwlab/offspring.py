@@ -382,12 +382,23 @@ def _heavy_sampler(a: float, n_max: int, size_biased: bool) -> _HeavySampler:
     probs = c / (n * n * np.log(n) ** a)
     if size_biased:
         probs = probs * n / exact.truncated_mean
-    elif probs.sum() > 1.0:
-        raise NormalizationError(
-            f"truncated table mass exceeds one by {float(probs.sum()) - 1.0!r}; n_max too small"
-        )
     cdf = np.empty(first - 1)
     np.cumsum(probs, out=cdf[:-1])
+    # The head of a normalized law sums below one, but its float sum can
+    # round above.  In ulps of 1.0 that rounding is at most a + 3 per term
+    # (log, whose error the power scales by a, the power, the product, the
+    # quotient), as much again for c plus 14 for its pairwise sum and
+    # reciprocal, and one per term of the running sum.  An excess within
+    # that bound means a tail below it: the table is clamped at one, so
+    # the tail takes no mass, as ``brw._atoms`` gives a finite law's last
+    # atom the rounding excess.
+    excess = float(cdf[-2]) - 1.0
+    bound = (probs.size + 2.0 * a + 20.0) * np.finfo(np.float64).eps
+    if not size_biased and excess > bound:
+        raise NormalizationError(
+            f"truncated table mass exceeds one by {excess!r}; n_max too small"
+        )
+    np.minimum(cdf, 1.0, out=cdf)
     cdf[-1] = 1.0
     cdf.flags.writeable = False
     if size_biased:

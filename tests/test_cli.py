@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import os
@@ -616,6 +617,65 @@ def test_no_run_loads_numpy_random(tmp_path):
     assert loaded is False
     # mean_w and the deep scan draw multinomial blocks
     assert results[1][1] > 0 and results[2][1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the allocator setting: freed heap top kept between generations and runs
+# ---------------------------------------------------------------------------
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt (not glibc)")
+def test_extinction_after_mean_w_faults_few_pages(tmp_path):
+    # with glibc's default trimming, every large free hands the heap top
+    # back, and the extinction run faults 6,100-6,500 pages in afresh; the
+    # bound of 2,000 was fixed before measuring the setting (about 220)
+    runs = [
+        ["mc", "--estimator", "mean_w", "--model", MODEL, "--alpha", "1", "--depth", "12",
+         "--reps", "2000"],
+        ["mc", "--estimator", "extinction", "--model", MODEL, "--depth", "30", "--reps", "5000"],
+    ]
+    runs = [[*args, "--seed", "3", "--out", str(tmp_path / f"{i}.json")]
+            for i, args in enumerate(runs)]
+    code = ("import json, resource, sys\nfrom brwlab.cli import _dispatch\nresults = []\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    code = _dispatch(args)\n"
+            "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "    results.append([code, faults])\n"
+            "print(json.dumps(results))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                          text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          timeout=120)
+    assert proc.stdout, proc.stderr
+    (mean_w_code, _), (code, faults) = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert mean_w_code == 0 and code == 0
+    assert faults < 2000
+
+
+def _no_c_library(name):
+    raise OSError("no C library handle")
+
+
+# off glibc the handle lacks the symbol, or there is no handle at all
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                         ids=["no_symbol", "no_library"])
+def test_dispatch_runs_where_mallopt_lookup_raises(monkeypatch, capsys, cdll):
+    monkeypatch.setattr(cli_mod.ctypes, "CDLL", cdll)
+    cli_mod._keep_heap_top.cache_clear()
+    try:
+        code, out, _ = run_cli(["classify", "--model", MODEL, "--alpha", "1"], capsys)
+    finally:
+        cli_mod._keep_heap_top.cache_clear()
+    assert code == 0
+    assert json.loads(out)["profiles"][0]["classification"] == "NONTRIVIAL"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ nor ``numpy.random``.  The last tests check that ``W_n`` and the spine
 weight are normalised by the mean of the truncated law that is sampled.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,9 @@ import numpy as np
 import pytest
 
 import heavy_tail_reference as ref
+from brwlab import offspring
 from brwlab import DomainError, GrowthCaps, LogDivergentLaw, NormalizationError, classify, load_law
+from brwlab.cli import _dispatch
 from brwlab.mc import McConfig, mc_importance_identity, parse_functional
 from brwlab.offspring import (
     _HEAD,
@@ -227,8 +230,32 @@ def test_shipped_heavy_tail_passes_the_importance_identity(seed):
         assert summary.passed and not summary.unreliable, (depth, summary.estimate)
 
 
-def test_rounding_refusal_prints_a_plain_float():
-    # a head sum that rounds above one by an ulp is still refused (a law
-    # with a > 11), and its message shows a float, not a numpy repr
-    with pytest.raises(NormalizationError, match=r"exceeds one by 2\.2"):
-        _heavy_sampler(14.692307692307692, 1000, False)
+ROUNDED_ABOVE_ONE = (14.692307692307692, 1000)  # head sum rounds one ulp above 1
+
+
+def test_head_rounding_above_one_simulates(tmp_path):
+    # the head of this law sums to 1 + 2^-52 in floats; that is within the
+    # head's rounding bound, so the table is clamped at one and the law
+    # samples rather than being refused
+    a, n_max = ROUNDED_ABOVE_ONE
+    sampler = _heavy_sampler(a, n_max, False)
+    assert sampler.cdf.max() == 1.0
+    model = tmp_path / "steep.json"
+    model.write_text(json.dumps({"type": "log_divergent", "a": a, "n_max": n_max}))
+    out = tmp_path / "runs.csv"
+    assert _dispatch(["simulate", "--model", str(model), "--alpha", "0", "--depth", "4",
+                      "--reps", "20", "--seed", "1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 20 * 5
+
+
+def test_refusal_above_the_rounding_bound_prints_a_plain_float(monkeypatch):
+    # a normalizer 1e-9 too large carries the head 1e-9 above one, far past
+    # the rounding bound: still refused, and the message shows a float,
+    # not a numpy repr
+    a, n_max = ROUNDED_ABOVE_ONE
+    exact = _log_family_exact(a, n_max)
+    inflated = dataclasses.replace(exact, normalizer=exact.normalizer * (1.0 + 1e-9))
+    monkeypatch.setattr(offspring, "_log_family_exact", lambda *_: inflated)
+    with pytest.raises(NormalizationError,
+                       match=r"exceeds one by [0-9.]+e-[0-9]+; n_max too small$"):
+        _heavy_sampler.__wrapped__(a, n_max, False)
