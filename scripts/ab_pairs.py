@@ -8,9 +8,10 @@ Each run is a new interpreter with ``PYTHONPATH`` set to the tree's
 ``src``, started from the current directory, so relative model paths
 name the same files for both sides.  Pair ``i`` runs side A first when
 ``i`` is even and side B first when it is odd.  The script prints, per
-side, the median and interquartile range of wall time and of peak
-resident memory (``VmHWM``), the median count of minor page faults
-(``ru_minflt`` of ``getrusage(RUSAGE_SELF)``; the child reads both
+side, the median and interquartile range of wall time, of the time the
+child takes to import ``brwlab.cli`` (numpy and click included) and of
+peak resident memory (``VmHWM``), the median count of minor page faults
+(``ru_minflt`` of ``getrusage(RUSAGE_SELF)``; the child reads all three
 itself), how many pairs side B was faster in, and the exit codes; with
 ``--out`` in the command, each run's artifact is kept as ``<out>.a<i>``
 / ``<out>.b<i>``.
@@ -28,18 +29,21 @@ import time
 from pathlib import Path
 
 CHILD = """
-import json, resource, sys
+import json, resource, sys, time
+start = time.perf_counter()
 from brwlab.cli import _dispatch
+import_s = time.perf_counter() - start
 code = _dispatch(sys.argv[1:])
 with open("/proc/self/status") as status:
     kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-print(json.dumps({"code": code, "rss_mb": kb / 1024, "minflt": faults}))
+print(json.dumps({"code": code, "rss_mb": kb / 1024, "minflt": faults, "import_s": import_s}))
 """
 
 
-def run(tree: Path, argv: list[str]) -> tuple[float, float, int, int]:
-    """Wall seconds, peak resident MB, minor page faults and exit code of one run."""
+def run(tree: Path, argv: list[str]) -> tuple[float, float, int, int, float]:
+    """Wall seconds, peak resident MB, minor page faults, exit code and
+    import seconds of one run."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
@@ -48,7 +52,7 @@ def run(tree: Path, argv: list[str]) -> tuple[float, float, int, int]:
     if not proc.stdout:
         raise SystemExit(f"{tree}: no result\n{proc.stderr}")
     facts = json.loads(proc.stdout.strip().splitlines()[-1])
-    return seconds, facts["rss_mb"], facts["minflt"], facts["code"]
+    return seconds, facts["rss_mb"], facts["minflt"], facts["code"], facts["import_s"]
 
 
 def spread(values: list[float]) -> str:
@@ -76,17 +80,18 @@ def main() -> None:
     if not argv or args.pairs < 1:
         parser.error("give at least one pair and a brwlab command after --")
     sides = {"a": args.a.resolve(), "b": args.b.resolve()}
-    results: dict[str, list[tuple[float, float, int, int]]] = {"a": [], "b": []}
+    results: dict[str, list[tuple[float, float, int, int, float]]] = {"a": [], "b": []}
     for i in range(args.pairs):
         for side in ("ab" if i % 2 == 0 else "ba"):
             results[side].append(run(sides[side], with_out(argv, f"{side}{i}")))
     for side in "ab":
         wall = [r[0] for r in results[side]]
         rss = [r[1] for r in results[side]]
+        import_s = [r[4] for r in results[side]]
         faults = statistics.median(r[2] for r in results[side])
         codes = sorted({r[3] for r in results[side]})
-        print(f"{side.upper()} {sides[side]}: wall_s {spread(wall)}, peak_mb {spread(rss)}, "
-              f"minor faults {faults:.0f}, exit codes {codes}")
+        print(f"{side.upper()} {sides[side]}: wall_s {spread(wall)}, import_s {spread(import_s)}, "
+              f"peak_mb {spread(rss)}, minor faults {faults:.0f}, exit codes {codes}")
     faster = sum(b[0] < a[0] for a, b in zip(results["a"], results["b"]))
     print(f"B faster in {faster} of {args.pairs} pairs")
 

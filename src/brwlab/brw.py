@@ -68,8 +68,7 @@ running past extinction so downstream consumers see explicit zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,16 +79,14 @@ from .rng import block_keys, counter_multinomials, counter_uniforms
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class GrowthCaps:
+class GrowthCaps(NamedTuple):
     """Hard resource limits for tree growth."""
 
     max_nodes: int = 1_000_000
     max_depth: int = 100_000
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     """One particle: parent id (None for the root), displacement from the
     parent (None for the root), absolute position, and generation."""
 
@@ -99,22 +96,32 @@ class NodeRecord:
     generation: int
 
 
-@dataclass
 class LabelledTree:
     """Arena of particles grown to ``depth_grown`` generations.
 
     ``generation_index[n]`` lists the node ids of generation ``n`` in
     birth order; it has exactly ``depth_grown + 1`` entries, with empty
     arrays from ``extinct_at`` onward when the population died early.
+    Not a NamedTuple: its length is its node count.
     """
 
-    parent: np.ndarray
-    displacement: np.ndarray
-    position: np.ndarray
-    generation: np.ndarray
-    generation_index: list[np.ndarray] = field(repr=False)
-    depth_grown: int = 0
-    extinct_at: int | None = None
+    def __init__(
+        self,
+        parent: np.ndarray,
+        displacement: np.ndarray,
+        position: np.ndarray,
+        generation: np.ndarray,
+        generation_index: list[np.ndarray],
+        depth_grown: int = 0,
+        extinct_at: int | None = None,
+    ):
+        self.parent = parent
+        self.displacement = displacement
+        self.position = position
+        self.generation = generation
+        self.generation_index = generation_index
+        self.depth_grown = depth_grown
+        self.extinct_at = extinct_at
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -331,8 +338,7 @@ def log_sum_exp(values: np.ndarray) -> float:
     return float(_segment_log_sum_exp(values, np.array([values.size]))[0])
 
 
-@dataclass(frozen=True)
-class MartingaleTrajectory:
+class MartingaleTrajectory(NamedTuple):
     """Per-generation population and log martingale value for one tree."""
 
     alpha: float
@@ -379,8 +385,7 @@ _MULTINOMIAL_CELL = 4
 _COUNT_LIMIT = 1 << 62
 
 
-@dataclass(frozen=True)
-class BatchGrowth:
+class BatchGrowth(NamedTuple):
     """What ``grow_occupation`` keeps of each replicate, rows in replicate
     order.
 
@@ -408,8 +413,7 @@ class BatchGrowth:
     ray_position: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class _Batch:
+class _Batch(NamedTuple):
     """Live replicates of a batch, in replicate order: ``z`` particles,
     ``nodes`` tree nodes so far and ``rows`` frontier rows each.  A row is
     one occupied position with its particle count, laid out replicate by

@@ -27,7 +27,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
 from functools import cache
 
 import click
@@ -235,6 +234,8 @@ def _keep_heap_top() -> None:
     glibc's sliding mmap threshold, so an array over 128 KiB that does
     not fit the free top comes from ``mmap``: a deep ``verify`` (8.4M
     outcomes) runs about 8% slower with the pad, 35% with the threshold.
+    Fixing ``M_MMAP_THRESHOLD`` as well (1 or 32 MiB) won that time back
+    but raised that run's peak memory by 27 or 50 MB, so it is not set.
     Arithmetic and artifacts do not change.  Where the C library has no
     ``mallopt`` (not glibc, or not Linux) this does nothing.
     """
@@ -310,7 +311,7 @@ def classify_cmd(model_path, alpha_text, out, fmt):
     q = extinction_probability(law)
     profiles = []
     for a in alphas:
-        p = asdict(classify(law, a))
+        p = classify(law, a)._asdict()
         p["classification"] = p["classification"].name
         p["q"] = q
         profiles.append(p)

@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +70,7 @@ from .offspring import (
     Classification,
     FiniteLaw,
     Law,
+    _Normalised,
     classify,
     pgf_eval,
     validate_law,
@@ -105,25 +105,29 @@ def _safe_exp(x: float) -> float:
         return float("inf")
 
 
-@dataclass(frozen=True)
-class McConfig:
+class _McConfigFields(NamedTuple):
     replicates: int
     depth: int
     master_seed: int
-    caps: GrowthCaps = field(default_factory=GrowthCaps)
+    caps: GrowthCaps
 
-    def __post_init__(self):
-        if self.replicates < 2:
+
+class McConfig(_Normalised, _McConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, replicates: int, depth: int, master_seed: int,
+                caps: GrowthCaps = GrowthCaps()):
+        if replicates < 2:
             raise DomainError(
                 f"replicates must be >= 2 (standard error undefined otherwise), "
-                f"got {self.replicates}"
+                f"got {replicates}"
             )
-        if self.depth < 0:
-            raise DomainError(f"depth must be >= 0, got {self.depth}")
+        if depth < 0:
+            raise DomainError(f"depth must be >= 0, got {depth}")
+        return super().__new__(cls, replicates, depth, master_seed, caps)
 
 
-@dataclass(frozen=True)
-class McSummary:
+class McSummary(NamedTuple):
     estimator: str
     estimate: float
     se: float
@@ -282,8 +286,7 @@ _DECAY_DROP = 1.0  # nats
 _DECAY_WIGGLE = 0.1  # nats of non-monotonicity tolerated
 
 
-@dataclass(frozen=True)
-class TrivialityReport:
+class TrivialityReport(NamedTuple):
     estimator: str
     alpha: float
     grid: tuple[int, ...]
@@ -392,8 +395,7 @@ def mc_triviality_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """Bounded tree statistic evaluated at the final generation."""
 
     name: str

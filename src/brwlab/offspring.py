@@ -53,10 +53,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -100,30 +99,49 @@ def stable_sum(values: Iterable[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One reproduction outcome: a probability and a displacement tuple."""
+# Records are NamedTuples, which generate no code at import.  A record
+# whose fields are normalised or checked is a NamedTuple base plus a
+# subclass whose __new__ does it.
 
+
+class _Normalised:
+    """First base of such a subclass: ``_make``, and so ``_replace``, go
+    through its ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _AtomFields(NamedTuple):
     probability: float
     displacements: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "probability", float(self.probability))
-        object.__setattr__(
-            self, "displacements", tuple(float(x) for x in self.displacements)
-        )
+
+class Atom(_Normalised, _AtomFields):
+    """One reproduction outcome: a probability and a displacement tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, probability: float, displacements: Iterable[float]):
+        return super().__new__(cls, float(probability), tuple(float(x) for x in displacements))
 
     @property
     def count(self) -> int:
         return len(self.displacements)
 
 
-@dataclass(frozen=True)
-class FiniteLaw:
+class _FiniteLawFields(NamedTuple):
     atoms: tuple[Atom, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+
+class FiniteLaw(_Normalised, _FiniteLawFields):
+    # no __slots__: the instance __dict__ holds the cached _tables
+
+    def __new__(cls, atoms: Iterable[Atom]):
+        return super().__new__(cls, tuple(atoms))
 
     @cached_property
     def _tables(self) -> "_FiniteTables":
@@ -136,24 +154,25 @@ class FiniteLaw:
         return _FiniteTables(cum, counts, offsets, flat)
 
 
-@dataclass(frozen=True)
-class _FiniteTables:
+class _FiniteTables(NamedTuple):
     cum_p: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
     flat_disp: np.ndarray
 
 
-@dataclass(frozen=True)
-class LogDivergentLaw:
+class _LogDivergentLawFields(NamedTuple):
+    tail_exponent: float
+    n_max: int
+
+
+class LogDivergentLaw(_Normalised, _LogDivergentLawFields):
     """Heavy-tail offspring counts ``P[L=n] = c_a / (n^2 (log n)^a)``, n >= 2."""
 
-    tail_exponent: float
-    n_max: int = 1_000_000
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "tail_exponent", float(self.tail_exponent))
-        object.__setattr__(self, "n_max", int(self.n_max))
+    def __new__(cls, tail_exponent: float, n_max: int = 1_000_000):
+        return super().__new__(cls, float(tail_exponent), int(n_max))
 
     # all are shared by every law with the same (tail_exponent, n_max)
     @property
@@ -179,8 +198,7 @@ Law = Union[FiniteLaw, LogDivergentLaw]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LogFamilyExact:
+class _LogFamilyExact(NamedTuple):
     normalizer: float  # c_a
     mean: float  # ideal E[L]
     llogl: float  # ideal E[L log L]; inf when a <= 2
@@ -338,8 +356,7 @@ def _invert_tail(p: int, b: float, y: np.ndarray, lo: int, hi: int) -> np.ndarra
     return np.clip(np.floor(np.exp(x)), lo, hi).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class _HeavySampler:
+class _HeavySampler(NamedTuple):
     """Inverse-CDF sampler of a heavy-tail count law with ``O(_HEAD)`` state.
 
     ``cdf[i]`` is ``P[L <= i + 2]`` for the atoms ``n = 2..first - 1``,
@@ -657,8 +674,7 @@ class Classification(Enum):
     MASS_INFINITE = "MASS_INFINITE"
 
 
-@dataclass(frozen=True)
-class TiltProfile:
+class TiltProfile(NamedTuple):
     """Everything ``classify`` knows about one (law, alpha) pair."""
 
     alpha: float

@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -178,8 +177,7 @@ def iter_rays(t: Outcome) -> Iterator[Ray]:
             yield (j,) + rest
 
 
-@dataclass(frozen=True)
-class _TiltTables:
+class _TiltTables(NamedTuple):
     """The two factors a spined brood contributes, per atom and slot, as logs."""
 
     log_biased: tuple[float, ...]  # size-biased atom mass log(p theta / m)
@@ -485,8 +483,7 @@ def _max_abs(diff: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     alpha: float
     depth: int

@@ -40,9 +40,8 @@ replicates in one call (``rng.replicate_keys``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +58,7 @@ from .offspring import (
 from .rng import block_keys, counter_uniforms
 
 
-@dataclass(frozen=True)
-class _SpineTables:
+class _SpineTables(NamedTuple):
     """Sampling tables for one (law, alpha) pair.
 
     ``atom_cum`` runs over atoms with at least one child (childless
@@ -136,8 +134,7 @@ def _spine_log_weight(
     return log_weight
 
 
-@dataclass
-class SpinedTree:
+class SpinedTree(NamedTuple):
     """A tree with a distinguished ray of node ids, one per generation.
 
     ``spine_log_weight[k]`` is ``-alpha * S(xi_k) - k * log m``, the log

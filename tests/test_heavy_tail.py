@@ -4,12 +4,11 @@ Its constants come from a short head plus Euler-Maclaurin tails, and its
 sampler keeps a head table and inverts uniforms past it through the
 tail series.  These tests hold both to the full-horizon reference in
 ``heavy_tail_reference`` (the computation they replaced), to mpmath, and
-to a memory bound, and check that importing brwlab loads neither mpmath
-nor ``numpy.random``.  The last tests check that ``W_n`` and the spine
+to a memory bound, and check that importing brwlab loads none of mpmath,
+``numpy.random`` and ``dataclasses``.  The last tests check that ``W_n`` and the spine
 weight are normalised by the mean of the truncated law that is sampled.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -47,8 +46,9 @@ def _within_ulps(x: float, y: float, ulps: int) -> bool:
 
 
 def test_import_loads_neither_mpmath_nor_numpy_random():
-    code = ("import json, sys, brwlab, brwlab.cli; "
-            "print(json.dumps([m for m in ('mpmath', 'numpy.random') if m in sys.modules]))")
+    # nor dataclasses: records are NamedTuples, which generate no code
+    code = ("import json, sys, brwlab, brwlab.cli; print(json.dumps("
+            "[m for m in ('mpmath', 'numpy.random', 'dataclasses') if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert proc.returncode == 0, proc.stderr
@@ -254,7 +254,7 @@ def test_refusal_above_the_rounding_bound_prints_a_plain_float(monkeypatch):
     # not a numpy repr
     a, n_max = ROUNDED_ABOVE_ONE
     exact = _log_family_exact(a, n_max)
-    inflated = dataclasses.replace(exact, normalizer=exact.normalizer * (1.0 + 1e-9))
+    inflated = exact._replace(normalizer=exact.normalizer * (1.0 + 1e-9))
     monkeypatch.setattr(offspring, "_log_family_exact", lambda *_: inflated)
     with pytest.raises(NormalizationError,
                        match=r"exceeds one by [0-9.]+e-[0-9]+; n_max too small$"):

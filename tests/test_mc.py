@@ -50,6 +50,17 @@ def test_config_rejects_degenerate_runs():
         McConfig(replicates=1, depth=3, master_seed=0)
     with pytest.raises(DomainError):
         McConfig(replicates=10, depth=-1, master_seed=0)
+    # the smallest valid run, with the default caps
+    assert McConfig(2, 0, 0) == (2, 0, 0, GrowthCaps())
+
+
+@pytest.mark.parametrize("replicates, depth", [(1, 0), (0, 3), (-2, 3), (2, -1), (10, -5)])
+def test_config_refuses_each_degenerate_field(replicates, depth):
+    for make in (lambda: McConfig(replicates, depth, 0),
+                 lambda: McConfig(replicates=replicates, depth=depth, master_seed=0),
+                 lambda: McConfig(2, 0, 0)._replace(replicates=replicates, depth=depth)):
+        with pytest.raises(DomainError):
+            make()
 
 
 # ---------------------------------------------------------------------------

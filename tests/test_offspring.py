@@ -1,8 +1,8 @@
 """Offspring laws: validation, serialization, tilted moments, the
 classification ladder, size-biasing, and the spine step law."""
 
-import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,13 +11,24 @@ from hypothesis import strategies as st
 
 from brwlab import (
     Atom,
+    BatchGrowth,
+    CheckResult,
     Classification,
     DomainError,
     EmptyLawError,
     FiniteLaw,
+    Functional,
+    GrowthCaps,
     LogDivergentLaw,
+    MartingaleTrajectory,
     MassOverflowError,
+    McConfig,
+    McSummary,
+    NodeRecord,
     NormalizationError,
+    SpinedTree,
+    TiltProfile,
+    TrivialityReport,
     classify,
     extinction_probability,
     law_from_json,
@@ -84,6 +95,40 @@ def test_heavy_law_requires_tail_exponent_above_one():
 
 def test_atom_count_property(pair_law):
     assert [a.count for a in pair_law.atoms] == [0, 2]
+
+
+# raw arguments are normalised to float and tuple fields: equal records
+# are equal lru_cache keys, and the reprs show the field types
+@pytest.mark.parametrize("raw, normal", [
+    (Atom(1, [0, 1]), Atom(1.0, (0.0, 1.0))),
+    (FiniteLaw([Atom(1, [0, 1])]), FiniteLaw((Atom(1.0, (0.0, 1.0)),))),
+    (LogDivergentLaw(3, 100.0), LogDivergentLaw(3.0, 100)),
+], ids=["atom", "finite_law", "log_divergent_law"])
+def test_law_records_normalise_their_fields(raw, normal):
+    assert raw == normal and hash(raw) == hash(normal)
+    assert repr(raw) == repr(normal)
+    key = lru_cache(maxsize=None)(lambda record: object())
+    assert key(raw) is key(normal)
+
+
+def test_replace_normalises_like_the_constructor():
+    atom = Atom(0.5, (0.0,))._replace(probability=1, displacements=[0, 1])
+    assert repr(atom) == repr(Atom(1.0, (0.0, 1.0)))
+    law = FiniteLaw((atom,))._replace(atoms=[atom])
+    assert repr(law) == repr(FiniteLaw((atom,))) and law._tables.counts.tolist() == [2]
+    assert repr(LogDivergentLaw(3.0)._replace(n_max=100.0)) == repr(LogDivergentLaw(3.0, 100))
+
+
+@pytest.mark.parametrize("record", [
+    Atom, FiniteLaw, LogDivergentLaw, TiltProfile, GrowthCaps, NodeRecord,
+    MartingaleTrajectory, BatchGrowth, McConfig, McSummary, TrivialityReport,
+    Functional, CheckResult, SpinedTree,
+], ids=lambda cls: cls.__name__)
+def test_record_fields_are_read_only(record):
+    instance = tuple.__new__(record, [None] * len(record._fields))
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(instance, name, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 restriction map, its independence from the ``mu W`` shortcut, and the
 log-domain ratios at an extreme tilt."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -130,7 +129,7 @@ def test_spined_side_is_built_from_the_pick_factors(monkeypatch):
         tables = original(law, alpha)
         pick = list(tables.log_pick)
         pick[1] = pick[1][::-1]
-        return dataclasses.replace(tables, log_pick=tuple(pick))
+        return tables._replace(log_pick=tuple(pick))
 
     monkeypatch.setattr(oracle, "_tilt_tables", swapped)
     failed = {r.check for r in run_verify(law, 1.0, 3) if not r.passed}
