@@ -1,0 +1,115 @@
+"""Run a fixed battery of brwlab commands from two source trees and compare
+everything they produce, byte for byte.
+
+    python scripts/artifact_cmp.py --a ../parent --b .
+
+The battery covers every subcommand in JSON and in CSV, every ``mc``
+estimator with ``--values-out``, heavy-tail ``classify``, ``spine`` and
+``importance``, an ``importance`` run deep enough that its reference is a
+plain-law Monte Carlo, one node-cap refusal each for ``simulate`` and
+``spine``, and two validation refusals.  Each command runs once per tree,
+in a new interpreter with ``PYTHONPATH`` set to the tree's ``src``, from a
+fresh working directory that holds a copy of this repository's ``models/``,
+so both sides read the same files under the same relative paths.  Each
+run's stdout, stderr, exit code and every file it wrote are compared.  The
+script prints one line per command and exits 1, naming the files that
+differ, if anything differs, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+_PAIR = ["--model", "models/coin_pair.json"]
+_HEAVY = ["--model", "models/heavy_tail.json", "--alpha", "0"]
+_HEAVY_RUN = ["--depth", "2", "--max-nodes", str(10**8), "--seed", "1"]
+_SAMPLE = ["--alpha", "1", "--depth", "8", "--reps", "5", "--seed", "1"]
+_MC = {
+    "mean_w": ["--alpha", "1", "--depth", "8"],
+    "spine_slope": ["--alpha", "1", "--depth", "8"],
+    "extinction": ["--depth", "12"],
+    "triviality_scan": ["--alpha", "1", "--depth-grid", "2,6,10"],
+    "importance": ["--alpha", "1", "--depth", "4", "--functional", "min_z:2"],
+}
+
+BATTERY: dict[str, list[str]] = {
+    **{f"classify-{fmt}": ["classify", *_PAIR, "--alpha", "0:3:4", "--format", fmt,
+                           "--out", "out"] for fmt in ("json", "csv")},
+    **{f"verify-{fmt}": ["verify", *_PAIR, "--alpha", "1,-0.5", "--depth", "3",
+                         "--format", fmt, "--out", "out"] for fmt in ("json", "csv")},
+    **{f"{cmd}-{fmt}": [cmd, *_PAIR, *_SAMPLE, "--format", fmt, "--out", "out"]
+       for cmd in ("simulate", "spine") for fmt in ("json", "csv")},
+    **{f"mc-{name}-{fmt}": ["mc", *_PAIR, "--estimator", name, *args, "--reps", "200",
+                            "--seed", "7", "--format", fmt, "--out", "out",
+                            "--values-out", "values"]
+       for name, args in _MC.items() for fmt in ("json", "csv")},
+    "heavy-classify": ["classify", *_HEAVY],
+    "heavy-spine": ["spine", *_HEAVY, *_HEAVY_RUN, "--reps", "20"],
+    "heavy-importance": ["mc", "--estimator", "importance", *_HEAVY, *_HEAVY_RUN,
+                         "--functional", "one", "--reps", "200"],
+    "deep-importance": ["mc", "--estimator", "importance", "--model",
+                        "models/quad_or_twin.json", "--functional", "one", "--alpha", "1",
+                        "--depth", "16", "--reps", "64", "--max-nodes", str(2**62),
+                        "--seed", "1"],
+    "simulate-cap": ["simulate", *_PAIR, "--alpha", "1", "--depth", "12", "--reps", "5",
+                     "--seed", "1", "--max-nodes", "40", "--out", "out"],
+    "spine-cap": ["spine", *_PAIR, "--alpha", "1", "--depth", "12", "--reps", "5",
+                  "--seed", "1", "--max-nodes", "40", "--out", "out"],
+    "simulate-no-seed": ["simulate", *_PAIR, "--alpha", "1", "--depth", "3", "--reps", "2"],
+    "mc-bad-estimator": ["mc", *_PAIR, "--estimator", "bogus", "--alpha", "1", "--depth", "2",
+                         "--reps", "10", "--seed", "1"],
+}
+
+
+def run(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
+    """Stdout, stderr, exit code and written files of one run in ``work``."""
+    shutil.copytree(REPO / "models", work / "models")
+    # no bytecode is written, so the trees are left as they were
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "brwlab.cli", *argv], cwd=work,
+                          capture_output=True, env=env)
+    found = {"stdout": proc.stdout, "stderr": proc.stderr,
+             "exit code": str(proc.returncode).encode()}
+    for path in sorted(work.iterdir()):
+        if path.name != "models":
+            found[path.name] = path.read_bytes()
+    return found
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--a", type=Path, required=True, help="source tree of side A")
+    parser.add_argument("--b", type=Path, required=True, help="source tree of side B")
+    args = parser.parse_args()
+    trees = {"a": args.a.resolve(), "b": args.b.resolve()}
+    differ, compared = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv in BATTERY.items():
+            found = {}
+            for side, tree in trees.items():
+                work = Path(tmp, side, label)
+                work.mkdir(parents=True)
+                found[side] = run(tree, argv, work)
+            names = sorted(set(found["a"]) | set(found["b"]))
+            bad = [name for name in names if found["a"].get(name) != found["b"].get(name)]
+            compared += len(names)
+            differ += [f"{label}: {name}" for name in bad]
+            code = found["a"]["exit code"].decode()
+            print(f"{label}: exit {code}, {len(names)} outputs, "
+                  f"{'DIFFER ' + ', '.join(bad) if bad else 'identical'}")
+    print(f"{len(BATTERY)} commands, {compared} outputs compared, {len(differ)} differ")
+    if differ:
+        print("\n".join(differ))
+        sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -73,7 +73,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, PopulationCapError, ResourceError
-from .offspring import FiniteLaw, Law, LogDivergentLaw, validate_law
+from .offspring import FiniteLaw, Law, LogDivergentLaw, tilted_mass, validate_law
 from .rng import block_keys, counter_multinomials, counter_uniforms
 
 _NEG_INF = float("-inf")
@@ -448,14 +448,16 @@ def grow_occupation(
     keys_for: Callable[[np.ndarray], np.ndarray],
     replicates: int,
     alpha: float | None = None,
-    log_m: float = 0.0,
     generations: Sequence[int] | None = None,
     stop_above: int | None = None,
     spine_brood: SpineBrood | None = None,
 ) -> BatchGrowth:
     """Grow replicates ``0..replicates-1`` to ``depth`` as occupation
     measures and keep their generation sizes and, given ``alpha``,
-    ``log W_n`` and the largest last-generation position.
+    ``log W_n`` and the largest last-generation position.  ``W_n`` is
+    normalised by ``m(alpha)^n`` from ``tilted_mass``, which refuses a
+    mass that overflows or vanishes (``MassOverflowError``,
+    ``ZeroMassError``) before anything grows.
 
     A replicate's frontier is its occupied positions with their particle
     counts, positions merged by exact float equality, so the cost of a
@@ -498,6 +500,7 @@ def grow_occupation(
     depend on the other replicates of its batch.
     """
     law = validate_law(law)
+    log_m = None if alpha is None else math.log(tilted_mass(law, alpha))
     _check_growth(depth, caps)
     gens = tuple(range(depth + 1)) if generations is None else tuple(generations)
     column = np.full(depth + 1, -1, dtype=np.int64)

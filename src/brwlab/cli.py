@@ -54,7 +54,7 @@ from .mc import (
     mc_triviality_scan,
     parse_functional,
 )
-from .offspring import classify, extinction_probability, law_from_json, tilted_mass
+from .offspring import classify, extinction_probability, law_from_json
 from .oracle import run_verify
 # replicate_rng is unused here but stays bound: perfbench/tracing.py
 # patches it in this module
@@ -183,6 +183,16 @@ def _emit(text: str, out: str | None) -> None:
                 fh.write(text)
         except OSError as e:
             raise DomainError(f"cannot write {out}: {e}") from None
+
+
+def _emit_rows(header: list[str], rows: list[tuple], out: str | None, fmt: str,
+               keys: list[str] | None = None) -> None:
+    """``rows`` as CSV under ``header``, or as a JSON list of objects keyed
+    by ``keys`` (``header`` by default)."""
+    if fmt == "csv":
+        _emit(_csv_text(header, rows), out)
+    else:
+        _emit(_json_text([dict(zip(keys or header, row)) for row in rows]), out)
 
 
 def _load_model(path: str):
@@ -329,10 +339,6 @@ def classify_cmd(model_path, alpha_text, out, fmt):
 _VERIFY_FIELDS = ["check", "law", "alpha", "depth", "max_discrepancy", "outcomes", "pass"]
 
 
-def _verify_exit_code(rows: list[dict]) -> int:
-    return 0 if all(r["pass"] for r in rows) else 3
-
-
 @cli.command("verify")
 @click.option("--model", "model_path", default=None)
 @click.option("--alpha", "alpha_text", default=None)
@@ -346,32 +352,17 @@ def verify_cmd(model_path, alpha_text, depth, out, fmt):
     depth = _require(depth, "--depth")
     if depth < 0:
         raise DomainError("--depth must be nonnegative")
-    rows = []
-    for a in alphas:
-        for res in run_verify(law, a, depth):
-            rows.append(
-                {
-                    "check": res.check,
-                    "law": model_path,
-                    "alpha": res.alpha,
-                    "depth": res.depth,
-                    "max_discrepancy": res.max_discrepancy,
-                    "outcomes": res.outcomes,
-                    "pass": res.passed,
-                }
-            )
-    if fmt == "json":
-        _emit(_json_text(rows), out)
-    else:
-        _emit(_csv_text(_VERIFY_FIELDS, [[r[k] for k in _VERIFY_FIELDS] for r in rows]), out)
-    code = _verify_exit_code(rows)
-    if code:
+    results = [res for a in alphas for res in run_verify(law, a, depth)]
+    rows = [(res.check, model_path, res.alpha, res.depth, res.max_discrepancy, res.outcomes,
+             res.passed) for res in results]
+    _emit_rows(_VERIFY_FIELDS, rows, out, fmt)
+    if not all(res.passed for res in results):
         click.echo("error: identity check failure: this is an implementation bug", err=True)
-        sys.exit(code)
+        sys.exit(3)
 
 
 # ---------------------------------------------------------------------------
-# simulate and spine
+# simulate and spine, and the options they share with mc
 # ---------------------------------------------------------------------------
 
 
@@ -382,17 +373,44 @@ def _refuse_if(refusal: str | None) -> None:
         sys.exit(2)
 
 
+def _run_options(fmt: str):
+    """The options that simulate, spine and mc share; only the default
+    of --format differs between them."""
+    options = [
+        click.option("--model", "model_path", default=None),
+        click.option("--alpha", "alpha_text", default=None),
+        click.option("--depth", type=int, default=None),
+        click.option("--reps", type=int, default=None),
+        click.option("--seed", type=int, default=None),
+        click.option("--max-nodes", type=int, default=None),
+        click.option("--workers", type=int, default=1),
+        click.option("--out", default=None),
+        click.option("--format", "fmt", type=_FORMATS, default=fmt),
+    ]
+
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return decorate
+
+
+def _sampler_args(model_path, alpha_text, depth, reps, seed, max_nodes, workers):
+    """(law, alpha, depth, reps, seed, caps) of a simulate or spine run."""
+    law = _load_model(_require(model_path, "--model"))
+    alpha = _single_alpha(_require(alpha_text, "--alpha"))
+    depth = _require(depth, "--depth")
+    reps = _require(reps, "--reps")
+    seed = _check_seed(_require(seed, "--seed"))
+    if depth < 0 or reps < 1 or workers < 1:
+        raise DomainError("need depth >= 0, reps >= 1, workers >= 1")
+    return law, alpha, depth, reps, seed, _caps(max_nodes)
+
+
 @cli.command("simulate")
-@click.option("--model", "model_path", default=None)
-@click.option("--alpha", "alpha_text", default=None)
-@click.option("--depth", type=int, default=None)
-@click.option("--reps", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--max-nodes", type=int, default=None)
-@click.option("--workers", type=int, default=1)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=_FORMATS, default="csv")
-def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out, fmt):
+@_run_options(fmt="csv")
+def simulate_cmd(out, fmt, **run):
     """Grow plain-law replicates; long-format per-generation trajectory
     artifact.
 
@@ -401,18 +419,9 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
     and exits 2.  Replicates grow as occupation measures, in batches on one
     thread; --workers is validated but has no effect.
     """
-    law = _load_model(_require(model_path, "--model"))
-    alpha = _single_alpha(_require(alpha_text, "--alpha"))
-    depth = _require(depth, "--depth")
-    reps = _require(reps, "--reps")
-    seed = _check_seed(_require(seed, "--seed"))
-    if depth < 0 or reps < 1 or workers < 1:
-        raise DomainError("need depth >= 0, reps >= 1, workers >= 1")
-    caps = _caps(max_nodes)
-    log_m = math.log(tilted_mass(law, alpha))
-
+    law, alpha, depth, reps, seed, caps = _sampler_args(**run)
     grown = grow_occupation(law, depth, caps, lambda ids: replicate_keys(seed, ids), reps,
-                            alpha, log_m)
+                            alpha)
     all_rows: list[tuple] = []
     refusal = None
     for r, capped_at in enumerate(grown.capped_at.tolist()):
@@ -425,25 +434,13 @@ def simulate_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, 
                 f"{capped_at}; partial trajectory written, later replicates dropped"
             )
             break
-    header = ["replicate", "n", "Z_n", "log_w"]
-    if fmt == "csv":
-        _emit(_csv_text(header, all_rows), out)
-    else:
-        _emit(_json_text([dict(zip(header, row)) for row in all_rows]), out)
+    _emit_rows(["replicate", "n", "Z_n", "log_w"], all_rows, out, fmt)
     _refuse_if(refusal)
 
 
 @cli.command("spine")
-@click.option("--model", "model_path", default=None)
-@click.option("--alpha", "alpha_text", default=None)
-@click.option("--depth", type=int, default=None)
-@click.option("--reps", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--max-nodes", type=int, default=None)
-@click.option("--workers", type=int, default=1)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=_FORMATS, default="csv")
-def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out, fmt):
+@_run_options(fmt="csv")
+def spine_cmd(out, fmt, **run):
     """Grow size-biased (tree, ray) pairs; per-level ray artifact.
 
     Columns: ray position, cumulative log change-of-measure weight along
@@ -453,15 +450,7 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
     and later replicates are dropped).  Replicates grow in batches on
     one thread; --workers is validated but has no effect.
     """
-    law = _load_model(_require(model_path, "--model"))
-    alpha = _single_alpha(_require(alpha_text, "--alpha"))
-    depth = _require(depth, "--depth")
-    reps = _require(reps, "--reps")
-    seed = _check_seed(_require(seed, "--seed"))
-    if depth < 0 or reps < 1 or workers < 1:
-        raise DomainError("need depth >= 0, reps >= 1, workers >= 1")
-    caps = _caps(max_nodes)
-
+    law, alpha, depth, reps, seed, caps = _sampler_args(**run)
     grown, log_weight = grow_spined_batch(
         law, alpha, depth, caps, lambda ids: replicate_keys(seed, ids), reps
     )
@@ -476,12 +465,8 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
             break
         columns = (grown.ray_position[r], log_weight[r], grown.log_w[r])
         all_rows.extend((r, k, *row) for k, row in enumerate(zip(*(c.tolist() for c in columns))))
-    header = ["replicate", "k", "S(v_k)", "spine_log_weight", "log_w"]
-    if fmt == "csv":
-        _emit(_csv_text(header, all_rows), out)
-    else:
-        keys = ["replicate", "k", "S", "spine_log_weight", "log_w"]
-        _emit(_json_text([dict(zip(keys, row)) for row in all_rows]), out)
+    _emit_rows(["replicate", "k", "S(v_k)", "spine_log_weight", "log_w"], all_rows, out, fmt,
+               keys=["replicate", "k", "S", "spine_log_weight", "log_w"])
     _refuse_if(refusal)
 
 
@@ -491,33 +476,34 @@ def spine_cmd(model_path, alpha_text, depth, reps, seed, max_nodes, workers, out
 
 _ESTIMATORS = ("mean_w", "spine_slope", "extinction", "triviality_scan", "importance")
 
-_SUMMARY_FIELDS = [
-    "estimator",
-    "estimate",
-    "se",
-    "n",
-    "discarded",
-    "seed",
-    "reference_value",
-    "pass",
-    "unreliable",
-    "note",
-]
+# artifact key -> record field, in artifact order: the JSON payload and the
+# CSV header of each mc record, and the per-depth CSV columns of a scan
+_SUMMARY_KEYS = {
+    "estimator": "estimator", "estimate": "estimate", "se": "se", "n": "n",
+    "discarded": "discarded", "seed": "master_seed", "reference_value": "reference",
+    "pass": "passed", "unreliable": "unreliable", "note": "note",
+}
+_SCAN_KEYS = {
+    "estimator": "estimator", "alpha": "alpha", "grid": "grid", "medians": "medians",
+    "means": "means", "survivors": "survivors", "surviving_fractions": "fractions", "n": "n",
+    "discarded": "discarded", "seed": "master_seed", "verdict": "verdict",
+    "classification": "classification", "agrees": "agrees",
+}
+_SCAN_COLUMNS = {
+    "depth": "grid", "median_log_w": "medians", "mean_log_w": "means",
+    "survivors": "survivors", "surviving_fraction": "fractions",
+}
+
+
+def _fields(record, keys: dict[str, str]) -> dict:
+    return {key: getattr(record, field) for key, field in keys.items()}
 
 
 @cli.command("mc")
-@click.option("--model", "model_path", default=None)
-@click.option("--alpha", "alpha_text", default=None)
-@click.option("--depth", type=int, default=None)
+@_run_options(fmt="json")
 @click.option("--depth-grid", "depth_grid_text", default=None)
-@click.option("--reps", type=int, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--estimator", default=None, help="|".join(_ESTIMATORS))
 @click.option("--functional", default=None, help="importance estimator statistic.")
-@click.option("--max-nodes", type=int, default=None)
-@click.option("--workers", type=int, default=1)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=_FORMATS, default="json")
 @click.option("--values-out", default=None, help="Also write per-replicate values CSV.")
 def mc_cmd(
     model_path,
@@ -557,84 +543,35 @@ def mc_cmd(
         grid = _parse_depth_grid(_require(depth_grid_text, "--depth-grid"))
         cfg = McConfig(reps, max(grid), seed, caps)
         report = mc_triviality_scan(law, alpha, grid, cfg, keep_values=keep)
-        payload = {
-            "estimator": report.estimator,
-            "alpha": report.alpha,
-            "grid": list(report.grid),
-            "medians": list(report.medians),
-            "means": list(report.means),
-            "survivors": list(report.survivors),
-            "surviving_fractions": list(report.fractions),
-            "n": report.n,
-            "discarded": report.discarded,
-            "seed": report.master_seed,
-            "verdict": report.verdict,
-            "classification": report.classification,
-            "agrees": report.agrees,
-        }
-        if fmt == "json":
-            _emit(_json_text(payload), out)
-        else:
-            rows = list(
-                zip(
-                    report.grid,
-                    report.medians,
-                    report.means,
-                    report.survivors,
-                    report.fractions,
-                )
-            )
-            _emit(
-                _csv_text(
-                    ["depth", "median_log_w", "mean_log_w", "survivors", "surviving_fraction"],
-                    rows,
-                ),
-                out,
-            )
-        if keep:
-            rows = [
-                (rep, d, float(report.values[i, j]))
-                for i, rep in enumerate(report.kept)
-                for j, d in enumerate(report.grid)
-            ]
-            _emit(_csv_text(["replicate", "n", "log_w"], rows), values_out)
-        return
-
-    depth = _require(depth, "--depth")
-    cfg = McConfig(reps, depth, seed, caps)
-    if estimator == "extinction":
-        summary = mc_extinction(law, cfg, keep_values=keep)
+        payload, columns = _fields(report, _SCAN_KEYS), _fields(report, _SCAN_COLUMNS)
+        table = list(columns), zip(*columns.values())
+        values = ["replicate", "n", "log_w"], (
+            (rep, d, float(report.values[i, j]))
+            for i, rep in enumerate(report.kept)
+            for j, d in enumerate(report.grid)
+        )
     else:
-        alpha = _single_alpha(_require(alpha_text, "--alpha"))
-        if estimator == "mean_w":
-            summary = mc_mean_w(law, alpha, cfg, keep_values=keep)
-        elif estimator == "spine_slope":
-            summary = mc_spine_slope(law, alpha, cfg, keep_values=keep)
+        depth = _require(depth, "--depth")
+        cfg = McConfig(reps, depth, seed, caps)
+        if estimator == "extinction":
+            summary = mc_extinction(law, cfg, keep_values=keep)
         else:
-            fn = parse_functional(_require(functional, "--functional"))
-            summary = mc_importance_identity(law, alpha, fn, cfg, keep_values=keep)
-
-    payload = {
-        "estimator": summary.estimator,
-        "estimate": summary.estimate,
-        "se": summary.se,
-        "n": summary.n,
-        "discarded": summary.discarded,
-        "seed": summary.master_seed,
-        "reference_value": summary.reference,
-        "pass": summary.passed,
-        "unreliable": summary.unreliable,
-        "note": summary.note,
-    }
-    if fmt == "json":
-        _emit(_json_text(payload), out)
-    else:
-        _emit(_csv_text(_SUMMARY_FIELDS, [[payload[k] for k in _SUMMARY_FIELDS]]), out)
-    if keep:
-        rows = [
+            alpha = _single_alpha(_require(alpha_text, "--alpha"))
+            if estimator == "mean_w":
+                summary = mc_mean_w(law, alpha, cfg, keep_values=keep)
+            elif estimator == "spine_slope":
+                summary = mc_spine_slope(law, alpha, cfg, keep_values=keep)
+            else:
+                fn = parse_functional(_require(functional, "--functional"))
+                summary = mc_importance_identity(law, alpha, fn, cfg, keep_values=keep)
+        payload = _fields(summary, _SUMMARY_KEYS)
+        table = list(payload), [list(payload.values())]
+        values = ["replicate", "value"], (
             (rep, float(summary.values[i])) for i, rep in enumerate(summary.kept)
-        ]
-        _emit(_csv_text(["replicate", "value"], rows), values_out)
+        )
+    _emit(_json_text(payload) if fmt == "json" else _csv_text(*table), out)
+    if keep:
+        _emit(_csv_text(*values), values_out)
 
 
 if __name__ == "__main__":

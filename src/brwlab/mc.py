@@ -65,7 +65,7 @@ from .brw import (  # noqa: F401
     grow_tree,
     martingale_trajectory,
 )
-from .errors import DomainError, ExcessiveDiscardError
+from .errors import DomainError, ExcessiveDiscardError, MassOverflowError
 from .offspring import (
     Classification,
     FiniteLaw,
@@ -73,6 +73,8 @@ from .offspring import (
     _Normalised,
     classify,
     pgf_eval,
+    tilted_derivative,
+    tilted_mass,
     validate_law,
 )
 # enumerate_trees is unused here but stays bound: perfbench/tracing.py
@@ -212,7 +214,7 @@ def mc_mean_w(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) 
     law = validate_law(law)
     profile = classify(law, alpha)
     grown = grow_occupation(law, cfg.depth, cfg.caps, _streams(cfg), cfg.replicates, alpha,
-                            profile.log_m, generations=(cfg.depth,))
+                            generations=(cfg.depth,))
     kept, discarded = _screen(cfg, grown.capped_at >= 0)
     values = [_safe_exp(x) for x in grown.log_w[kept, 0].tolist()]
     notes = []
@@ -236,13 +238,12 @@ def mc_spine_slope(law: Law, alpha: float, cfg: McConfig, keep_values: bool = Fa
     law = validate_law(law)
     if cfg.depth < 1:
         raise DomainError("spine slope needs depth >= 1")
-    profile = classify(law, alpha)
-    if not math.isfinite(profile.drift):
-        raise DomainError("drift undefined (tilted mass overflow); no slope reference")
-
+    # m(alpha) first, so an overflow is refused as every sampler refuses it
+    m = tilted_mass(law, alpha)
+    drift = -tilted_derivative(law, alpha) / m
     ends = spine_walk_ends(law, alpha, cfg.depth, _streams(cfg), cfg.replicates)
     values = (ends / cfg.depth).tolist()
-    return _summary("spine_slope", values, 0, cfg, profile.drift, range(cfg.replicates),
+    return _summary("spine_slope", values, 0, cfg, drift, range(cfg.replicates),
                     keep_values)
 
 
@@ -348,7 +349,7 @@ def mc_triviality_scan(
         raise DomainError("depth grid must be sorted, distinct, nonnegative")
     profile = classify(law, alpha)
     grown = grow_occupation(law, grid[-1], cfg.caps, _streams(cfg), cfg.replicates, alpha,
-                            profile.log_m, generations=grid)
+                            generations=grid)
     kept, discarded = _screen(cfg, grown.capped_at >= 0)
     matrix = grown.log_w[kept]
     medians, means, survivors, fractions = [], [], [], []
@@ -445,7 +446,21 @@ def _functional_value(fn: Functional, z: int, max_position: float | None) -> flo
     # functional's infimum) so the statistic stays bounded and defined
     if max_position is None:
         return 0.0
-    return math.exp(-fn.param * max_position)
+    return _exp_neg_max(fn, [max_position])[0]
+
+
+def _exp_neg_max(fn: Functional, top) -> list[float]:
+    """``exp(-B * x)`` of each largest position ``x`` in ``top``, with
+    ``math.exp``.  Where it overflows the statistic has no float value,
+    and the run is refused."""
+    with np.errstate(invalid="ignore"):
+        args = (-fn.param * np.asarray(top, dtype=np.float64)).tolist()
+    try:
+        return list(map(math.exp, args))
+    except OverflowError:
+        raise MassOverflowError(
+            f"functional {fn.name}: exp(-B * max position) overflows a float"
+        ) from None
 
 
 def functional_on_tree(fn: Functional, tree: LabelledTree) -> float:
@@ -475,9 +490,7 @@ def _functional_values(fn: Functional, z: np.ndarray, top: np.ndarray) -> np.nda
     """``F`` at each ``(Z_n, largest position)`` pair, as ``_functional_value``
     gives it (``math.exp`` included), but 0 wherever ``Z_n = 0``."""
     if fn.kind == "exp_neg_max":
-        with np.errstate(invalid="ignore"):
-            e = np.array(list(map(math.exp, (-fn.param * top).tolist())))
-        return np.where(z > 0, e, 0.0)
+        return np.where(z > 0, np.array(_exp_neg_max(fn, top)), 0.0)
     k = int(fn.param)
     if fn.kind == "one":
         f = z > 0
@@ -540,7 +553,6 @@ def mc_importance_identity(
     marks the estimate unreliable.
     """
     law = validate_law(law)
-    profile = classify(law, alpha)
     gens = (cfg.depth,)
     sized, _ = grow_spined_batch(law, alpha, cfg.depth, cfg.caps, _streams(cfg),
                                  cfg.replicates, gens)
@@ -554,7 +566,8 @@ def mc_importance_identity(
         _ORACLE_REF_CAP, ENUM_CAP
     )
     if exact_ref:
-        ref, sd = _exact_reference(law, alpha, profile.log_m, functional, cfg.depth)
+        log_m = math.log(tilted_mass(law, alpha))
+        ref, sd = _exact_reference(law, alpha, log_m, functional, cfg.depth)
         exact_se = sd / math.sqrt(len(values)) if math.isfinite(sd) else None
         band = "" if exact_se is None else f", band se {exact_se:.3g} from the exact variance"
         notes = [f"reference: exhaustive enumeration of E[F; alive]{band}",
@@ -563,7 +576,7 @@ def mc_importance_identity(
                         unreliable=len(notes) > 1, note="; ".join(notes), exact_se=exact_se)
 
     plain = grow_occupation(law, cfg.depth, cfg.caps, _streams(cfg, cfg.replicates),
-                            cfg.replicates, alpha, profile.log_m, gens)
+                            cfg.replicates, alpha, gens)
     ref_kept, ref_discarded = _screen(cfg, plain.capped_at >= 0)
     ref, ref_se, _ = _mean_se(_functional_values(functional, plain.population[ref_kept, -1],
                                                  plain.max_position[ref_kept]))

@@ -19,8 +19,8 @@ displacements ``(x_1, ..., x_L)``.  Two families are supported.
     a table over the head, and the tail series past it, so that nothing
     grows with ``n_max``.  The tilted mass is the mean of that truncated
     law, the law that is sampled, so it normalises ``W_n`` and the spine
-    weight; the ``L log L`` moment, and so the classification, is the
-    ideal untruncated law's.
+    weight, and ``pgf_eval`` is its generating function; the ``L log L``
+    moment, and so the classification, is the ideal untruncated law's.
 
 Sign convention
 ---------------
@@ -80,10 +80,11 @@ N_MAX_LIMIT = 10_000_000  # heavy-tail truncation; no table or set-up cost grows
 # tail integral takes mpmath half a second
 TAIL_EXPONENT_LIMIT = 1000.0
 
-_SERIES_HORIZON = 1 << 20  # terms summed by pgf_eval before its tail correction
 # heavy-tail atoms n <= _HEAD are summed term by term and tabulated; past
 # them every series and cdf is an Euler-Maclaurin tail
 _HEAD = 1 << 12
+# pgf_eval stops summing once s^n < 2^-60
+_PGF_CUTOFF = -60 * math.log(2.0)
 
 
 def stable_sum(values: Iterable[float]) -> float:
@@ -554,10 +555,13 @@ def sample_realization(law: Law, rng: np.random.Generator) -> np.ndarray:
 def pgf_eval(law: Law, s: float) -> float:
     """Offspring-count generating function ``E[s^L]`` on [0, 1].
 
-    For the heavy-tail family the value is the truncated ideal series
-    plus a tail correction ``s^(N+1) * tail(N+1)``; the correction is
-    exact at s = 1, monotone in s, and its error is below 2e-12 for
-    s <= 1 - 1e-5 and below 5e-8 on the remaining sliver.
+    For the heavy-tail family it is the generating function of the law
+    that is sampled, truncated at ``n_max``: the atoms ``n < n_max`` are
+    summed in blocks of ``_HEAD`` terms until ``s^n`` falls below
+    ``2^-60``, and the lump adds ``lump_mass * s^n_max``.  Memory stays
+    ``O(_HEAD)``.  The error is at most the law's ``tail_error_bound``
+    (the error of its constants, below 1e-9), plus ``2^-60`` for the terms
+    left out, plus about one ulp per term summed.
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"generating function argument must lie in [0, 1], got {s!r}")
@@ -565,12 +569,14 @@ def pgf_eval(law: Law, s: float) -> float:
         return stable_sum(a.probability * s**a.count for a in law.atoms)
     if s == 0.0:
         return 0.0
-    a, c = law.tail_exponent, law._exact.normalizer
-    N = _SERIES_HORIZON
-    n = np.arange(2, N + 1, dtype=np.float64)
-    head = float(np.sum(np.exp(n * math.log(s)) / (n * n * np.log(n) ** a)))
-    tail, _ = _tail_sq(a, N + 1)
-    return c * (head + math.exp((N + 1) * math.log(s)) * tail)
+    a, log_s, head = law.tail_exponent, math.log(s), 0.0
+    for lo in range(2, law.n_max, _HEAD):
+        if lo * log_s < _PGF_CUTOFF:
+            break
+        n = np.arange(lo, min(lo + _HEAD, law.n_max), dtype=np.float64)
+        head += float(np.sum(np.exp(n * log_s) / (n * n * np.log(n) ** a)))
+    exact = law._exact
+    return exact.normalizer * head + exact.lump_mass * math.exp(law.n_max * log_s)
 
 
 def extinction_probability(law: Law) -> float:

@@ -215,7 +215,7 @@ def grow_spined_batch(
     law = validate_law(law)
     tables = _spine_tables(law, float(alpha))
     grown = grow_occupation(
-        law, depth, caps, keys_for, replicates, alpha, tables.log_m, generations,
+        law, depth, caps, keys_for, replicates, alpha, generations,
         spine_brood=partial(_spine_brood, law, tables),
     )
     gens = np.array(grown.generations, dtype=np.int64)

@@ -210,8 +210,7 @@ def test_batch_matches_tree_growth_exactly(case, seed, monkeypatch):
     reps = 24
 
     def batch():
-        return grow_occupation(law, depth, caps, partial(replicate_keys, seed), reps, alpha,
-                               log_m)
+        return grow_occupation(law, depth, caps, partial(replicate_keys, seed), reps, alpha)
 
     grown = batch()
     assert grown.generations == tuple(range(depth + 1))
@@ -257,7 +256,7 @@ def test_batch_pieces_placed_one_at_a_time_match(case, monkeypatch):
     monkeypatch.setattr(brw_mod, "_MULTINOMIAL_CELL", 0)
 
     def batch():
-        return grow_occupation(law, depth, caps, partial(replicate_keys, 3), 24, alpha, log_m)
+        return grow_occupation(law, depth, caps, partial(replicate_keys, 3), 24, alpha)
 
     pieces = batch()
     _occupation_reference(pieces, law, alpha, log_m, depth, caps, 3)
@@ -268,8 +267,8 @@ def test_batch_pieces_placed_one_at_a_time_match(case, monkeypatch):
 
 
 def test_batch_records_chosen_generations_and_counts_only(pair_law):
-    full = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30, 1.0, 0.3)
-    some = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30, 1.0, 0.3,
+    full = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30, 1.0)
+    some = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30, 1.0,
                            generations=(0, 5, 8))
     assert np.array_equal(some.population, full.population[:, [0, 5, 8]])
     assert np.array_equal(some.log_w, full.log_w[:, [0, 5, 8]])
@@ -372,12 +371,11 @@ def test_occupation_matches_enumerated_joint_law(name, path, monkeypatch):
 
 def test_counts_past_2_62_are_refused_not_wrapped():
     law, caps = quad_or_twin_law(), GrowthCaps(max_nodes=2**63 - 1)
-    log_m = math.log(tilted_mass(law, 5.0))
     with pytest.raises(ResourceError, match="2\\^62"):
-        grow_occupation(law, 45, caps, partial(replicate_keys, 2), 16, 5.0, log_m)
+        grow_occupation(law, 45, caps, partial(replicate_keys, 2), 16, 5.0)
     # a cap at 2^62 is reached first: every replicate is capped, none refused
     capped = grow_occupation(law, 45, GrowthCaps(max_nodes=2**62), partial(replicate_keys, 2),
-                             16, 5.0, log_m)
+                             16, 5.0)
     assert (capped.capped_at > 30).all()
     assert (capped.population >= 0).all()
     last = capped.population[np.arange(16), capped.capped_at - 1]
@@ -385,8 +383,8 @@ def test_counts_past_2_62_are_refused_not_wrapped():
     # broods of 64 take Z_n from 2^60 to 2^66, past int64 itself
     wide = FiniteLaw((Atom(1.0, (0.0,) * 64),))
     with pytest.raises(ResourceError):
-        grow_occupation(wide, 12, caps, partial(replicate_keys, 2), 2, 1.0, math.log(64))
+        grow_occupation(wide, 12, caps, partial(replicate_keys, 2), 2, 1.0)
     capped = grow_occupation(wide, 12, GrowthCaps(max_nodes=2**62), partial(replicate_keys, 2),
-                             2, 1.0, math.log(64))
+                             2, 1.0)
     assert capped.capped_at.tolist() == [11, 11]
     assert capped.population[:, 10].tolist() == [2**60, 2**60]

@@ -395,6 +395,47 @@ def test_vanishing_tilted_mass_is_a_resource_refusal(command, tmp_path, capsys):
     assert err.startswith("refused:")
 
 
+_OVERFLOWING_TILT = [
+    ["simulate", "--depth", "3", "--reps", "2"],
+    ["spine", "--depth", "3", "--reps", "2"],
+    ["mc", "--estimator", "mean_w", "--depth", "3", "--reps", "10"],
+    ["mc", "--estimator", "spine_slope", "--depth", "3", "--reps", "10"],
+    ["mc", "--estimator", "triviality_scan", "--depth-grid", "1,2", "--reps", "10"],
+    ["mc", "--estimator", "importance", "--functional", "one", "--depth", "3", "--reps", "10"],
+]
+
+
+def test_overflowing_tilt_gets_one_refusal_everywhere(capsys):
+    # exp(1000) overflows, so m(-1000) has no float value: every command
+    # that samples under the tilt refuses the same way; classify reports it
+    refusals = set()
+    for args in _OVERFLOWING_TILT:
+        code, _, err = run_cli([*args, "--model", MODEL, "--alpha=-1000", "--seed", "1"], capsys)
+        assert code == 2, (args, err)
+        assert err.startswith("refused:") and err.count("\n") == 1, (args, err)
+        refusals.add(err)
+    assert len(refusals) == 1, refusals
+    code, out, _ = run_cli(["classify", "--model", MODEL, "--alpha=-1000"], capsys)
+    assert code == 0
+    assert json.loads(out)["profiles"][0]["classification"] == "MASS_INFINITE"
+
+
+_SINKING = '{"type": "finite", "atoms": [{"p": 0.5, "x": [-1, -1]}, {"p": 0.5, "x": [-1]}]}'
+
+
+def test_overflowing_exp_neg_max_is_a_resource_refusal(tmp_path, capsys):
+    # every particle of generation 8 sits at -8, and exp(100 * 8) overflows
+    model = tmp_path / "sinking.json"
+    model.write_text(_SINKING)
+    code, _, err = run_cli(
+        ["mc", "--estimator", "importance", "--functional", "exp_neg_max:100", "--model",
+         str(model), "--alpha", "0", "--depth", "8", "--reps", "50", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("refused:") and "exp_neg_max:100" in err and err.count("\n") == 1
+
+
 def test_out_of_memory_is_a_resource_refusal(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -732,6 +773,7 @@ _VALID_LAWS = [
     {"type": "finite", "atoms": [{"p": 1.0, "x": [0.0, 0.0]}]},
     {"type": "finite", "atoms": [{"p": 0.5, "x": [0.0, 1.0]}, {"p": 0.5, "x": [1.0]}]},
     {"type": "log_divergent", "a": 1.5, "n_max": 200},
+    json.loads(_SINKING),
 ]
 _VALID = {
     "--model": st.sampled_from([json.dumps(law) for law in _VALID_LAWS]),
@@ -745,7 +787,10 @@ _VALID = {
     "--estimator": st.sampled_from(
         ["mean_w", "spine_slope", "extinction", "triviality_scan", "importance"]
     ),
-    "--functional": st.sampled_from(["one", "indicator_z:1", "min_z:2", "exp_neg_max:0.5"]),
+    "--functional": st.sampled_from(
+        ["one", "indicator_z:1", "min_z:2", "exp_neg_max:0.5", "exp_neg_max:100",
+         "exp_neg_max:300"]
+    ),
     "--depth-grid": st.sampled_from(["1,2", "0,3", "2"]),
     "--out": st.just("OUT"),
     "--values-out": st.just("VALUES"),

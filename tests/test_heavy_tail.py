@@ -191,6 +191,46 @@ def test_setup_allocates_nothing_n_max_sized():
 
 
 # ---------------------------------------------------------------------------
+# generating function of the sampled law
+# ---------------------------------------------------------------------------
+
+_PGF_ARGS = (0.1, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0)
+
+
+@pytest.mark.parametrize("a, n_max", [(1.5, 100), (1.5, 5000), (2.5, 100_000), (1.01, 1000)])
+def test_pgf_describes_the_sampled_law(a, n_max):
+    """Within its documented bound, ``pgf_eval`` is ``E[s^L]`` of the full
+    truncated pmf, the lump at ``n_max`` included."""
+    law = LogDivergentLaw(a, n_max)
+    exact = law._exact
+    pmf = np.diff(ref.full_cdf(a, n_max, exact.normalizer), prepend=0.0)
+    n = np.arange(2, n_max + 1, dtype=np.float64)
+    bound = exact.tail_error_bound + 2.0**-60 + n_max * np.finfo(np.float64).eps
+    for s in _PGF_ARGS:
+        want = math.fsum((pmf * s**n).tolist())
+        assert abs(offspring.pgf_eval(law, s) - want) <= bound, s
+
+
+# stated before measuring: at n_max = 10^7 one value near s = 1 (every
+# atom summed) allocates under 1 MB; a sum over the whole horizon at once
+# took 42 MB
+PGF_PEAK_BYTES = 1_000_000
+
+
+def test_pgf_allocates_nothing_n_max_sized():
+    law = LogDivergentLaw(1.5, N_MAX_LIMIT)
+    law._exact  # the constants are set-up, measured above
+    tracemalloc.start()
+    try:
+        value = offspring.pgf_eval(law, 1.0 - 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.99 < value < 1.0
+    assert peak < PGF_PEAK_BYTES
+
+
+# ---------------------------------------------------------------------------
 # W_n normalised by the mean of the sampled, truncated law
 # ---------------------------------------------------------------------------
 
