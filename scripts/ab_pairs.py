@@ -6,7 +6,9 @@
 
 Each run is a new interpreter with ``PYTHONPATH`` set to the tree's
 ``src``, started from the current directory, so relative model paths
-name the same files for both sides.  Pair ``i`` runs side A first when
+name the same files for both sides.  No run writes bytecode, so a tree
+keeps its ``__pycache__`` state, which the script prints per side: a
+cached tree imports faster.  Pair ``i`` runs side A first when
 ``i`` is even and side B first when it is odd.  The script prints, per
 side, the median and interquartile range of wall time, of the time the
 child takes to import ``brwlab.cli`` (numpy and click included) and of
@@ -44,7 +46,7 @@ print(json.dumps({"code": code, "rss_mb": kb / 1024, "minflt": faults, "import_s
 def run(tree: Path, argv: list[str]) -> tuple[float, float, int, int, float]:
     """Wall seconds, peak resident MB, minor page faults, exit code and
     import seconds of one run."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
                           env=env)
@@ -56,6 +58,8 @@ def run(tree: Path, argv: list[str]) -> tuple[float, float, int, int, float]:
 
 
 def spread(values: list[float]) -> str:
+    if len(values) == 1:
+        return f"{values[0]:.4g}"
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return f"{med:.4g} (IQR {q1:.4g}-{q3:.4g})"
 
@@ -85,12 +89,15 @@ def main() -> None:
         for side in ("ab" if i % 2 == 0 else "ba"):
             results[side].append(run(sides[side], with_out(argv, f"{side}{i}")))
     for side in "ab":
+        cache = (sides[side] / "src" / "brwlab" / "__pycache__").exists()
         wall = [r[0] for r in results[side]]
         rss = [r[1] for r in results[side]]
         import_s = [r[4] for r in results[side]]
         faults = statistics.median(r[2] for r in results[side])
         codes = sorted({r[3] for r in results[side]})
-        print(f"{side.upper()} {sides[side]}: wall_s {spread(wall)}, import_s {spread(import_s)}, "
+        print(f"{side.upper()} {sides[side]} (src/brwlab/__pycache__ "
+              f"{'present' if cache else 'absent'}): wall_s {spread(wall)}, "
+              f"import_s {spread(import_s)}, "
               f"peak_mb {spread(rss)}, minor faults {faults:.0f}, exit codes {codes}")
     faster = sum(b[0] < a[0] for a, b in zip(results["a"], results["b"]))
     print(f"B faster in {faster} of {args.pairs} pairs")

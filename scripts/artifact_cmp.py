@@ -7,7 +7,8 @@ The battery covers every subcommand in JSON and in CSV, every ``mc``
 estimator with ``--values-out``, heavy-tail ``classify``, ``spine`` and
 ``importance``, an ``importance`` run deep enough that its reference is a
 plain-law Monte Carlo, one node-cap refusal each for ``simulate`` and
-``spine``, and two validation refusals.  Each command runs once per tree,
+``spine``, two validation refusals and two ``verify`` refusals (too many
+outcomes, an overflowing tilt).  Each command runs once per tree,
 in a new interpreter with ``PYTHONPATH`` set to the tree's ``src``, from a
 fresh working directory that holds a copy of this repository's ``models/``,
 so both sides read the same files under the same relative paths.  Each
@@ -63,6 +64,8 @@ BATTERY: dict[str, list[str]] = {
                      "--seed", "1", "--max-nodes", "40", "--out", "out"],
     "spine-cap": ["spine", *_PAIR, "--alpha", "1", "--depth", "12", "--reps", "5",
                   "--seed", "1", "--max-nodes", "40", "--out", "out"],
+    "verify-too-large": ["verify", *_PAIR, "--alpha", "1", "--depth", "9"],
+    "verify-overflow": ["verify", *_PAIR, "--alpha=-1000", "--depth", "2"],
     "simulate-no-seed": ["simulate", *_PAIR, "--alpha", "1", "--depth", "3", "--reps", "2"],
     "mc-bad-estimator": ["mc", *_PAIR, "--estimator", "bogus", "--alpha", "1", "--depth", "2",
                          "--reps", "10", "--seed", "1"],

@@ -20,10 +20,10 @@ need only ``Z_n``, ``W_n``, the ray and the last generation's largest
 position.  It keeps per replicate its occupied positions with their
 int64 particle counts, merged by exact float equality, and advances a
 batch of replicates one generation at a time.  Generation ``g`` of
-replicate ``r`` draws from block ``g`` of the replicate's counter stream
-(see ``rng``), and a batch's keys come from one call, ``keys_for(ids)``,
-in order of the replicate ids (``rng.replicate_keys``), so a
-replicate's results never depend on which batch it ran in.  Particles
+replicate ``r`` draws from block ``g`` of the counter stream keyed
+``rng.replicate_keys(seed, r)`` (see ``rng``), a function of the run's
+seed and ``r`` alone, so a replicate's results never depend on which
+batch it ran in.  Particles
 at one position are exchangeable, so one draw of atom counts per
 occupied position gives the law of the tree's positions (Athreya and
 Ney 1972; Biggins 1977).  While ``Z_n`` is small a replicate draws
@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import DomainError, PopulationCapError, ResourceError
 from .offspring import FiniteLaw, Law, LogDivergentLaw, tilted_mass, validate_law
-from .rng import block_keys, counter_multinomials, counter_uniforms
+from .rng import block_keys, counter_multinomials, counter_uniforms, replicate_keys
 
 _NEG_INF = float("-inf")
 
@@ -445,12 +445,13 @@ def grow_occupation(
     law: Law,
     depth: int,
     caps: GrowthCaps,
-    keys_for: Callable[[np.ndarray], np.ndarray],
+    seed: int,
     replicates: int,
     alpha: float | None = None,
     generations: Sequence[int] | None = None,
     stop_above: int | None = None,
     spine_brood: SpineBrood | None = None,
+    first_id: int = 0,
 ) -> BatchGrowth:
     """Grow replicates ``0..replicates-1`` to ``depth`` as occupation
     measures and keep their generation sizes and, given ``alpha``,
@@ -462,9 +463,9 @@ def grow_occupation(
     A replicate's frontier is its occupied positions with their particle
     counts, positions merged by exact float equality, so the cost of a
     generation follows the occupied positions, not the particles.
-    ``keys_for(ids)`` returns the counter-stream keys of replicates
-    ``ids``, in order, once per batch (``rng.replicate_keys``), and each
-    non-empty generation ``g`` replicate ``r`` draws from its block ``g``.
+    Replicate ``r`` draws the counter stream keyed
+    ``rng.replicate_keys(seed, first_id + r)`` (a batch's keys come from
+    one call), and in each non-empty generation ``g`` its block ``g``.
     With ``Z_n`` up to ``_MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * pairs *
     atoms`` (always, for heavy tails) it takes the block's first ``Z_n``
     uniforms, one per particle with the particles taken position by
@@ -528,9 +529,9 @@ def grow_occupation(
         if ray_position is not None:
             ray_position[b.ids, j] = b.spine
 
-    capped_at, stops = _grow_occupied(law, depth, caps, keys_for, replicates,
+    capped_at, stops = _grow_occupied(law, depth, caps, seed, replicates,
                                       alpha is not None or spine_brood is not None,
-                                      stop_above, record, spine_brood)
+                                      stop_above, record, spine_brood, first_id)
     return BatchGrowth(gens, population, log_w, capped_at, stops, max_position, ray_position)
 
 
@@ -538,12 +539,13 @@ def _grow_occupied(
     law: Law,
     depth: int,
     caps: GrowthCaps,
-    keys_for: Callable[[np.ndarray], np.ndarray],
+    seed: int,
     replicates: int,
     positions: bool,
     stop_above: int | None,
     record: Callable[[_Batch, int], None],
     spine_brood: SpineBrood | None = None,
+    first_id: int = 0,
 ) -> tuple[np.ndarray, dict[int, tuple[int, int, float]]]:
     """The engine behind ``grow_occupation``: hand every generation of
     every batch to ``record`` and return ``capped_at`` and ``stops``.
@@ -551,7 +553,7 @@ def _grow_occupied(
     be validated.
 
     Batches of at most ``_BATCH_REPLICATES`` roots grow depth first;
-    ``keys_for`` is called once per batch, and a batch whose next
+    their keys are derived once per root batch, and a batch whose next
     generation passes ``_BATCH_PARTICLES`` uniforms or rows splits in two
     first."""
     capped_at = np.full(replicates, -1, dtype=np.int64)
@@ -695,8 +697,8 @@ def _grow_occupied(
     for lo in range(0, replicates, _BATCH_REPLICATES):
         ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
         ones = np.ones(ids.size, dtype=np.int64)
-        root = _Batch(ids, keys_for(ids), ones, ones, ones, np.zeros(ids.size), ones,
-                      np.zeros(ids.size) if spined else None)
+        root = _Batch(ids, replicate_keys(seed, ids + first_id), ones, ones, ones,
+                      np.zeros(ids.size), ones, np.zeros(ids.size) if spined else None)
         record(root, 0)
         pending = [(0, root)]
         while pending:

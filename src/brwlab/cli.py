@@ -58,7 +58,7 @@ from .offspring import classify, extinction_probability, law_from_json
 from .oracle import run_verify
 # replicate_rng is unused here but stays bound: perfbench/tracing.py
 # patches it in this module
-from .rng import replicate_keys, replicate_rng  # noqa: F401
+from .rng import replicate_rng  # noqa: F401
 from .spine import grow_spined_batch, grow_spined_tree  # noqa: F401
 
 
@@ -420,8 +420,7 @@ def simulate_cmd(out, fmt, **run):
     thread; --workers is validated but has no effect.
     """
     law, alpha, depth, reps, seed, caps = _sampler_args(**run)
-    grown = grow_occupation(law, depth, caps, lambda ids: replicate_keys(seed, ids), reps,
-                            alpha)
+    grown = grow_occupation(law, depth, caps, seed, reps, alpha)
     all_rows: list[tuple] = []
     refusal = None
     for r, capped_at in enumerate(grown.capped_at.tolist()):
@@ -451,9 +450,7 @@ def spine_cmd(out, fmt, **run):
     one thread; --workers is validated but has no effect.
     """
     law, alpha, depth, reps, seed, caps = _sampler_args(**run)
-    grown, log_weight = grow_spined_batch(
-        law, alpha, depth, caps, lambda ids: replicate_keys(seed, ids), reps
-    )
+    grown, log_weight = grow_spined_batch(law, alpha, depth, caps, seed, reps)
     all_rows: list[tuple] = []
     refusal = None
     for r, capped_at in enumerate(grown.capped_at.tolist()):
@@ -502,7 +499,7 @@ def _fields(record, keys: dict[str, str]) -> dict:
 @cli.command("mc")
 @_run_options(fmt="json")
 @click.option("--depth-grid", "depth_grid_text", default=None)
-@click.option("--estimator", default=None, help="|".join(_ESTIMATORS))
+@click.option("--estimator", default=None, help=", ".join(_ESTIMATORS))
 @click.option("--functional", default=None, help="importance estimator statistic.")
 @click.option("--values-out", default=None, help="Also write per-replicate values CSV.")
 def mc_cmd(

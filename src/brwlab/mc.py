@@ -5,8 +5,6 @@ Seeding: replicate ``r`` always draws the counter stream of its key
 included, so no estimator builds a numpy generator or imports
 ``numpy.random``; results are merged in replicate order, so estimates
 are bit-identical for any worker count.
-The batched engines take a batch's keys from one call, ``keys_for(ids) =
-replicate_keys(master_seed, ids)``.
 Replicates whose tree growth hits the node cap are discarded, and a run
 refusing more than 1% of its replicates aborts with
 ``ExcessiveDiscardError`` rather than report a biased estimate.
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,7 +86,7 @@ from .oracle import (  # noqa: F401
 )
 # replicate_rng is unused here but stays bound: perfbench/tracing.py
 # patches it in this module
-from .rng import replicate_keys, replicate_rng  # noqa: F401
+from .rng import replicate_rng  # noqa: F401
 from .spine import grow_spined_batch, grow_spined_tree, spine_walk_ends  # noqa: F401
 
 # population size at which survival is resolved analytically instead of
@@ -154,12 +152,6 @@ def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
     return np.flatnonzero(~capped), discarded
 
 
-def _streams(cfg: McConfig, offset: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-    """``keys_for`` of the batched engines: the counter-stream keys of
-    replicates ``ids + offset`` of the run."""
-    return lambda ids: replicate_keys(cfg.master_seed, ids + offset)
-
-
 def _mean_se(values: Sequence[float]) -> tuple[float, float, int]:
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
@@ -213,7 +205,7 @@ def mc_mean_w(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) 
     the estimate low and marks it unreliable."""
     law = validate_law(law)
     profile = classify(law, alpha)
-    grown = grow_occupation(law, cfg.depth, cfg.caps, _streams(cfg), cfg.replicates, alpha,
+    grown = grow_occupation(law, cfg.depth, cfg.caps, cfg.master_seed, cfg.replicates, alpha,
                             generations=(cfg.depth,))
     kept, discarded = _screen(cfg, grown.capped_at >= 0)
     values = [_safe_exp(x) for x in grown.log_w[kept, 0].tolist()]
@@ -240,8 +232,9 @@ def mc_spine_slope(law: Law, alpha: float, cfg: McConfig, keep_values: bool = Fa
         raise DomainError("spine slope needs depth >= 1")
     # m(alpha) first, so an overflow is refused as every sampler refuses it
     m = tilted_mass(law, alpha)
+    _check_growth(cfg.depth, cfg.caps)
     drift = -tilted_derivative(law, alpha) / m
-    ends = spine_walk_ends(law, alpha, cfg.depth, _streams(cfg), cfg.replicates)
+    ends = spine_walk_ends(law, alpha, cfg.depth, cfg.master_seed, cfg.replicates)
     values = (ends / cfg.depth).tolist()
     return _summary("spine_slope", values, 0, cfg, drift, range(cfg.replicates),
                     keep_values)
@@ -267,7 +260,7 @@ def mc_extinction(law: Law, cfg: McConfig, keep_values: bool = False) -> McSumma
     for _ in range(cfg.depth):
         f_iter.append(pgf_eval(law, f_iter[-1]))
 
-    grown = grow_occupation(law, cfg.depth, uncapped, _streams(cfg), cfg.replicates,
+    grown = grow_occupation(law, cfg.depth, uncapped, cfg.master_seed, cfg.replicates,
                             generations=(cfg.depth,), stop_above=_ANALYTIC_SWITCH)
     extinct = grown.population[:, 0] == 0
     for r, (g, z, u) in grown.stops.items():
@@ -348,7 +341,7 @@ def mc_triviality_scan(
     if not grid or any(d < 0 for d in grid) or tuple(sorted(set(grid))) != grid:
         raise DomainError("depth grid must be sorted, distinct, nonnegative")
     profile = classify(law, alpha)
-    grown = grow_occupation(law, grid[-1], cfg.caps, _streams(cfg), cfg.replicates, alpha,
+    grown = grow_occupation(law, grid[-1], cfg.caps, cfg.master_seed, cfg.replicates, alpha,
                             generations=grid)
     kept, discarded = _screen(cfg, grown.capped_at >= 0)
     matrix = grown.log_w[kept]
@@ -501,19 +494,20 @@ def _functional_values(fn: Functional, z: np.ndarray, top: np.ndarray) -> np.nda
     return f.astype(np.float64)
 
 
-def _exact_reference(law: FiniteLaw, alpha: float, log_m: float, fn: Functional,
+def _exact_reference(law: FiniteLaw, alpha: float, fn: Functional,
                      depth: int) -> tuple[float, float]:
     """``E[F; alive]`` at ``depth`` and the standard deviation of ``F/W_n``
     under the size-biased law, ``sqrt(E[F^2/W_n; alive] - E[F; alive]^2)``,
     from the outcome classes of the exact enumeration at ``depth``."""
-    level = _Enumeration(law, alpha, depth).levels[depth]
+    e = _Enumeration(law, alpha, depth)
+    level = e.levels[depth]
     alive = level.z > 0
     p, log_e = level.p[alive], level.log_e[alive]
     f = _functional_values(fn, level.z[alive], level.top[alive])
     ref = math.fsum((p * f).tolist())
     hit = f != 0
     with np.errstate(over="ignore"):
-        squares = p[hit] * f[hit] * f[hit] * np.exp(depth * log_m - log_e[hit])
+        squares = p[hit] * f[hit] * f[hit] * np.exp(depth * e.log_m - log_e[hit])
     try:
         second = math.fsum(squares.tolist())
     except OverflowError:
@@ -554,7 +548,7 @@ def mc_importance_identity(
     """
     law = validate_law(law)
     gens = (cfg.depth,)
-    sized, _ = grow_spined_batch(law, alpha, cfg.depth, cfg.caps, _streams(cfg),
+    sized, _ = grow_spined_batch(law, alpha, cfg.depth, cfg.caps, cfg.master_seed,
                                  cfg.replicates, gens)
     kept, discarded = _screen(cfg, sized.capped_at >= 0)
     f = _functional_values(functional, sized.population[kept, -1], sized.max_position[kept])
@@ -566,8 +560,7 @@ def mc_importance_identity(
         _ORACLE_REF_CAP, ENUM_CAP
     )
     if exact_ref:
-        log_m = math.log(tilted_mass(law, alpha))
-        ref, sd = _exact_reference(law, alpha, log_m, functional, cfg.depth)
+        ref, sd = _exact_reference(law, alpha, functional, cfg.depth)
         exact_se = sd / math.sqrt(len(values)) if math.isfinite(sd) else None
         band = "" if exact_se is None else f", band se {exact_se:.3g} from the exact variance"
         notes = [f"reference: exhaustive enumeration of E[F; alive]{band}",
@@ -575,8 +568,8 @@ def mc_importance_identity(
         return _summary(name, values, discarded, cfg, ref, kept.tolist(), keep_values,
                         unreliable=len(notes) > 1, note="; ".join(notes), exact_se=exact_se)
 
-    plain = grow_occupation(law, cfg.depth, cfg.caps, _streams(cfg, cfg.replicates),
-                            cfg.replicates, alpha, gens)
+    plain = grow_occupation(law, cfg.depth, cfg.caps, cfg.master_seed, cfg.replicates, alpha,
+                            gens, first_id=cfg.replicates)
     ref_kept, ref_discarded = _screen(cfg, plain.capped_at >= 0)
     ref, ref_se, _ = _mean_se(_functional_values(functional, plain.population[ref_kept, -1],
                                                  plain.max_position[ref_kept]))

@@ -39,9 +39,10 @@ lower levels are materialized.
 
 Enumeration is doubly exponential in depth, so every entry point first
 counts outcomes exactly (integers, clamped at 10^18 for reporting) and
-refuses with ``TooLargeError`` beyond ``ENUM_CAP``; identity checks use
-tolerance 1e-10 (probability products amplify rounding) while plain
-mass sums use 1e-12.
+refuses with ``TooLargeError`` beyond ``ENUM_CAP``, read at call time;
+the checks that walk (outcome, ray) pairs refuse on the pair count too.
+Identity checks use tolerance 1e-10 (probability products amplify
+rounding) while plain mass sums use 1e-12.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ def _require_finite(law) -> FiniteLaw:
     return law
 
 
+def _require_depth(depth: int) -> None:
+    if depth < 0:
+        raise DomainError(f"depth must be nonnegative, got {depth}")
+
+
 def _preflight(count: int, cap: int) -> None:
     if count > cap:
         raise TooLargeError(count, cap)
@@ -119,26 +125,17 @@ def _preflight(count: int, cap: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _memo_levels(
-    law: FiniteLaw, top: int
-) -> tuple[list[list[Outcome]], list[list[float]]]:
-    """Materialized outcome lists and aligned probabilities for depths < top."""
-    levels: list[list[Outcome]] = [[None]]
-    probs: list[list[float]] = [[1.0]]
-    for _ in range(top - 1):
-        prev, prevp = levels[-1], probs[-1]
-        lvl: list[Outcome] = []
-        lp: list[float] = []
-        for a, atom in enumerate(law.atoms):
-            for combo in itertools.product(range(len(prev)), repeat=atom.count):
-                p = atom.probability
-                for i in combo:
-                    p *= prevp[i]
-                lvl.append((a, tuple(prev[i] for i in combo)))
-                lp.append(p)
-        levels.append(lvl)
-        probs.append(lp)
-    return levels, probs
+def _next_outcomes(
+    law: FiniteLaw, prev: list[tuple[Outcome, float]]
+) -> Iterator[tuple[Outcome, float]]:
+    """Depth-``k`` outcomes with their probabilities, in enumeration
+    order, from the depth-``(k-1)`` ones ``prev``."""
+    for a, atom in enumerate(law.atoms):
+        for combo in itertools.product(prev, repeat=atom.count):
+            p = atom.probability
+            for _, q in combo:
+                p *= q
+            yield (a, tuple(t for t, _ in combo)), p
 
 
 def enumerate_trees(
@@ -152,18 +149,12 @@ def enumerate_trees(
     level is); the top level streams.
     """
     law = _require_finite(law)
+    _require_depth(depth)
     _preflight(count_outcomes(law, depth), cap)
-    if depth == 0:
-        yield None, 1.0
-        return
-    levels, probs = _memo_levels(law, depth)
-    prev, prevp = levels[-1], probs[-1]
-    for a, atom in enumerate(law.atoms):
-        for combo in itertools.product(range(len(prev)), repeat=atom.count):
-            p = atom.probability
-            for i in combo:
-                p *= prevp[i]
-            yield (a, tuple(prev[i] for i in combo)), p
+    level = [(None, 1.0)]
+    for _ in range(depth - 1):
+        level = list(_next_outcomes(law, level))
+    yield from level if depth == 0 else _next_outcomes(law, level)
 
 
 def iter_rays(t: Outcome) -> Iterator[Ray]:
@@ -229,6 +220,7 @@ def enumerate_spined_trees(
 ) -> Iterator[tuple[Outcome, Ray, float]]:
     """Every (outcome, ray) pair with its size-biased probability."""
     law = _require_finite(law)
+    _require_depth(depth)
     _preflight(count_spined_outcomes(law, depth), cap)
     tables = _tilt_tables(law, float(alpha))
     for t, _ in enumerate_trees(law, depth, cap):
@@ -583,57 +575,49 @@ def _spine_step_mean(e: _Enumeration, k: int | None) -> CheckResult:
     return _result("spine_step_mean", e.alpha, e.depth, disc, outcomes, IDENTITY_TOL)
 
 
-def check_unit_mean(
-    law: FiniteLaw, alpha: float, depth: int, cap: int = ENUM_CAP
-) -> CheckResult:
-    """``E[W_n] = 1`` for every ``n <= depth``; also total plain mass 1."""
+def _enumeration(law: FiniteLaw, alpha: float, depth: int, pairs: bool) -> _Enumeration:
+    """The one set-up of the checks: refuse a law that is not finite, a
+    negative depth, a tilted mass that overflows or vanishes, and more
+    outcomes than ``ENUM_CAP`` (or, with ``pairs``, more (outcome, ray)
+    pairs), then enumerate.  Outcome counts never fall with depth, so the
+    deepest level's count bounds every level's."""
     law = _require_finite(law)
+    _require_depth(depth)
     tilted_mass(law, alpha)
-    for n in range(depth + 1):
-        _preflight(count_outcomes(law, n), cap)
-    return _unit_mean(_Enumeration(law, alpha, depth))
+    _preflight(count_outcomes(law, depth), ENUM_CAP)
+    if pairs:
+        # pairs can outnumber outcomes by far: binary at depth 40 has 1 and 2^40
+        _preflight(count_spined_outcomes(law, depth), ENUM_CAP)
+    return _Enumeration(law, alpha, depth)
 
 
-def check_martingale(
-    law: FiniteLaw, alpha: float, depth: int, cap: int = ENUM_CAP
-) -> CheckResult:
+def check_unit_mean(law: FiniteLaw, alpha: float, depth: int) -> CheckResult:
+    """``E[W_n] = 1`` for every ``n <= depth``; also total plain mass 1."""
+    return _unit_mean(_enumeration(law, alpha, depth, pairs=False))
+
+
+def check_martingale(law: FiniteLaw, alpha: float, depth: int) -> CheckResult:
     """``E[W_{n+1} | first n generations] = W_n`` for every outcome, n < depth.
 
     The left side sums ``Q W_{n+1}`` over the depth-``(n+1)`` classes
     that restrict to each depth-``n`` class.
     """
-    law = _require_finite(law)
-    _preflight(count_outcomes(law, depth), cap)
-    return _martingale(_Enumeration(law, alpha, depth))
+    return _martingale(_enumeration(law, alpha, depth, pairs=False))
 
 
-def check_spine_density(
-    law: FiniteLaw, alpha: float, depth: int, cap: int = ENUM_CAP
-) -> CheckResult:
+def check_spine_density(law: FiniteLaw, alpha: float, depth: int) -> CheckResult:
     """Size-biased pair probability equals plain probability times
     ``exp(-alpha S(xi_n)) / m^n``; total size-biased mass is 1."""
-    law = _require_finite(law)
-    tilted_mass(law, alpha)
-    _preflight(count_outcomes(law, depth), cap)
-    # pairs can outnumber outcomes by far: binary at depth 40 has 1 and 2^40
-    _preflight(count_spined_outcomes(law, depth), cap)
-    return _spine_density(_Enumeration(law, alpha, depth))
+    return _spine_density(_enumeration(law, alpha, depth, pairs=True))
 
 
-def check_tree_density(
-    law: FiniteLaw, alpha: float, depth: int, cap: int = ENUM_CAP
-) -> CheckResult:
+def check_tree_density(law: FiniteLaw, alpha: float, depth: int) -> CheckResult:
     """Ray-marginal of the size-biased pair law equals ``mu(t) W_n(t)``
     outcome by outcome (both sides 0 on extinct outcomes)."""
-    law = _require_finite(law)
-    _preflight(count_spined_outcomes(law, depth), cap)
-    _preflight(count_outcomes(law, depth), cap)
-    return _tree_density(_Enumeration(law, alpha, depth))
+    return _tree_density(_enumeration(law, alpha, depth, pairs=False))
 
 
-def check_inverse_martingale(
-    law: FiniteLaw, alpha: float, depth: int, cap: int = ENUM_CAP
-) -> CheckResult:
+def check_inverse_martingale(law: FiniteLaw, alpha: float, depth: int) -> CheckResult:
     """``1/W`` one-step decay under the ray-marginalized size-biased law.
 
     ``1/W_n`` is a supermartingale there, with exact conditional decay
@@ -648,18 +632,11 @@ def check_inverse_martingale(
     elsewhere) and each ``R / W`` is taken from logarithms, so it stays
     exact when both underflow.
     """
-    law = _require_finite(law)
-    _preflight(count_spined_outcomes(law, depth), cap)
-    _preflight(count_outcomes(law, depth), cap)
-    return _inverse_martingale(_Enumeration(law, alpha, depth))
+    return _inverse_martingale(_enumeration(law, alpha, depth, pairs=False))
 
 
 def check_spine_step_mean(
-    law: FiniteLaw,
-    alpha: float,
-    depth: int,
-    k: int | None = None,
-    cap: int = ENUM_CAP,
+    law: FiniteLaw, alpha: float, depth: int, k: int | None = None
 ) -> CheckResult:
     """Ray step ``X(xi_{k+1})`` has mean ``-m'(alpha)/m(alpha)`` and marginal
     law ``spine_step_law`` at every level ``k < depth`` (or one given ``k``).
@@ -667,23 +644,14 @@ def check_spine_step_mean(
     Steps are keyed by the displacement itself: differences of float
     positions split one displacement value across several keys.
     """
-    law = _require_finite(law)
     if k is not None and not 0 <= k < depth:
         raise DomainError(f"spine level {k} outside 0..{depth - 1}")
-    _preflight(count_spined_outcomes(law, depth), cap)
-    _preflight(count_outcomes(law, depth), cap)
-    return _spine_step_mean(_Enumeration(law, alpha, depth), k)
+    return _spine_step_mean(_enumeration(law, alpha, depth, pairs=True), k)
 
 
-def run_verify(
-    law: FiniteLaw, alpha: float, depth: int, cap: int = ENUM_CAP
-) -> list[CheckResult]:
+def run_verify(law: FiniteLaw, alpha: float, depth: int) -> list[CheckResult]:
     """All six exact identity checks, fixed order, on one shared enumeration."""
-    law = _require_finite(law)
-    tilted_mass(law, alpha)
-    _preflight(count_outcomes(law, depth), cap)
-    _preflight(count_spined_outcomes(law, depth), cap)
-    e = _Enumeration(law, alpha, depth)
+    e = _enumeration(law, alpha, depth, pairs=True)
     return [
         _spine_density(e),
         _tree_density(e),

@@ -33,15 +33,15 @@ offspring module and its mean step is the drift ``-m'(alpha)/m(alpha)``.
 ``spine_walk_ends`` runs many walks at once and keeps their endpoints:
 walk ``r`` takes its ``2 * depth`` uniforms from block 0 of its counter
 stream, the blocks of many walks in one call.  Both batched functions
-take ``keys_for(ids)``, which returns the counter-stream keys of many
-replicates in one call (``rng.replicate_keys``).
+take the run's seed; replicate ``r`` draws the counter stream keyed
+``rng.replicate_keys(seed, r)``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .offspring import (
     tilted_mass,
     validate_law,
 )
-from .rng import block_keys, counter_uniforms
+from .rng import block_keys, counter_uniforms, replicate_keys
 
 
 class _SpineTables(NamedTuple):
@@ -197,7 +197,7 @@ def grow_spined_batch(
     alpha: float,
     depth: int,
     caps: GrowthCaps,
-    keys_for: Callable[[np.ndarray], np.ndarray],
+    seed: int,
     replicates: int,
     generations: Sequence[int] | None = None,
 ) -> tuple[BatchGrowth, np.ndarray]:
@@ -205,8 +205,8 @@ def grow_spined_batch(
     ``brw.grow_occupation``; also return ``spine_log_weight`` per replicate
     and recorded generation.
 
-    ``keys_for(ids)`` returns the counter-stream keys of replicates
-    ``ids``, in order.  Replicate ``r`` has the law of
+    Replicate ``r`` draws the counter stream keyed
+    ``rng.replicate_keys(seed, r)`` and has the law of
     ``grow_spined_tree`` followed by ``martingale_trajectory(..., log
     m)``: the same ``Z_n``, ``log W_n``, ray positions and largest
     last-generation position in law, and a replicate that hits the node
@@ -215,7 +215,7 @@ def grow_spined_batch(
     law = validate_law(law)
     tables = _spine_tables(law, float(alpha))
     grown = grow_occupation(
-        law, depth, caps, keys_for, replicates, alpha, generations,
+        law, depth, caps, seed, replicates, alpha, generations,
         spine_brood=partial(_spine_brood, law, tables),
     )
     gens = np.array(grown.generations, dtype=np.int64)
@@ -255,14 +255,13 @@ def spine_walk_ends(
     law: Law,
     alpha: float,
     depth: int,
-    keys_for: Callable[[np.ndarray], np.ndarray],
+    seed: int,
     replicates: int,
 ) -> np.ndarray:
-    """``S(xi_depth)`` of walks ``0..replicates-1``.  ``keys_for(ids)``
-    returns the counter-stream keys of walks ``ids``, in order, once per
-    block of walks; walk ``r`` ends where ``sample_spine_walk`` ends on a
-    generator whose first ``random(2 * depth)`` call returns the walk's
-    block 0, bit for bit."""
+    """``S(xi_depth)`` of walks ``0..replicates-1``.  Walk ``r`` draws
+    the counter stream keyed ``rng.replicate_keys(seed, r)`` and ends where
+    ``sample_spine_walk`` ends on a generator whose first ``random(2 *
+    depth)`` call returns the walk's block 0, bit for bit."""
     law = validate_law(law)
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth}")
@@ -271,7 +270,7 @@ def spine_walk_ends(
     ends = np.empty(replicates)
     for lo in range(0, replicates, rows):
         hi = min(lo + rows, replicates)
-        keys = block_keys(keys_for(np.arange(lo, hi)), 0)
+        keys = block_keys(replicate_keys(seed, np.arange(lo, hi)), 0)
         u = counter_uniforms(keys, np.full(hi - lo, 2 * depth)).reshape(hi - lo, 2 * depth)
         ends[lo:hi] = _walk(law, tables, u)[:, -1]
     return ends

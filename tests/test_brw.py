@@ -4,7 +4,6 @@ trajectories."""
 import itertools
 import math
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from brwlab import (
     grow_tree,
     log_sum_exp,
     martingale_trajectory,
-    replicate_keys,
     replicate_rng,
     tilted_mass,
 )
@@ -210,7 +208,7 @@ def test_batch_matches_tree_growth_exactly(case, seed, monkeypatch):
     reps = 24
 
     def batch():
-        return grow_occupation(law, depth, caps, partial(replicate_keys, seed), reps, alpha)
+        return grow_occupation(law, depth, caps, seed, reps, alpha)
 
     grown = batch()
     assert grown.generations == tuple(range(depth + 1))
@@ -256,7 +254,7 @@ def test_batch_pieces_placed_one_at_a_time_match(case, monkeypatch):
     monkeypatch.setattr(brw_mod, "_MULTINOMIAL_CELL", 0)
 
     def batch():
-        return grow_occupation(law, depth, caps, partial(replicate_keys, 3), 24, alpha)
+        return grow_occupation(law, depth, caps, 3, 24, alpha)
 
     pieces = batch()
     _occupation_reference(pieces, law, alpha, log_m, depth, caps, 3)
@@ -267,19 +265,18 @@ def test_batch_pieces_placed_one_at_a_time_match(case, monkeypatch):
 
 
 def test_batch_records_chosen_generations_and_counts_only(pair_law):
-    full = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30, 1.0)
-    some = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30, 1.0,
-                           generations=(0, 5, 8))
+    full = grow_occupation(pair_law, 8, CAPS, 4, 30, 1.0)
+    some = grow_occupation(pair_law, 8, CAPS, 4, 30, 1.0, generations=(0, 5, 8))
     assert np.array_equal(some.population, full.population[:, [0, 5, 8]])
     assert np.array_equal(some.log_w, full.log_w[:, [0, 5, 8]])
-    counts = grow_occupation(pair_law, 8, CAPS, partial(replicate_keys, 4), 30)
+    counts = grow_occupation(pair_law, 8, CAPS, 4, 30)
     assert counts.log_w is None
     assert np.array_equal(counts.population, full.population)
 
 
 def test_batch_stop_draws_the_next_uniform(pair_law, monkeypatch):
     monkeypatch.setattr(brw_mod, "_BATCH_REPLICATES", 7)  # several root batches
-    grown = grow_occupation(pair_law, 12, CAPS, partial(replicate_keys, 8), 40, stop_above=5)
+    grown = grow_occupation(pair_law, 12, CAPS, 8, 40, stop_above=5)
     assert grown.stops
     for r, (g, z, u) in grown.stops.items():
         stream = CounterStream(8, r)
@@ -360,8 +357,7 @@ def test_occupation_matches_enumerated_joint_law(name, path, monkeypatch):
                 here[round(x, 9)] += m
             seen[r] = (sum(here.values()), tuple(sorted(here.items())))
 
-    brw_mod._grow_occupied(law, depth, CAPS, partial(replicate_keys, 4321), n, True, None,
-                           record)
+    brw_mod._grow_occupied(law, depth, CAPS, 4321, n, True, None, record)
     counts = Counter(seen.get(r, (0, ())) for r in range(n))
     assert set(counts) <= set(want)
     for key, p in want.items():
@@ -372,10 +368,9 @@ def test_occupation_matches_enumerated_joint_law(name, path, monkeypatch):
 def test_counts_past_2_62_are_refused_not_wrapped():
     law, caps = quad_or_twin_law(), GrowthCaps(max_nodes=2**63 - 1)
     with pytest.raises(ResourceError, match="2\\^62"):
-        grow_occupation(law, 45, caps, partial(replicate_keys, 2), 16, 5.0)
+        grow_occupation(law, 45, caps, 2, 16, 5.0)
     # a cap at 2^62 is reached first: every replicate is capped, none refused
-    capped = grow_occupation(law, 45, GrowthCaps(max_nodes=2**62), partial(replicate_keys, 2),
-                             16, 5.0)
+    capped = grow_occupation(law, 45, GrowthCaps(max_nodes=2**62), 2, 16, 5.0)
     assert (capped.capped_at > 30).all()
     assert (capped.population >= 0).all()
     last = capped.population[np.arange(16), capped.capped_at - 1]
@@ -383,8 +378,7 @@ def test_counts_past_2_62_are_refused_not_wrapped():
     # broods of 64 take Z_n from 2^60 to 2^66, past int64 itself
     wide = FiniteLaw((Atom(1.0, (0.0,) * 64),))
     with pytest.raises(ResourceError):
-        grow_occupation(wide, 12, caps, partial(replicate_keys, 2), 2, 1.0)
-    capped = grow_occupation(wide, 12, GrowthCaps(max_nodes=2**62), partial(replicate_keys, 2),
-                             2, 1.0)
+        grow_occupation(wide, 12, caps, 2, 2, 1.0)
+    capped = grow_occupation(wide, 12, GrowthCaps(max_nodes=2**62), 2, 2, 1.0)
     assert capped.capped_at.tolist() == [11, 11]
     assert capped.population[:, 10].tolist() == [2**60, 2**60]

@@ -292,6 +292,26 @@ def test_mc_extinction_depth_past_the_cap_exits_one(capsys):
     assert "depth 200000 exceeds caps.max_depth 100000" in err
 
 
+def test_mc_spine_slope_depth_past_the_cap_exits_one(capsys):
+    code, _, err = run_cli(
+        [
+            "mc", "--estimator", "spine_slope", "--model", MODEL, "--alpha", "1",
+            "--depth", "200000", "--reps", "2", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "depth 200000 exceeds caps.max_depth 100000" in err
+
+
+def test_mc_help_keeps_estimator_names_whole(capsys):
+    code, out, _ = run_cli(["mc", "--help"], capsys)
+    assert code == 0
+    words = set(out.replace(",", " ").split())
+    for name in cli_mod._ESTIMATORS:
+        assert name in words, out
+
+
 def test_mc_scan_payload(capsys):
     code, out, _ = run_cli(
         [

@@ -300,7 +300,7 @@ def test_exact_reference_matches_the_outcome_walk(law, depths):
         for depth in range(1, depths + 1):
             want = _tuple_walk_references(law, alpha, log_m, fns, depth)
             for fn in fns:
-                ref, sd = mc_mod._exact_reference(law, alpha, log_m, fn, depth)
+                ref, sd = mc_mod._exact_reference(law, alpha, fn, depth)
                 assert ref == pytest.approx(want[fn.name][0], rel=1e-15, abs=0)
                 assert sd == pytest.approx(want[fn.name][1], rel=1e-12, abs=0)
 

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brwlab.oracle as oracle
 from brwlab import (
     ENUM_CAP,
     Atom,
+    DomainError,
     FiniteLaw,
     GrowthCaps,
+    MassOverflowError,
     TooLargeError,
     check_inverse_martingale,
     check_martingale,
@@ -82,6 +85,54 @@ def test_enumerate_refuses_oversized_jobs(pair_law):
         list(enumerate_spined_trees(pair_law, 1.0, 9))
     with pytest.raises(TooLargeError):
         run_verify(pair_law, 1.0, 9)
+
+
+_CHECKS = (run_verify, check_unit_mean, check_martingale, check_spine_density,
+           check_tree_density, check_inverse_martingale, check_spine_step_mean)
+_ENTRIES = {
+    **{check.__name__: check for check in _CHECKS},
+    "enumerate_trees": lambda law, alpha, depth: list(enumerate_trees(law, depth)),
+    "enumerate_spined_trees": lambda law, alpha, depth: list(
+        enumerate_spined_trees(law, alpha, depth)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+def test_negative_depth_is_refused_everywhere(pair_law, name):
+    with pytest.raises(DomainError, match="depth must be nonnegative"):
+        _ENTRIES[name](pair_law, 1.0, -1)
+
+
+@pytest.mark.parametrize("check", _CHECKS, ids=lambda check: check.__name__)
+def test_checks_read_the_cap_when_called(pair_law, check, monkeypatch):
+    # 26 outcomes at depth 3
+    monkeypatch.setattr(oracle, "ENUM_CAP", 10)
+    with pytest.raises(TooLargeError) as info:
+        check(pair_law, 1.0, 3)
+    assert info.value.cap == 10
+
+
+@pytest.mark.parametrize("check", _CHECKS, ids=lambda check: check.__name__)
+def test_checks_refuse_an_overflowing_tilt_before_the_count(pair_law, check):
+    with pytest.raises(MassOverflowError):
+        check(pair_law, -1000.0, 9)
+
+
+def test_unit_mean_refusal_reports_the_count_at_depth(pair_law):
+    with pytest.raises(TooLargeError) as info:
+        check_unit_mean(pair_law, 1.0, 9)
+    assert info.value.estimate == count_outcomes(pair_law, 9)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_tree_density, check_inverse_martingale, check_unit_mean, check_martingale],
+    ids=lambda check: check.__name__,
+)
+def test_class_checks_need_no_pair_count(binary_law, check):
+    # one outcome, and 2^40 (outcome, ray) pairs that these checks never build
+    assert check(binary_law, 1.0, 40).passed
 
 
 # ---------------------------------------------------------------------------

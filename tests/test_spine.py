@@ -20,7 +20,6 @@ from brwlab import (
     generation_sizes,
     grow_spined_batch,
     grow_spined_tree,
-    replicate_keys,
     replicate_rng,
     rn_log_weight,
     sample_spine_walk,
@@ -224,7 +223,7 @@ def test_spined_batch_matches_spined_trees_exactly(case, seed, monkeypatch):
     reps = 24
 
     def batch():
-        return grow_spined_batch(law, alpha, depth, caps, partial(replicate_keys, seed), reps)
+        return grow_spined_batch(law, alpha, depth, caps, seed, reps)
 
     for above, cell in PATHS.values():
         monkeypatch.setattr(brw_mod, "_MULTINOMIAL_ABOVE", above)
@@ -296,8 +295,7 @@ def test_spined_occupation_matches_enumerated_joint_law(name, path, monkeypatch)
             seen.append((tuple(sorted(here.items())), round(spine, 9)))
 
     hook = partial(_spine_brood, law, _spine_tables(law, 1.0))
-    brw_mod._grow_occupied(law, depth, CAPS, partial(replicate_keys, 4321), n, True, None,
-                           record, hook)
+    brw_mod._grow_occupied(law, depth, CAPS, 4321, n, True, None, record, hook)
     assert len(seen) == n  # spined replicates never die out
     counts = Counter(seen)
     assert set(counts) <= set(want)
@@ -307,10 +305,8 @@ def test_spined_occupation_matches_enumerated_joint_law(name, path, monkeypatch)
 
 
 def test_spined_batch_records_chosen_generations(pair_law):
-    full, full_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS,
-                                          partial(replicate_keys, 4), 30)
-    some, some_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS,
-                                          partial(replicate_keys, 4), 30, (0, 5, 8))
+    full, full_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS, 4, 30)
+    some, some_weight = grow_spined_batch(pair_law, 1.0, 8, CAPS, 4, 30, (0, 5, 8))
     for name in ("population", "log_w", "ray_position"):
         assert np.array_equal(getattr(some, name), getattr(full, name)[:, [0, 5, 8]])
     assert np.array_equal(some_weight, full_weight[:, [0, 5, 8]])
@@ -363,14 +359,14 @@ def test_spine_walks_match_the_two_block_definition(law, alpha, monkeypatch):
     for r in range(reps):
         walk = sample_spine_walk(law, alpha, depth, replicate_rng(5, r))
         assert np.array_equal(walk, _reference_walk(law, alpha, depth, replicate_rng(5, r)))
-    ends = spine_walk_ends(law, alpha, depth, partial(replicate_keys, 5), reps)
+    ends = spine_walk_ends(law, alpha, depth, 5, reps)
     monkeypatch.setattr(spine_mod, "_WALK_UNIFORMS", 100)  # several blocks of walks
-    blocks = spine_walk_ends(law, alpha, depth, partial(replicate_keys, 5), reps)
+    blocks = spine_walk_ends(law, alpha, depth, 5, reps)
     for r in range(reps):
         assert ends[r] == blocks[r] == sample_spine_walk(law, alpha, depth, CounterStream(5, r))[-1]
 
 
 def test_heavy_walks_stay_at_zero(heavy_law):
-    ends = spine_walk_ends(heavy_law, 0.0, 9, partial(replicate_keys, 2), 5)
+    ends = spine_walk_ends(heavy_law, 0.0, 9, 2, 5)
     assert not ends.any()
     assert not sample_spine_walk(heavy_law, 0.0, 9, replicate_rng(2, 0)).any()
