@@ -5,21 +5,25 @@ everything they produce, byte for byte.
 
 The battery covers every subcommand in JSON and in CSV, every ``mc``
 estimator with ``--values-out``, heavy-tail ``classify``, ``spine`` and
-``importance``, an ``importance`` run deep enough that its reference is a
+``importance``, ``classify`` of three heavy-tail laws at the corners of
+their domain, an ``importance`` run deep enough that its reference is a
 plain-law Monte Carlo, one node-cap refusal each for ``simulate`` and
 ``spine``, two validation refusals and two ``verify`` refusals (too many
 outcomes, an overflowing tilt).  Each command runs once per tree,
 in a new interpreter with ``PYTHONPATH`` set to the tree's ``src``, from a
-fresh working directory that holds a copy of this repository's ``models/``,
-so both sides read the same files under the same relative paths.  Each
-run's stdout, stderr, exit code and every file it wrote are compared.  The
-script prints one line per command and exits 1, naming the files that
-differ, if anything differs, and 0 otherwise.
+fresh working directory that holds a copy of this repository's ``models/``
+and, in ``corners/``, the corner laws, so both sides read the same files
+under the same relative paths.  The corner laws' ``classify`` prints
+``m``, the truncated mean that the lump at ``n_max`` enters, to the last
+digit.  Each run's stdout, stderr, exit code and every file it wrote are
+compared.  The script prints one line per command and exits 1, naming the
+files that differ, if anything differs, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -33,6 +37,9 @@ _PAIR = ["--model", "models/coin_pair.json"]
 _HEAVY = ["--model", "models/heavy_tail.json", "--alpha", "0"]
 _HEAVY_RUN = ["--depth", "2", "--max-nodes", str(10**8), "--seed", "1"]
 _SAMPLE = ["--alpha", "1", "--depth", "8", "--reps", "5", "--seed", "1"]
+# (a, n_max): a just above one at the largest n_max, a at its limit at the
+# smallest, and the first n_max whose truncated mean takes the tail series
+_CORNERS = {"near-one": (1.0001, 10**7), "steep": (1000.0, 4), "past-head": (2.5, 4098)}
 _MC = {
     "mean_w": ["--alpha", "1", "--depth", "8"],
     "spine_slope": ["--alpha", "1", "--depth", "8"],
@@ -54,6 +61,8 @@ BATTERY: dict[str, list[str]] = {
        for name, args in _MC.items() for fmt in ("json", "csv")},
     "heavy-classify": ["classify", *_HEAVY],
     "heavy-spine": ["spine", *_HEAVY, *_HEAVY_RUN, "--reps", "20"],
+    **{f"corner-{name}": ["classify", "--model", f"corners/{name}.json", "--alpha", "0"]
+       for name in _CORNERS},
     "heavy-importance": ["mc", "--estimator", "importance", *_HEAVY, *_HEAVY_RUN,
                          "--functional", "one", "--reps", "200"],
     "deep-importance": ["mc", "--estimator", "importance", "--model",
@@ -75,6 +84,10 @@ BATTERY: dict[str, list[str]] = {
 def run(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
     """Stdout, stderr, exit code and written files of one run in ``work``."""
     shutil.copytree(REPO / "models", work / "models")
+    (work / "corners").mkdir()
+    for name, (a, n_max) in _CORNERS.items():
+        law = {"type": "log_divergent", "a": a, "n_max": n_max}
+        (work / "corners" / f"{name}.json").write_text(json.dumps(law))
     # no bytecode is written, so the trees are left as they were
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-m", "brwlab.cli", *argv], cwd=work,
@@ -82,7 +95,7 @@ def run(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
     found = {"stdout": proc.stdout, "stderr": proc.stderr,
              "exit code": str(proc.returncode).encode()}
     for path in sorted(work.iterdir()):
-        if path.name != "models":
+        if path.name not in ("models", "corners"):
             found[path.name] = path.read_bytes()
     return found
 

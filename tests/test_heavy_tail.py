@@ -4,11 +4,13 @@ Its constants come from a short head plus Euler-Maclaurin tails, and its
 sampler keeps a head table and inverts uniforms past it through the
 tail series.  These tests hold both to the full-horizon reference in
 ``heavy_tail_reference`` (the computation they replaced), to mpmath, and
-to a memory bound, and check that importing brwlab loads none of mpmath,
-``numpy.random`` and ``dataclasses``.  The last tests check that ``W_n`` and the spine
+to a memory bound.  They check that importing brwlab loads none of mpmath,
+``numpy.random``, ``dataclasses`` and ``decimal``, and that heavy-tail
+commands load no mpmath.  The last tests check that ``W_n`` and the spine
 weight are normalised by the mean of the truncated law that is sampled.
 """
 
+import decimal
 import json
 import math
 import os
@@ -23,7 +25,8 @@ import pytest
 
 import heavy_tail_reference as ref
 from brwlab import offspring
-from brwlab import DomainError, GrowthCaps, LogDivergentLaw, NormalizationError, classify, load_law
+from brwlab import (DomainError, GrowthCaps, LogDivergentLaw, NoConvergenceError,
+                    NormalizationError, classify, load_law)
 from brwlab.cli import _dispatch
 from brwlab.mc import McConfig, mc_importance_identity, parse_functional
 from brwlab.offspring import (
@@ -45,14 +48,33 @@ def _within_ulps(x: float, y: float, ulps: int) -> bool:
     return x == y or abs(x - y) <= ulps * math.ulp(max(abs(x), abs(y)))
 
 
-def test_import_loads_neither_mpmath_nor_numpy_random():
-    # nor dataclasses: records are NamedTuples, which generate no code
-    code = ("import json, sys, brwlab, brwlab.cli; print(json.dumps("
-            "[m for m in ('mpmath', 'numpy.random', 'dataclasses') if m in sys.modules]))")
+def _run_child(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_loads_neither_mpmath_nor_numpy_random():
+    # nor dataclasses: records are NamedTuples, which generate no code;
+    # nor decimal, which only a heavy-tail law's constants import
+    code = ("import json, sys, brwlab, brwlab.cli; print(json.dumps([m for m in "
+            "('mpmath', 'numpy.random', 'dataclasses', 'decimal') if m in sys.modules]))")
+    assert json.loads(_run_child(code)) == []
+
+
+def test_heavy_tail_commands_load_no_mpmath():
+    # the tail integral is a decimal continued fraction: mpmath is for
+    # the tests' references only
+    heavy = ["--model", "models/heavy_tail.json", "--alpha", "0"]
+    runs = [["classify", *heavy],
+            ["spine", *heavy, "--depth", "1", "--reps", "5", "--seed", "1"],
+            ["mc", "--estimator", "importance", "--functional", "one", *heavy, "--depth", "1",
+             "--reps", "50", "--seed", "1"]]
+    code = ("import json, sys\nfrom brwlab.cli import _dispatch\n"
+            f"codes = [_dispatch(args) for args in {runs!r}]\n"
+            "print(json.dumps([codes, [m for m in ('decimal', 'mpmath') if m in sys.modules]]))")
+    assert json.loads(_run_child(code)) == [[0, 0, 0], ["decimal"]]
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +116,39 @@ def test_constants_at_n_max_limit_match_mpmath():
         assert _within_ulps(getattr(exact, name), value, 4), name
 
 
+# a from just above one to TAIL_EXPONENT_LIMIT, at a spacing that rounds
+# every value to a double with a long decimal expansion
+TAIL_INTEGRAL_EXPONENTS = (1.0 + np.geomspace(1e-7, 999.0, 24)).tolist()
+
+
+@pytest.mark.parametrize("M", [4, _HEAD + 1, _HEAD + 2, N_MAX_LIMIT])
+def test_tail_integral_is_the_30_digit_double(M, monkeypatch):
+    # Gamma(1 - a, log M) in _tail_sq is the very double 30-digit mpmath
+    # rounds to, so every constant stays bit for bit; the same continued
+    # fraction in floats misses it at most points, by up to 1,300 ulp
+    monkeypatch.setattr(offspring, "_em_tail", lambda p, b, M, integral: (integral, 0.0))
+    for a in TAIL_INTEGRAL_EXPONENTS:
+        with mp.workdps(30):
+            want = float(mp.gammainc(1 - a, mp.log(M)))
+        assert offspring._tail_sq(a, M)[0] == want, a
+
+
+@pytest.mark.parametrize("a, n_max", [(1.5, 10**6), (1.0001, N_MAX_LIMIT), (1000.0, 4)])
+def test_caller_decimal_context_changes_no_constant(a, n_max):
+    _log_family_exact.cache_clear()
+    want = _log_family_exact(a, n_max)
+    _log_family_exact.cache_clear()
+    try:
+        with decimal.localcontext():
+            decimal.getcontext().prec = 6
+            decimal.getcontext().traps[decimal.Inexact] = True
+            got = _log_family_exact(a, n_max)
+    finally:
+        _log_family_exact.cache_clear()
+    for name in CONSTANTS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
 @pytest.mark.parametrize("a", [1.0001, 1.5, 2.0, 3.0, 50.0, 1000.0])
 def test_tail_error_bound_within_series_tol(a):
     for n_max in (4, 1000, 10**6, N_MAX_LIMIT):
@@ -123,6 +178,16 @@ def test_gamma_continued_fraction_matches_mpmath():
                 X = mp.mpf(xi)
                 want = mp.gammainc(1 - a, X) * mp.exp(X) * X ** (a - 1)
                 assert abs(g - want) <= 1e-13 * want, (a, xi)
+
+
+def test_continued_fraction_past_its_cap_raises():
+    # a tolerance no step meets runs the loop to its cap, in floats and on
+    # the decimals of _tail_sq
+    with pytest.raises(NoConvergenceError):
+        _gamma_ratio(-0.5, np.array([2.0, 3.0]), tol=0.0)
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=40)), pytest.raises(NoConvergenceError):
+        _gamma_ratio(D(-0.5), D(2), D(0), D("Infinity"))
 
 
 def test_log_tail_matches_mpmath():
@@ -174,7 +239,7 @@ SETUP_PEAK_BYTES = 2_000_000
 
 
 def test_setup_allocates_nothing_n_max_sized():
-    _log_family_exact(1.75, 5000)  # loads mpmath outside the measurement
+    _log_family_exact(1.75, 5000)  # imports decimal outside the measurement
     for cached in (_log_family_exact, _heavy_sampler, _spine_tables):
         cached.cache_clear()
     law = LogDivergentLaw(1.5, N_MAX_LIMIT)
