@@ -9,13 +9,18 @@ estimator with ``--values-out``, heavy-tail ``classify``, ``spine`` and
 their domain, an ``importance`` run deep enough that its reference is a
 plain-law Monte Carlo, one node-cap refusal each for ``simulate`` and
 ``spine``, two validation refusals and two ``verify`` refusals (too many
-outcomes, an overflowing tilt).  Each command runs once per tree,
-in a new interpreter with ``PYTHONPATH`` set to the tree's ``src``, from a
-fresh working directory that holds a copy of this repository's ``models/``
-and, in ``corners/``, the corner laws, so both sides read the same files
-under the same relative paths.  The corner laws' ``classify`` prints
-``m``, the truncated mean that the lump at ``n_max`` enters, to the last
-digit.  Each run's stdout, stderr, exit code and every file it wrote are
+outcomes, an overflowing tilt), and the four commands of the benchmark's
+mc_plain workload at its sizes, large enough that batches split and
+generations draw their uniforms in several chunks.  Each command runs
+once per tree, in a new interpreter with ``PYTHONPATH`` set to the tree's
+``src``, from a fresh working directory that holds a copy of this
+repository's ``models/`` and, in ``corners/``, the corner laws, so both
+sides read the same files under the same relative paths.  The corner
+laws' ``classify`` prints ``m``, the truncated mean that the lump at
+``n_max`` enters, to the last digit, and one more child prints
+``float.hex`` of every heavy-tail constant of the corner laws and of
+``models/heavy_tail.json``, which no command prints to the last bit.
+Each run's stdout, stderr, exit code and every file it wrote are
 compared.  The script prints one line per command and exits 1, naming the
 files that differ, if anything differs, and 0 otherwise.
 """
@@ -48,6 +53,15 @@ _MC = {
     "importance": ["--alpha", "1", "--depth", "4", "--functional", "min_z:2"],
 }
 
+# mc_plain's commands at the benchmark's sizes (perfbench/workloads.py)
+_BENCH_PLAIN = {
+    "mean_w": [*_PAIR, "--estimator", "mean_w", "--alpha", "1", "--depth", "12",
+               "--reps", "2000"],
+    "extinction": [*_PAIR, "--estimator", "extinction", "--depth", "30", "--reps", "5000"],
+    "scan": ["--model", "models/quad_or_twin.json", "--estimator", "triviality_scan",
+             "--alpha", "5", "--depth-grid", "2,7,12", "--reps", "16", "--max-nodes", "8000000"],
+}
+
 BATTERY: dict[str, list[str]] = {
     **{f"classify-{fmt}": ["classify", *_PAIR, "--alpha", "0:3:4", "--format", fmt,
                            "--out", "out"] for fmt in ("json", "csv")},
@@ -78,11 +92,32 @@ BATTERY: dict[str, list[str]] = {
     "simulate-no-seed": ["simulate", *_PAIR, "--alpha", "1", "--depth", "3", "--reps", "2"],
     "mc-bad-estimator": ["mc", *_PAIR, "--estimator", "bogus", "--alpha", "1", "--depth", "2",
                          "--reps", "10", "--seed", "1"],
+    **{f"bench-{name}": ["mc", *args, "--seed", "701", "--out", "out", "--values-out", "values"]
+       for name, args in _BENCH_PLAIN.items()},
+    "bench-simulate": ["simulate", *_PAIR, "--alpha", "1", "--depth", "10", "--reps", "500",
+                       "--seed", "701", "--out", "out"],
+}
+
+# prints float.hex of every field of the heavy-tail constants of the laws
+# named on its command line
+CONSTANTS = """
+import json, sys
+from brwlab.offspring import _log_family_exact
+for path in sys.argv[1:]:
+    law = json.load(open(path))
+    exact = _log_family_exact(float(law["a"]), int(law["n_max"]))
+    print(path, *(f"{name}={float(v).hex()}" for name, v in zip(exact._fields, exact)))
+"""
+# the child runs as ``python <args>``, the battery as ``python -m brwlab.cli <args>``
+CHILDREN: dict[str, list[str]] = {
+    "heavy-constants": ["-c", CONSTANTS, "models/heavy_tail.json",
+                        *(f"corners/{name}.json" for name in _CORNERS)],
 }
 
 
 def run(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
-    """Stdout, stderr, exit code and written files of one run in ``work``."""
+    """Stdout, stderr, exit code and written files of ``python <argv>`` in
+    ``work``."""
     shutil.copytree(REPO / "models", work / "models")
     (work / "corners").mkdir()
     for name, (a, n_max) in _CORNERS.items():
@@ -90,7 +125,7 @@ def run(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
         (work / "corners" / f"{name}.json").write_text(json.dumps(law))
     # no bytecode is written, so the trees are left as they were
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-m", "brwlab.cli", *argv], cwd=work,
+    proc = subprocess.run([sys.executable, *argv], cwd=work,
                           capture_output=True, env=env)
     found = {"stdout": proc.stdout, "stderr": proc.stderr,
              "exit code": str(proc.returncode).encode()}
@@ -106,9 +141,11 @@ def main() -> None:
     parser.add_argument("--b", type=Path, required=True, help="source tree of side B")
     args = parser.parse_args()
     trees = {"a": args.a.resolve(), "b": args.b.resolve()}
+    runs = {**{label: ["-m", "brwlab.cli", *argv] for label, argv in BATTERY.items()},
+            **CHILDREN}
     differ, compared = [], 0
     with tempfile.TemporaryDirectory() as tmp:
-        for label, argv in BATTERY.items():
+        for label, argv in runs.items():
             found = {}
             for side, tree in trees.items():
                 work = Path(tmp, side, label)
@@ -121,7 +158,7 @@ def main() -> None:
             code = found["a"]["exit code"].decode()
             print(f"{label}: exit {code}, {len(names)} outputs, "
                   f"{'DIFFER ' + ', '.join(bad) if bad else 'identical'}")
-    print(f"{len(BATTERY)} commands, {compared} outputs compared, {len(differ)} differ")
+    print(f"{len(runs)} commands, {compared} outputs compared, {len(differ)} differ")
     if differ:
         print("\n".join(differ))
         sys.exit(1)

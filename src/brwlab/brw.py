@@ -28,12 +28,13 @@ at one position are exchangeable, so one draw of atom counts per
 occupied position gives the law of the tree's positions (Athreya and
 Ney 1972; Biggins 1977).  While ``Z_n`` is small a replicate draws
 ``Z_n`` uniforms, one per particle, as ``grow_tree`` does, and the
-blocks of a whole batch come from one ``rng.counter_uniforms`` call;
-past ``_MULTINOMIAL_ABOVE`` it draws one ``multinomial`` over the atoms
-per occupied position, a chain of counter-stream binomials on
-sub-blocks of its block (``rng.counter_multinomials``), so its cost
-follows the occupied positions, not the particles, and the rows of a
-whole batch are drawn together.  No count may pass ``2^62``.
+blocks of consecutive replicates come from one ``rng.counter_uniforms``
+call per chunk (see below); past ``_MULTINOMIAL_ABOVE`` it draws one
+``multinomial`` over the atoms per occupied position, a chain of
+counter-stream binomials on sub-blocks of its block
+(``rng.counter_multinomials``), so its cost follows the occupied
+positions, not the particles, and the rows of a whole batch are drawn
+together.  No count may pass ``2^62``.
 
 Spined replicates grow on the same engine, given the ``spine_brood``
 hook that ``spine`` supplies.  Each keeps the position of its spine
@@ -41,18 +42,22 @@ particle, which is counted in the row at that position, its home row.
 Under the size-biased law only the spine's brood is size-biased (Lyons,
 Pemantle and Peres 1995), so each generation the hook's brood stands in
 for the plain brood of one particle of the home row, and the ray moves
-to the chosen child.  The hook runs once per batch and generation, on
-the last two uniforms of every replicate's block.  The replicates equal
+to the chosen child.  The hook runs once per chunk, on the last two
+uniforms of each of its replicates' blocks.  The replicates equal
 ``grow_spined_tree`` in law, not bit for bit.
 
 Uniforms become broods in one place, ``_atoms``, for trees and batches
 alike, and spine broods in one place, the hook.
 
-A batch whose next generation passes ``_BATCH_PARTICLES`` uniforms plus
-frontier rows splits in two; beyond that size one replicate's arrays
-amortise numpy's per-call cost on their own.  Peak memory is therefore a
-few such budgets plus one replicate's frontier, less than its grown tree
-would hold.
+A batch whose frontier holds more than ``_BATCH_PARTICLES`` rows splits
+in two.  A generation draws its uniforms in chunks of consecutive
+replicates, each of at most ``_BATCH_PARTICLES`` uniforms unless one
+replicate's block passes it alone, and reduces each chunk at once to the
+children of its rows, so the batch's arrays are sized by its rows and
+only a chunk holds one entry per particle.  Beyond that size one
+replicate's arrays amortise numpy's per-call cost on their own.  Peak
+memory is therefore a few such budgets plus one replicate's frontier or
+block, less than its grown tree would hold.
 
 The additive martingale along a grown tree is
 
@@ -365,13 +370,14 @@ def martingale_trajectory(
 # batched growth
 # ---------------------------------------------------------------------------
 
-# A batch whose next generation would draw more than _BATCH_PARTICLES
-# uniforms, or hold more frontier rows, splits in two; past that size one
-# replicate's arrays already amortise numpy's per-call cost.  A run
-# starts batches of at most _BATCH_REPLICATES roots, which keeps the
-# replicate index of a batch's rows below 2^15, as the int16 radix sort
-# in _grow_occupied needs.
-_BATCH_PARTICLES = 1 << 16
+# A batch whose frontier holds more than _BATCH_PARTICLES rows splits in
+# two, and a generation draws its uniforms in chunks of consecutive
+# replicates of at most _BATCH_PARTICLES each (one replicate past it is a
+# chunk of its own); past that size one replicate's arrays already
+# amortise numpy's per-call cost.  A run starts batches of at most
+# _BATCH_REPLICATES roots, which keeps the replicate index of a batch's
+# rows below 2^15, as the int16 radix sort in _grow_occupied needs.
+_BATCH_PARTICLES = 1 << 15
 _BATCH_REPLICATES = 4096
 
 # An occupation replicate-generation draws its broods with one multinomial
@@ -383,6 +389,21 @@ _MULTINOMIAL_CELL = 4
 
 # no particle count, Z_n or node total may pass 2^62 (int64 holds 2^63 - 1)
 _COUNT_LIMIT = 1 << 62
+
+
+def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Runs ``lo:hi`` of consecutive entries of ``lengths`` that cover every
+    positive entry, each starting at a positive entry and summing to at
+    most ``_BATCH_PARTICLES`` unless it is one entry; greedy, so a run
+    takes as many entries as fit."""
+    ends = np.cumsum(lengths)
+    spans, done = [], 0
+    while ends.size and done < ends[-1]:
+        lo = int(np.searchsorted(ends, done, side="right"))
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _BATCH_PARTICLES, side="right")))
+        spans.append((lo, hi))
+        done = int(ends[hi - 1])
+    return spans
 
 
 class BatchGrowth(NamedTuple):
@@ -553,9 +574,10 @@ def _grow_occupied(
     be validated.
 
     Batches of at most ``_BATCH_REPLICATES`` roots grow depth first;
-    their keys are derived once per root batch, and a batch whose next
-    generation passes ``_BATCH_PARTICLES`` uniforms or rows splits in two
-    first."""
+    their keys are derived once per root batch, and a batch whose frontier
+    holds more than ``_BATCH_PARTICLES`` rows splits in two first: the
+    budget bounds a generation's arrays through its rows, save the
+    uniforms, which come in ``_chunks`` of at most the budget."""
     capped_at = np.full(replicates, -1, dtype=np.int64)
     stops: dict[int, tuple[int, int, float]] = {}
     heavy = isinstance(law, LogDivergentLaw)
@@ -593,46 +615,54 @@ def _grow_occupied(
             if b.ids.size == 0:
                 return b
         first = np.cumsum(b.rows) - b.rows
+        edge = np.append(first, b.pos.size)  # replicates lo..hi own rows edge[lo]:edge[hi]
         multi = multinomial(b)
         keys = block_keys(b.keys, g)
         drawn = np.repeat(~multi, b.rows)  # rows whose particles draw uniforms
         others = b.count  # per row, the particles a multinomial draws for
-        # one counter call draws the batch's blocks: Z_n uniforms for each
-        # replicate on the uniform path, none on the multinomial path, and
-        # two more for each spine
+        # a replicate's block: Z_n uniforms on the uniform path, none on the
+        # multinomial path, and two more for a spine
         lengths = np.where(multi, 0, b.z)
         if spined:
             lengths += 2
-        u = counter_uniforms(keys, lengths)
-        if spined:
             # home[i]: the one row of replicate i at its spine's position
             home = np.flatnonzero(b.pos == np.repeat(b.spine, b.rows))
             others = b.count.copy()
             others[home] -= 1
-            end = np.cumsum(lengths)
-            atom, slot = spine_brood(u[end - 2], u[end - 1])
-            plain = np.ones(u.size, dtype=bool)
-            plain[end - 2] = plain[end - 1] = False
-            u = u[plain]
+            atom = np.zeros(b.ids.size, dtype=np.int64)
+            slot = np.zeros(b.ids.size, dtype=np.int64)
         # kids[row, d]: children at position pos[row] + disp[d]; with one
         # displacement a replicate has one row, and its Z_{n+1} says it all
-        totals = np.zeros(b.ids.size, dtype=np.int64)
-        kids = None if disp.size == 1 else np.zeros((b.pos.size, disp.size), dtype=np.int64)
-        if u.size:
-            count = b.count[drawn]
+        kids = np.zeros((b.pos.size, disp.size), dtype=np.int64)
+        for lo, hi in _chunks(lengths):
+            # one counter call per chunk of consecutive replicates, reduced
+            # at once to the children of its rows
+            u = counter_uniforms(keys[lo:hi], lengths[lo:hi])
+            if spined:
+                end = np.cumsum(lengths[lo:hi])
+                atom[lo:hi], slot[lo:hi] = spine_brood(u[end - 2], u[end - 1])
+                plain = np.ones(u.size, dtype=bool)
+                plain[end - 2] = plain[end - 1] = False
+                u = u[plain]
+            if u.size == 0:
+                continue
+            rows = slice(edge[lo], edge[hi])
+            mine = drawn[rows]
+            count = b.count[rows][mine]
             start = np.cumsum(count) - count
             ai = _atoms(law, u)
             if spined:
                 # the spine is the first particle of its home row: its
                 # size-biased atom overrides the plain one
-                ai[start[(np.cumsum(drawn) - 1)[home[~multi]]]] = atom[~multi]
-            if kids is None:
-                totals[~multi] = np.add.reduceat(_brood_sizes(law, ai), start)
+                own = ~multi[lo:hi]
+                ai[start[(np.cumsum(mine) - 1)[home[lo:hi][own] - edge[lo]]]] = atom[lo:hi][own]
+            if disp.size == 1:
+                kids[rows][mine, 0] = np.add.reduceat(_brood_sizes(law, ai), start)
             else:
                 cell = np.repeat(np.arange(0, count.size * atoms, atoms), count) + ai
                 per_atom = np.bincount(cell, minlength=count.size * atoms)
-                kids[drawn] = per_atom.reshape(-1, atoms) @ mult
-                totals = np.add.reduceat(kids.sum(axis=1), first)
+                kids[rows][mine] = per_atom.reshape(-1, atoms) @ mult
+        totals = np.add.reduceat(kids.sum(axis=1), first)
         room = limit - b.nodes
         over = totals > room
         many = np.flatnonzero(multi)
@@ -649,7 +679,7 @@ def _grow_occupied(
             fits = np.array([z <= r for z, r in zip(total, room[many].tolist())])
             over[many] = ~fits
             totals[many[fits]] = [z for z, f in zip(total, fits.tolist()) if f]
-            if kids is not None:
+            if disp.size > 1:
                 kept = np.repeat(fits, n_rows)
                 kids[np.flatnonzero(np.repeat(multi, b.rows))[kept]] = draws[kept] @ mult
                 if spined:
@@ -662,11 +692,10 @@ def _grow_occupied(
                     "counts that large are not represented, lower the depth"
                 )
             capped_at[b.ids[over]] = g + 1
-            if kids is not None:
-                kids[np.repeat(over, b.rows)] = 0
+            kids[np.repeat(over, b.rows)] = 0
         live = (totals > 0) & ~over
         z = totals[live]
-        if kids is None:
+        if disp.size == 1:
             rows, pos, count = np.ones(z.size, dtype=np.int64), b.pos[live] + disp[0], z
         else:
             owner = np.repeat(np.arange(b.ids.size), b.rows * disp.size)
@@ -705,8 +734,7 @@ def _grow_occupied(
             g, b = pending.pop()
             if g == depth or b.ids.size == 0:
                 continue
-            load = int(np.where(multinomial(b), b.rows, b.z).sum())
-            if b.ids.size > 1 and load > _BATCH_PARTICLES:
+            if b.ids.size > 1 and b.pos.size > _BATCH_PARTICLES:
                 first, second = b.halves()
                 pending += [(g, second), (g, first)]
             else:

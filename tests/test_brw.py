@@ -3,6 +3,7 @@ trajectories."""
 
 import itertools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -296,6 +297,60 @@ def test_stop_threshold_stays_below_the_multinomial_budget():
     # the budget they draw the uniforms grow_tree draws, so their values
     # stay those of the tree engine
     assert brw_mod._MULTINOMIAL_ABOVE >= mc_mod._ANALYTIC_SWITCH
+
+
+@pytest.mark.parametrize("case", ["stop", "positions"])
+def test_counter_calls_and_batches_keep_to_the_budget(case, pair_law, monkeypatch):
+    # the budget bounds memory twice over: no counter call draws more
+    # uniforms than it, and no batch that grows a generation holds more
+    # frontier rows than it, unless one replicate does alone
+    budget = 2**10
+    monkeypatch.setattr(brw_mod, "_BATCH_PARTICLES", budget)
+    calls, batches = [], []
+    uniforms, keys_of_block = brw_mod.counter_uniforms, brw_mod.block_keys
+
+    def counted(keys, lengths):
+        lengths = np.asarray(lengths)
+        calls.append((int(lengths.sum()), int(np.count_nonzero(lengths))))
+        return uniforms(keys, lengths)
+
+    def seen(keys, g):
+        # block_keys is called at the top of each generation, where the
+        # batch being grown is the caller's local ``b``
+        b = sys._getframe(1).f_locals["b"]
+        batches.append((b.pos.size, b.ids.size))
+        return keys_of_block(keys, g)
+
+    monkeypatch.setattr(brw_mod, "counter_uniforms", counted)
+    monkeypatch.setattr(brw_mod, "block_keys", seen)
+    if case == "stop":
+        grown = grow_occupation(pair_law, 30, CAPS, 5, 600, stop_above=256)
+        assert grown.stops
+    else:
+        grown = grow_occupation(pair_law, 14, CAPS, 5, 600, alpha=1.0)
+        assert (grown.population[:, -1] > brw_mod._MULTINOMIAL_ABOVE).any()
+    assert max(total for total, _ in calls) > budget // 2
+    assert all(total <= budget or blocks == 1 for total, blocks in calls)
+    assert max(rows for rows, _ in batches) > budget // 2
+    assert all(rows <= budget or reps == 1 for rows, reps in batches)
+
+
+def test_results_do_not_depend_on_the_budget(pair_law, monkeypatch):
+    # the budget decides how a generation is cut into batches and counter
+    # calls, and a replicate's numbers never depend on either
+    cfg = mc_mod.McConfig(replicates=300, depth=30, master_seed=17)
+    found = []
+    for budget in (1, 64, brw_mod._BATCH_PARTICLES):
+        with monkeypatch.context() as patch:
+            patch.setattr(brw_mod, "_BATCH_PARTICLES", budget)
+            extinct = mc_mod.mc_extinction(pair_law, cfg, keep_values=True).values.tolist()
+            stopped = [grow_occupation(pair_law, 12, CAPS, 8, 40, stop_above=5)]
+            patch.setattr(brw_mod, "_BATCH_REPLICATES", 7)
+            stopped.append(grow_occupation(pair_law, 12, CAPS, 8, 40, stop_above=5))
+        assert all(g.stops for g in stopped)
+        found.append((extinct, [(g.stops, g.population.tolist(), g.capped_at.tolist())
+                                for g in stopped]))
+    assert found[0] == found[1] == found[2]
 
 
 # ---------------------------------------------------------------------------
