@@ -13,11 +13,8 @@ from .brw import (
     GrowthCaps,
     LabelledTree,
     MartingaleTrajectory,
-    NodeRecord,
-    generation_sizes,
     grow_occupation,
     grow_tree,
-    log_sum_exp,
     martingale_trajectory,
 )
 from .errors import (
@@ -25,7 +22,6 @@ from .errors import (
     DomainError,
     EmptyLawError,
     ExcessiveDiscardError,
-    LevelOutOfRangeError,
     MassOverflowError,
     NoConvergenceError,
     NormalizationError,
@@ -41,8 +37,6 @@ from .mc import (
     McConfig,
     McSummary,
     TrivialityReport,
-    functional_on_outcome,
-    functional_on_tree,
     mc_extinction,
     mc_importance_identity,
     mc_mean_w,
@@ -65,7 +59,6 @@ from .offspring import (
     llogl_moment,
     load_law,
     pgf_eval,
-    sample_realization,
     size_biased_law,
     spine_step_law,
     stable_sum,
@@ -84,15 +77,8 @@ from .oracle import (
     check_unit_mean,
     count_outcomes,
     count_spined_outcomes,
-    enumerate_spined_trees,
     enumerate_trees,
-    generation_positions,
-    iter_rays,
-    outcome_probability,
-    ray_positions,
-    restrict,
     run_verify,
-    w_value,
 )
 from .rng import (
     block_keys,
@@ -106,9 +92,6 @@ from .spine import (
     SpinedTree,
     grow_spined_batch,
     grow_spined_tree,
-    rn_log_weight,
-    sample_spine_walk,
-    spine_positions,
     spine_walk_ends,
 )
 

@@ -91,16 +91,6 @@ class GrowthCaps(NamedTuple):
     max_depth: int = 100_000
 
 
-class NodeRecord(NamedTuple):
-    """One particle: parent id (None for the root), displacement from the
-    parent (None for the root), absolute position, and generation."""
-
-    parent: int | None
-    displacement: float | None
-    position: float
-    generation: int
-
-
 class LabelledTree:
     """Arena of particles grown to ``depth_grown`` generations.
 
@@ -130,20 +120,6 @@ class LabelledTree:
 
     def __len__(self) -> int:
         return len(self.parent)
-
-    def node(self, i: int) -> NodeRecord:
-        p = int(self.parent[i])
-        return NodeRecord(
-            parent=None if p < 0 else p,
-            displacement=None if p < 0 else float(self.displacement[i]),
-            position=float(self.position[i]),
-            generation=int(self.generation[i]),
-        )
-
-
-def generation_sizes(tree: LabelledTree) -> list[int]:
-    """Population per generation, zeros after extinction."""
-    return [int(idx.size) for idx in tree.generation_index]
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +301,16 @@ def grow_tree(
 
 
 def _segment_log_sum_exp(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``log_sum_exp`` of each consecutive run of ``values``; the runs have
-    the given sizes, all positive.  A run's result depends on its own
-    values only, so trees and batches of trees agree bit for bit."""
+    """``log(sum(exp(values)))``, with max subtraction, of each consecutive
+    run of ``values``; the runs have the given sizes, all positive.  A
+    run's result depends on its own values only, so trees and batches of
+    trees agree bit for bit."""
     starts = np.cumsum(sizes) - sizes
     peak = np.maximum.reduceat(values, starts)
     with np.errstate(invalid="ignore"):
         total = np.add.reduceat(np.exp(values - np.repeat(peak, sizes)), starts)
         out = peak + np.log(total)
     return np.where(peak == _NEG_INF, _NEG_INF, out)
-
-
-def log_sum_exp(values: np.ndarray) -> float:
-    """log(sum(exp(values))) with max subtraction; -inf on empty input."""
-    if values.size == 0:
-        return _NEG_INF
-    return float(_segment_log_sum_exp(values, np.array([values.size]))[0])
 
 
 class MartingaleTrajectory(NamedTuple):
@@ -356,7 +326,7 @@ def martingale_trajectory(
     tree: LabelledTree, alpha: float, log_m: float
 ) -> MartingaleTrajectory:
     """``log W_n`` for every grown generation; ``-inf`` where extinct."""
-    population = np.array(generation_sizes(tree), dtype=np.int64)
+    population = np.array([idx.size for idx in tree.generation_index], dtype=np.int64)
     log_w = np.full(population.size, _NEG_INF)
     alive = np.flatnonzero(population)
     if alive.size:
@@ -686,9 +656,10 @@ def _grow_occupied(
                     kids[home[many[fits]]] += mult[atom[many[fits]]]
         if over.any():
             if caps.max_nodes > _COUNT_LIMIT:
-                r = int(b.ids[np.argmax(over)])
+                # which replicate passes first depends on the batch order,
+                # so the message names none
                 raise ResourceError(
-                    f"replicate {r} would pass 2^62 tree nodes growing generation {g + 1}; "
+                    "a replicate would pass 2^62 tree nodes; "
                     "counts that large are not represented, lower the depth"
                 )
             capped_at[b.ids[over]] = g + 1

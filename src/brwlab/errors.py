@@ -94,7 +94,3 @@ class MassOverflowError(BrwError):
 
 class ZeroMassError(BrwError):
     """The tilted mass vanished, so size-biasing is undefined."""
-
-
-class LevelOutOfRangeError(BrwError):
-    """A per-level query addressed a generation that was never grown."""

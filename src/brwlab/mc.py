@@ -57,7 +57,6 @@ import numpy as np
 # stay bound: perfbench/tracing.py patches them in this module
 from .brw import (  # noqa: F401
     GrowthCaps,
-    LabelledTree,
     _check_growth,
     grow_occupation,
     grow_tree,
@@ -82,7 +81,6 @@ from .oracle import (  # noqa: F401
     _Enumeration,
     count_outcomes,
     enumerate_trees,
-    generation_positions,
 )
 # replicate_rng is unused here but stays bound: perfbench/tracing.py
 # patches it in this module
@@ -428,47 +426,6 @@ def parse_functional(text: str) -> Functional:
     )
 
 
-def _functional_value(fn: Functional, z: int, max_position: float | None) -> float:
-    if fn.kind == "one":
-        return 1.0
-    if fn.kind == "indicator_z":
-        return 1.0 if z == int(fn.param) else 0.0
-    if fn.kind == "min_z":
-        return float(min(z, int(fn.param)))
-    # exp_neg_max: an extinct generation has no maximum; use 0 (the
-    # functional's infimum) so the statistic stays bounded and defined
-    if max_position is None:
-        return 0.0
-    return _exp_neg_max(fn, [max_position])[0]
-
-
-def _exp_neg_max(fn: Functional, top) -> list[float]:
-    """``exp(-B * x)`` of each largest position ``x`` in ``top``, with
-    ``math.exp``.  Where it overflows the statistic has no float value,
-    and the run is refused."""
-    with np.errstate(invalid="ignore"):
-        args = (-fn.param * np.asarray(top, dtype=np.float64)).tolist()
-    try:
-        return list(map(math.exp, args))
-    except OverflowError:
-        raise MassOverflowError(
-            f"functional {fn.name}: exp(-B * max position) overflows a float"
-        ) from None
-
-
-def functional_on_tree(fn: Functional, tree: LabelledTree) -> float:
-    idx = tree.generation_index[tree.depth_grown]
-    z = int(idx.size)
-    max_pos = float(np.max(tree.position[idx])) if z else None
-    return _functional_value(fn, z, max_pos)
-
-
-def functional_on_outcome(fn: Functional, law: FiniteLaw, t, depth: int) -> float:
-    positions = generation_positions(law, t, depth)
-    max_pos = max(positions) if positions else None
-    return _functional_value(fn, len(positions), max_pos)
-
-
 def _exps(x: np.ndarray) -> np.ndarray:
     """``_safe_exp`` of each entry.  ``math.exp``, not ``np.exp``, which
     differs from it in the last bit on about 5% of inputs: every artifact
@@ -480,10 +437,20 @@ def _exps(x: np.ndarray) -> np.ndarray:
 
 
 def _functional_values(fn: Functional, z: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """``F`` at each ``(Z_n, largest position)`` pair, as ``_functional_value``
-    gives it (``math.exp`` included), but 0 wherever ``Z_n = 0``."""
+    """``F`` at each ``(Z_n, largest position)`` pair, 0 wherever ``Z_n =
+    0``: ``1``, ``1{Z_n = K}``, ``min(Z_n, K)`` or ``exp(-B * max)``, the
+    last with ``math.exp``.  Where that overflows the statistic has no
+    float value, and the run is refused."""
     if fn.kind == "exp_neg_max":
-        return np.where(z > 0, np.array(_exp_neg_max(fn, top)), 0.0)
+        with np.errstate(invalid="ignore"):
+            args = (-fn.param * np.asarray(top, dtype=np.float64)).tolist()
+        try:
+            values = list(map(math.exp, args))
+        except OverflowError:
+            raise MassOverflowError(
+                f"functional {fn.name}: exp(-B * max position) overflows a float"
+            ) from None
+        return np.where(z > 0, np.array(values), 0.0)
     k = int(fn.param)
     if fn.kind == "one":
         f = z > 0

@@ -536,29 +536,6 @@ def load_law(path: str) -> Law:
 
 
 # ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def sample_realization(law: Law, rng: np.random.Generator) -> np.ndarray:
-    """Draw one reproduction event; consumes exactly one uniform.
-
-    Returns the displacement array of the brood (possibly empty).  Finite
-    laws invert the cumulative atom probabilities.  The heavy-tail family
-    inverts its truncated count law, the mass past ``n_max`` lumped into
-    ``n_max``: a table for brood sizes up to 4096, and past it the
-    Euler-Maclaurin tail series, solved for the brood size; it returns
-    that many zeros.
-    """
-    u = rng.random()
-    if isinstance(law, FiniteLaw):
-        t = law._tables
-        i = min(int(np.searchsorted(t.cum_p, u, side="right")), len(law.atoms) - 1)
-        return np.array(law.atoms[i].displacements, dtype=np.float64)
-    return np.zeros(int(law._atoms(np.array([u]))[0]) + 2)
-
-
-# ---------------------------------------------------------------------------
 # generating function and extinction
 # ---------------------------------------------------------------------------
 

@@ -5,10 +5,10 @@ Outcomes are canonical nested tuples.  A depth-``n`` outcome is ``None``
 when ``n == 0`` (the node's brood is past the horizon) and otherwise
 ``(atom_index, children)`` with one depth-``(n-1)`` outcome per child,
 children kept in birth order.  Distinguishable ordered children mean no
-quotient by tree isomorphism is taken.  A ray is a tuple of child slots
-of length ``depth``; extinct outcomes have no rays.  The public
-enumerators (``enumerate_trees``, ``enumerate_spined_trees``,
-``iter_rays``, ``w_value``, ...) walk these tuples one at a time.
+quotient by tree isomorphism is taken.  A ray is a line of descent
+from the root to generation ``depth``, one child slot per generation;
+extinct outcomes have no rays.  Only ``enumerate_trees`` builds these
+tuples, one at a time.
 
 The six identity checks never build a tuple.  Level ``k`` holds the
 depth-``k`` outcomes as classes in ``enumerate_trees`` order: atom index
@@ -73,7 +73,6 @@ MASS_TOL = 1e-12
 _PAIR_BLOCK = 1 << 16
 
 Outcome = object  # None | tuple[int, tuple[Outcome, ...]]
-Ray = tuple  # tuple[int, ...], one child slot per generation
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +156,6 @@ def enumerate_trees(
     yield from level if depth == 0 else _next_outcomes(law, level)
 
 
-def iter_rays(t: Outcome) -> Iterator[Ray]:
-    """Root-to-horizon slot paths; extinct outcomes yield nothing."""
-    if t is None:
-        yield ()
-        return
-    _, children = t
-    for j, child in enumerate(children):
-        for rest in iter_rays(child):
-            yield (j,) + rest
-
-
 class _TiltTables(NamedTuple):
     """The two factors a spined brood contributes, per atom and slot, as logs."""
 
@@ -186,95 +174,6 @@ def _tilt_tables(law: FiniteLaw, alpha: float) -> _TiltTables:
         log_biased.append(math.log(atom.probability) + log_theta - log_m)
         log_pick.append(tuple(w - log_theta for w in log_w))
     return _TiltTables(tuple(log_biased), tuple(log_pick))
-
-
-def outcome_probability(law: FiniteLaw, t: Outcome) -> float:
-    """Plain-law probability of one outcome."""
-    if t is None:
-        return 1.0
-    a, children = t
-    p = law.atoms[a].probability
-    for child in children:
-        p *= outcome_probability(law, child)
-    return p
-
-
-def _spined_probability(
-    law: FiniteLaw, tables: _TiltTables, t: Outcome, ray: Ray
-) -> float:
-    if t is None:
-        return 1.0
-    a, children = t
-    slot = ray[0]
-    p = math.exp(tables.log_biased[a] + tables.log_pick[a][slot])
-    for j, child in enumerate(children):
-        if j == slot:
-            p *= _spined_probability(law, tables, child, ray[1:])
-        else:
-            p *= outcome_probability(law, child)
-    return p
-
-
-def enumerate_spined_trees(
-    law: FiniteLaw, alpha: float, depth: int, cap: int = ENUM_CAP
-) -> Iterator[tuple[Outcome, Ray, float]]:
-    """Every (outcome, ray) pair with its size-biased probability."""
-    law = _require_finite(law)
-    _require_depth(depth)
-    _preflight(count_spined_outcomes(law, depth), cap)
-    tables = _tilt_tables(law, float(alpha))
-    for t, _ in enumerate_trees(law, depth, cap):
-        for ray in iter_rays(t):
-            yield t, ray, _spined_probability(law, tables, t, ray)
-
-
-# ---------------------------------------------------------------------------
-# outcome walkers
-# ---------------------------------------------------------------------------
-
-
-def generation_positions(law: FiniteLaw, t: Outcome, n: int) -> list[float]:
-    """Positions of generation-``n`` nodes in birth order."""
-    out: list[float] = []
-
-    def walk(node: Outcome, level: int, pos: float) -> None:
-        if level == n:
-            out.append(pos)
-            return
-        if node is None:
-            return
-        a, children = node
-        disp = law.atoms[a].displacements
-        for j, child in enumerate(children):
-            walk(child, level + 1, pos + disp[j])
-
-    walk(t, 0, 0.0)
-    return out
-
-
-def w_value(law: FiniteLaw, t: Outcome, alpha: float, n: int, m: float) -> float:
-    """Additive martingale value ``W_n`` of one outcome; 0 when extinct."""
-    positions = generation_positions(law, t, n)
-    return math.fsum(math.exp(-alpha * s) for s in positions) / m**n
-
-
-def restrict(t: Outcome, n: int) -> Outcome:
-    """Depth-``n`` restriction: drop everything below generation ``n``."""
-    if n == 0 or t is None:
-        return None
-    a, children = t
-    return (a, tuple(restrict(child, n - 1) for child in children))
-
-
-def ray_positions(law: FiniteLaw, t: Outcome, ray: Ray) -> list[float]:
-    """Positions ``S(xi_0), ..., S(xi_len(ray))`` along one ray."""
-    out = [0.0]
-    node = t
-    for slot in ray:
-        a, children = node
-        out.append(out[-1] + law.atoms[a].displacements[slot])
-        node = children[slot]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,12 @@ for bit.
 Uniforms become spine broods in one place, ``_spine_brood``, for trees
 and batches alike.
 
-``sample_spine_walk`` draws only the ray positions (no tree) from one
-block of ``2 * depth`` uniforms: the first half picks the atoms, the
-second half the children.  Its step law is ``spine_step_law`` from the
-offspring module and its mean step is the drift ``-m'(alpha)/m(alpha)``.
-``spine_walk_ends`` runs many walks at once and keeps their endpoints:
-walk ``r`` takes its ``2 * depth`` uniforms from block 0 of its counter
-stream, the blocks of many walks in one call.  Both batched functions
+``spine_walk_ends`` draws only the ray positions (no tree) of many
+walks at once and keeps their endpoints.  Walk ``r`` takes ``2 * depth``
+uniforms from block 0 of its counter stream, the blocks of many walks in
+one call: the first half picks the atoms, the second half the children.
+Its step law is ``spine_step_law`` from the offspring module and its
+mean step is the drift ``-m'(alpha)/m(alpha)``.  Both batched functions
 take the run's seed; replicate ``r`` draws the counter stream keyed
 ``rng.replicate_keys(seed, r)``.
 """
@@ -46,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .brw import _BATCH_REPLICATES, BatchGrowth, GrowthCaps, LabelledTree, _grow, grow_occupation
-from .errors import DomainError, LevelOutOfRangeError, PopulationCapError
+from .errors import DomainError, PopulationCapError
 from .offspring import (
     FiniteLaw,
     Law,
@@ -149,20 +148,6 @@ class SpinedTree(NamedTuple):
     log_m: float
 
 
-def rn_log_weight(spined: SpinedTree, k: int) -> float:
-    """Log change-of-measure weight along the ray at generation ``k``."""
-    if not 0 <= k <= spined.tree.depth_grown:
-        raise LevelOutOfRangeError(
-            f"generation {k} outside grown range 0..{spined.tree.depth_grown}"
-        )
-    return float(spined.spine_log_weight[k])
-
-
-def spine_positions(spined: SpinedTree) -> np.ndarray:
-    """Ray positions ``S(xi_0), ..., S(xi_depth)``."""
-    return spined.tree.position[spined.ray]
-
-
 def grow_spined_tree(
     law: Law, alpha: float, depth: int, caps: GrowthCaps, rng: np.random.Generator
 ) -> SpinedTree:
@@ -232,20 +217,6 @@ def _walk(law: Law, tables: _SpineTables, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_spine_walk(
-    law: Law, alpha: float, depth: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Positions ``S(xi_0..depth)`` of the ray alone, no tree.
-
-    The steps are drawn independently (the ray position is a random walk
-    with the spine step law) from one block of ``2 * depth`` uniforms.
-    """
-    law = validate_law(law)
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth}")
-    return _walk(law, _spine_tables(law, float(alpha)), rng.random(2 * depth))
-
-
 # spine_walk_ends draws walks in blocks of about this many uniforms, and of
 # at most brw._BATCH_REPLICATES walks
 _WALK_UNIFORMS = 1 << 16
@@ -259,9 +230,10 @@ def spine_walk_ends(
     replicates: int,
 ) -> np.ndarray:
     """``S(xi_depth)`` of walks ``0..replicates-1``.  Walk ``r`` draws
-    the counter stream keyed ``rng.replicate_keys(seed, r)`` and ends where
-    ``sample_spine_walk`` ends on a generator whose first ``random(2 *
-    depth)`` call returns the walk's block 0, bit for bit."""
+    the first ``2 * depth`` uniforms of block 0 of the counter stream keyed
+    ``rng.replicate_keys(seed, r)``; its steps are independent draws of
+    the spine step law, so it ends where the ray of a spined tree ends, in
+    law."""
     law = validate_law(law)
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth}")

@@ -145,3 +145,9 @@ def finite_laws(
         )
         atoms.append(Atom(w / total, tuple(xs)))
     return validate_law(FiniteLaw(tuple(atoms)))
+
+
+def generation_sizes(tree) -> list[int]:
+    """Population per generation of a grown ``LabelledTree``, zeros after
+    extinction."""
+    return [int(idx.size) for idx in tree.generation_index]

@@ -16,6 +16,10 @@ particle's size-biased brood, as ``grow_spined_tree`` does: the last two
 of ``Z_n + 2``, or the block's first two after a multinomial.  The
 budgets are read from ``brwlab.brw`` at call time, so a test that
 patches them patches both sides.
+
+Two scalar readings of the batched statistics ride along:
+``functional_value`` evaluates a functional of one replicate, and
+``sample_spine_walk`` draws one spine walk from a generator.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import numpy as np
 
 import brwlab.brw as brw
 import heavy_tail_reference
-from brwlab import FiniteLaw, GrowthCaps
+from brwlab import FiniteLaw, GrowthCaps, validate_law
 from brwlab.rng import binomials, block_keys, counter_uniforms, replicate_seed, splitmix64
+from brwlab.spine import _spine_tables, _walk
 
 _MASK = (1 << 64) - 1
 _BLOCK_MULT = 0xD1B54A32D192ED03
@@ -163,3 +168,29 @@ def grow_one(law, depth: int, caps: GrowthCaps, stream: CounterStream, alpha: fl
         else:
             log_w.append(-math.inf)
     return population, log_w, -1, sorted(frontier.items()), ray
+
+
+def functional_value(fn, z: int, max_position: float | None) -> float:
+    """``F`` of one replicate with ``Z_n = z`` and largest position
+    ``max_position`` (``None`` when extinct), the batched
+    ``mc._functional_values`` one value at a time."""
+    if fn.kind == "one":
+        return 1.0
+    if fn.kind == "indicator_z":
+        return 1.0 if z == int(fn.param) else 0.0
+    if fn.kind == "min_z":
+        return float(min(z, int(fn.param)))
+    # exp_neg_max: an extinct generation has no maximum; use 0 (the
+    # functional's infimum) so the statistic stays bounded and defined
+    if max_position is None:
+        return 0.0
+    return math.exp(-fn.param * max_position)
+
+
+def sample_spine_walk(law, alpha: float, depth: int, rng) -> np.ndarray:
+    """Positions ``S(xi_0..depth)`` of the ray alone, no tree, from one
+    ``rng.random(2 * depth)`` block: the first half picks the atoms, the
+    second half the children.  ``spine.spine_walk_ends`` draws each of its
+    walks the same way from the walk's counter block 0."""
+    law = validate_law(law)
+    return _walk(law, _spine_tables(law, float(alpha)), rng.random(2 * depth))

@@ -4,10 +4,14 @@ These are the nested-tuple check bodies the array oracle in
 ``brwlab.oracle`` replaced, kept verbatim so the parity tests can hold
 the new ``run_verify`` to them.  Every outcome is visited as a tuple and
 every spined probability is rebuilt by recursion, so they cost tens of
-microseconds per outcome: use them only on small inputs.  They share the
-public enumerators of ``brwlab.oracle`` (``enumerate_trees``,
-``iter_rays``, ``w_value``, ...) but none of its check code; the tilt
-tables and the spined recursion below are the linear-domain originals.
+microseconds per outcome: use them only on small inputs.  Outcomes are
+the nested tuples of ``brwlab.oracle.enumerate_trees``; a ray is a tuple
+of child slots, one per generation, and extinct outcomes have none.
+They share with ``brwlab.oracle`` only ``enumerate_trees``, the outcome
+counts, the caps and the tolerances.  The tuple walkers (``iter_rays``,
+``outcome_probability``, ``generation_positions``, ``w_value``,
+``restrict``, ``ray_positions``) live here, and so do the tilt tables
+and the spined recursion, in the linear domain.
 """
 
 from __future__ import annotations
@@ -26,19 +30,80 @@ from brwlab.oracle import (
     MASS_TOL,
     CheckResult,
     Outcome,
-    Ray,
     _preflight,
     _require_finite,
     count_outcomes,
     count_spined_outcomes,
     enumerate_trees,
-    generation_positions,
-    iter_rays,
-    outcome_probability,
-    ray_positions,
-    restrict,
-    w_value,
 )
+
+Ray = tuple  # tuple[int, ...], one child slot per generation
+
+
+def iter_rays(t: Outcome) -> Iterator[Ray]:
+    """Root-to-horizon slot paths; extinct outcomes yield nothing."""
+    if t is None:
+        yield ()
+        return
+    _, children = t
+    for j, child in enumerate(children):
+        for rest in iter_rays(child):
+            yield (j,) + rest
+
+
+def outcome_probability(law: FiniteLaw, t: Outcome) -> float:
+    """Plain-law probability of one outcome."""
+    if t is None:
+        return 1.0
+    a, children = t
+    p = law.atoms[a].probability
+    for child in children:
+        p *= outcome_probability(law, child)
+    return p
+
+
+def generation_positions(law: FiniteLaw, t: Outcome, n: int) -> list[float]:
+    """Positions of generation-``n`` nodes in birth order."""
+    out: list[float] = []
+
+    def walk(node: Outcome, level: int, pos: float) -> None:
+        if level == n:
+            out.append(pos)
+            return
+        if node is None:
+            return
+        a, children = node
+        disp = law.atoms[a].displacements
+        for j, child in enumerate(children):
+            walk(child, level + 1, pos + disp[j])
+
+    walk(t, 0, 0.0)
+    return out
+
+
+def w_value(law: FiniteLaw, t: Outcome, alpha: float, n: int, m: float) -> float:
+    """Additive martingale value ``W_n`` of one outcome; 0 when extinct."""
+    positions = generation_positions(law, t, n)
+    return math.fsum(math.exp(-alpha * s) for s in positions) / m**n
+
+
+def restrict(t: Outcome, n: int) -> Outcome:
+    """Depth-``n`` restriction: drop everything below generation ``n``."""
+    if n == 0 or t is None:
+        return None
+    a, children = t
+    return (a, tuple(restrict(child, n - 1) for child in children))
+
+
+def ray_positions(law: FiniteLaw, t: Outcome, ray: Ray) -> list[float]:
+    """Positions ``S(xi_0), ..., S(xi_len(ray))`` along one ray."""
+    out = [0.0]
+    node = t
+    for slot in ray:
+        a, children = node
+        out.append(out[-1] + law.atoms[a].displacements[slot])
+        node = children[slot]
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import brwlab.brw as brw_mod
 import brwlab.mc as mc_mod
 import occupation_reference
 from brwlab import oracle
+from brwlab.cli import _dispatch
 from brwlab import (
     Atom,
     DomainError,
@@ -21,18 +23,23 @@ from brwlab import (
     LogDivergentLaw,
     PopulationCapError,
     ResourceError,
-    generation_sizes,
     grow_occupation,
     grow_tree,
-    log_sum_exp,
     martingale_trajectory,
     replicate_rng,
     tilted_mass,
 )
-from conftest import binary_zero_law, coin_pair_law, make_random_laws, quad_or_twin_law
+from conftest import (
+    binary_zero_law,
+    coin_pair_law,
+    generation_sizes,
+    make_random_laws,
+    quad_or_twin_law,
+)
 from occupation_reference import CounterStream
 
 CAPS = GrowthCaps()
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_grow_tree_is_deterministic(pair_law):
@@ -45,14 +52,12 @@ def test_grow_tree_is_deterministic(pair_law):
 
 def test_node_invariants(pair_law):
     tree = grow_tree(pair_law, 7, CAPS, replicate_rng(11, 2))
-    root = tree.node(0)
-    assert root.parent is None and root.position == 0.0 and root.generation == 0
+    assert tree.parent[0] == -1 and tree.position[0] == 0.0 and tree.generation[0] == 0
     for i in range(1, len(tree)):
-        rec = tree.node(i)
-        parent = tree.node(rec.parent)
-        assert rec.generation == parent.generation + 1
-        assert rec.position == pytest.approx(
-            parent.position + rec.displacement, abs=1e-12
+        parent = tree.parent[i]
+        assert tree.generation[i] == tree.generation[parent] + 1
+        assert tree.position[i] == pytest.approx(
+            tree.position[parent] + tree.displacement[i], abs=1e-12
         )
 
 
@@ -131,13 +136,21 @@ def test_heavy_law_grows(heavy_law):
 
 
 def test_log_sum_exp_basics():
-    assert log_sum_exp(np.array([])) == -math.inf
-    assert log_sum_exp(np.array([0.0, 0.0])) == pytest.approx(math.log(2))
-    assert log_sum_exp(np.array([-math.inf, 0.0])) == pytest.approx(0.0)
+    def one_run(values):
+        return float(brw_mod._segment_log_sum_exp(np.array(values), np.array([len(values)]))[0])
+
+    assert one_run([0.0, 0.0]) == pytest.approx(math.log(2))
+    assert one_run([-math.inf, 0.0]) == pytest.approx(0.0)
     # immune to a huge common offset
-    big = np.array([1000.0, 1000.0 + math.log(3)])
-    assert log_sum_exp(big) == pytest.approx(1000.0 + math.log(4))
-    assert log_sum_exp(np.array([-math.inf, -math.inf])) == -math.inf
+    assert one_run([1000.0, 1000.0 + math.log(3)]) == pytest.approx(1000.0 + math.log(4))
+    assert one_run([-math.inf, -math.inf]) == -math.inf
+    # runs are reduced each on its own, an all -inf run among them
+    values = np.array([0.0, 0.0, -math.inf, -math.inf, -math.inf, 1000.0, -math.inf, 5.0])
+    got = brw_mod._segment_log_sum_exp(values, np.array([2, 3, 2, 1]))
+    assert got[0] == pytest.approx(math.log(2))
+    assert got[1] == -math.inf
+    assert got[2] == 1000.0
+    assert got[3] == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +348,32 @@ def test_counter_calls_and_batches_keep_to_the_budget(case, pair_law, monkeypatc
     assert all(rows <= budget or reps == 1 for rows, reps in batches)
 
 
-def test_results_do_not_depend_on_the_budget(pair_law, monkeypatch):
+def test_results_do_not_depend_on_the_budget(pair_law, monkeypatch, capsys):
     # the budget decides how a generation is cut into batches and counter
-    # calls, and a replicate's numbers never depend on either
+    # calls, and a replicate's numbers never depend on either; nor does the
+    # refusal past 2^62, which replicate 0 reaches first at budgets 1 and
+    # 64 and replicate 4 at the default
     cfg = mc_mod.McConfig(replicates=300, depth=30, master_seed=17)
+    deep = ["mc", "--model", str(REPO / "models" / "coin_pair.json"), "--estimator",
+            "triviality_scan", "--alpha", "1", "--depth-grid", "2,95", "--reps", "40",
+            "--max-nodes", str(2**63 - 1), "--seed", "3"]
     found = []
     for budget in (1, 64, brw_mod._BATCH_PARTICLES):
         with monkeypatch.context() as patch:
             patch.setattr(brw_mod, "_BATCH_PARTICLES", budget)
             extinct = mc_mod.mc_extinction(pair_law, cfg, keep_values=True).values.tolist()
+            with pytest.raises(ResourceError) as refused:
+                grow_occupation(pair_law, 95, GrowthCaps(max_nodes=2**63 - 1), 3, 40, 1.0)
+            code = _dispatch(deep)
             stopped = [grow_occupation(pair_law, 12, CAPS, 8, 40, stop_above=5)]
             patch.setattr(brw_mod, "_BATCH_REPLICATES", 7)
             stopped.append(grow_occupation(pair_law, 12, CAPS, 8, 40, stop_above=5))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("refused:") and "2^62" in err
+        assert err.count("\n") == 1
         assert all(g.stops for g in stopped)
-        found.append((extinct, [(g.stops, g.population.tolist(), g.capped_at.tolist())
-                                for g in stopped]))
+        found.append((extinct, str(refused.value), err,
+                      [(g.stops, g.population.tolist(), g.capped_at.tolist()) for g in stopped]))
     assert found[0] == found[1] == found[2]
 
 

@@ -21,8 +21,6 @@ from brwlab import (
     McConfig,
     classify,
     extinction_probability,
-    functional_on_outcome,
-    functional_on_tree,
     grow_tree,
     mc_extinction,
     mc_importance_identity,
@@ -32,13 +30,13 @@ from brwlab import (
     parse_functional,
     pgf_eval,
     replicate_rng,
-    sample_spine_walk,
     tilted_mass,
 )
-from brwlab.oracle import enumerate_trees, generation_positions, w_value
+from brwlab.oracle import enumerate_trees
 from brwlab.spine import _spine_brood, _spine_tables
 from conftest import coin_pair_law, quad_or_twin_law
-from occupation_reference import CounterStream
+from occupation_reference import CounterStream, functional_value, sample_spine_walk
+from oracle_reference import generation_positions, w_value
 
 # ---------------------------------------------------------------------------
 # configuration contract
@@ -243,7 +241,8 @@ def test_importance_band_uses_the_exact_standard_error(pair_law):
     for t, p in enumerate_trees(pair_law, 4):
         w = w_value(pair_law, t, 1.0, 4, m)
         if w > 0:
-            f = functional_on_outcome(fn, pair_law, t, 4)
+            positions = generation_positions(pair_law, t, 4)
+            f = functional_value(fn, len(positions), max(positions))
             ref += p * f
             second += p * f * f / w
     exact_se = math.sqrt((second - ref * ref) / cfg.replicates)
@@ -268,7 +267,7 @@ def _tuple_walk_references(law, alpha, log_m, fns, depth):
         top = max(tilts)
         log_w = top + math.log(math.fsum(math.exp(v - top) for v in tilts)) - depth * log_m
         for fn in fns:
-            f = mc_mod._functional_value(fn, len(positions), max(positions))
+            f = functional_value(fn, len(positions), max(positions))
             terms[fn.name].append(p * f)
             if f:
                 squares[fn.name].append(p * f * f * mc_mod._safe_exp(-log_w))
@@ -322,15 +321,29 @@ def test_parse_functional_contract():
 
 
 def test_functional_on_tree_and_outcome_agree(pair_law):
-    fn = parse_functional("min_z:3")
-    tree = grow_tree(pair_law, 2, GrowthCaps(), replicate_rng(4, 2))
-    z = tree.generation_index[2].size
-    assert functional_on_tree(fn, tree) == float(min(z, 3))
-    outcome = (1, ((1, (None, None)), (0, ())))
-    assert functional_on_outcome(fn, pair_law, outcome, 2) == 2.0
-    assert functional_on_outcome(parse_functional("exp_neg_max:1"), pair_law, outcome, 2) == pytest.approx(math.exp(-1.0))
-    dead = (0, ())
-    assert functional_on_outcome(parse_functional("exp_neg_max:1"), pair_law, dead, 2) == 0.0
+    # the batched values match the scalar reference on the last generation
+    # of grown trees and of enumerated outcomes, extinct ones included
+    fns = [parse_functional(t) for t in
+           ("one", "indicator_z:2", "min_z:3", "exp_neg_max:1", "exp_neg_max:0.3")]
+    stats = []
+    for r in range(40):
+        tree = grow_tree(pair_law, 3, GrowthCaps(), replicate_rng(4, r))
+        idx = tree.generation_index[3]
+        stats.append((idx.size, float(tree.position[idx].max()) if idx.size else None))
+    for t, _ in enumerate_trees(pair_law, 3):
+        positions = generation_positions(pair_law, t, 3)
+        stats.append((len(positions), max(positions) if positions else None))
+    assert {z == 0 for z, _ in stats} == {True, False}
+    z = np.array([z for z, _ in stats])
+    top = np.array([-math.inf if x is None else x for _, x in stats])
+    for fn in fns:
+        want = [functional_value(fn, z, x) if z else 0.0 for z, x in stats]
+        assert mc_mod._functional_values(fn, z, top).tolist() == want, fn.name
+    # by hand: generation 2 of this outcome sits at 0 and 1
+    positions = generation_positions(pair_law, (1, ((1, (None, None)), (0, ()))), 2)
+    assert functional_value(fns[2], len(positions), max(positions)) == 2.0
+    assert functional_value(fns[3], len(positions), max(positions)) == pytest.approx(math.exp(-1.0))
+    assert functional_value(fns[3], 0, None) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +408,7 @@ def test_importance_values_are_the_per_tree_values(pair_law, text):
     for r in range(reps):
         population, log_w, _, last, _ = occupation_reference.grow_one(
             pair_law, depth, caps, CounterStream(13, r), 1.0, log_m, spine_brood=hook)
-        f = mc_mod._functional_value(fn, population[depth], last[-1][0])
+        f = functional_value(fn, population[depth], last[-1][0])
         sized.append(f * math.exp(-log_w[depth]))
     assert s.values.tolist() == sized
     # the plain reference grows occupation measures: a functional of Z_n
@@ -405,11 +418,11 @@ def test_importance_values_are_the_per_tree_values(pair_law, text):
         population, _, _, last, _ = occupation_reference.grow_one(
             pair_law, depth, caps, CounterStream(13, r), 1.0, log_m)
         z = population[depth]
-        plain.append(mc_mod._functional_value(fn, z, last[-1][0]) if z else 0.0)
+        plain.append(functional_value(fn, z, last[-1][0]) if z else 0.0)
         if fn.kind != "exp_neg_max":
             tree = grow_tree(pair_law, depth, caps, CounterStream(13, r))
             alive = tree.generation_index[depth].size
-            assert plain[-1] == (functional_on_tree(fn, tree) if alive else 0.0)
+            assert plain[-1] == (functional_value(fn, alive, None) if alive else 0.0)
     assert s.reference == float(np.mean(plain))
     assert not s.unreliable
 

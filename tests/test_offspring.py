@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brwlab.brw as brw_mod
 from brwlab import (
     Atom,
     BatchGrowth,
@@ -24,19 +25,18 @@ from brwlab import (
     MassOverflowError,
     McConfig,
     McSummary,
-    NodeRecord,
     NormalizationError,
     SpinedTree,
     TiltProfile,
     TrivialityReport,
     classify,
     extinction_probability,
+    grow_occupation,
     law_from_json,
     law_to_json,
     llogl_bound_check,
     llogl_moment,
     pgf_eval,
-    sample_realization,
     size_biased_law,
     spine_step_law,
     stable_sum,
@@ -120,7 +120,7 @@ def test_replace_normalises_like_the_constructor():
 
 
 @pytest.mark.parametrize("record", [
-    Atom, FiniteLaw, LogDivergentLaw, TiltProfile, GrowthCaps, NodeRecord,
+    Atom, FiniteLaw, LogDivergentLaw, TiltProfile, GrowthCaps,
     MartingaleTrajectory, BatchGrowth, McConfig, McSummary, TrivialityReport,
     Functional, CheckResult, SpinedTree,
 ], ids=lambda cls: cls.__name__)
@@ -460,20 +460,23 @@ def test_llogl_bound_equality_cases():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_realization_matches_atom_frequencies(pair_law):
-    rng = np.random.default_rng(123)
-    hits = sum(len(sample_realization(pair_law, rng)) == 0 for _ in range(20_000))
+def test_atom_draws_match_atom_frequencies(pair_law):
+    # uniforms become broods in brw._atoms, one per parent
+    u = np.random.default_rng(123).random(20_000)
+    hits = int((brw_mod._atoms(pair_law, u) == 0).sum())  # atom 0 is childless
     # binomial(20000, 0.2): 4 sigma is about 226
     assert abs(hits - 4000) < 4 * math.sqrt(20_000 * 0.2 * 0.8)
 
 
-def test_sample_realization_heavy_law_counts(heavy_law):
-    rng = np.random.default_rng(5)
-    sizes = [len(sample_realization(heavy_law, rng)) for _ in range(2000)]
-    assert min(sizes) >= 2
-    assert all(
-        np.all(sample_realization(heavy_law, rng) == 0.0) for _ in range(50)
-    )
+def test_heavy_atom_draws_count_broods(heavy_law):
+    u = np.random.default_rng(5).random(2000)
+    atoms = heavy_law._atoms(u)
+    assert np.array_equal(brw_mod._atoms(heavy_law, u), atoms)
+    assert brw_mod._brood_sizes(heavy_law, atoms).min() >= 2
+    # every child is born at its parent's position
+    grown = grow_occupation(heavy_law, 1, GrowthCaps(max_nodes=2**40), 5, 50, 0.0)
+    assert (grown.population[:, 1] >= 2).all()
+    assert not grown.max_position.any()
 
 
 def test_random_law_generator_is_frozen():

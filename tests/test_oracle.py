@@ -1,5 +1,6 @@
 """Exhaustive enumeration oracle: outcome counts, probabilities, the six
-identity checks, and agreement between the sampler and the enumerator."""
+identity checks, the tuple walkers of the recursive reference, and
+agreement between the sampler and the enumerator."""
 
 import math
 from collections import Counter
@@ -26,22 +27,23 @@ from brwlab import (
     check_unit_mean,
     count_outcomes,
     count_spined_outcomes,
-    enumerate_spined_trees,
     enumerate_trees,
-    generation_positions,
-    generation_sizes,
     grow_spined_tree,
     grow_tree,
+    replicate_rng,
+    run_verify,
+    tilted_mass,
+)
+from conftest import finite_laws, generation_sizes
+from oracle_reference import (
+    enumerate_spined_trees,
+    generation_positions,
     iter_rays,
     outcome_probability,
     ray_positions,
-    replicate_rng,
     restrict,
-    run_verify,
-    tilted_mass,
     w_value,
 )
-from conftest import finite_laws
 
 # ---------------------------------------------------------------------------
 # outcome counting
@@ -92,9 +94,6 @@ _CHECKS = (run_verify, check_unit_mean, check_martingale, check_spine_density,
 _ENTRIES = {
     **{check.__name__: check for check in _CHECKS},
     "enumerate_trees": lambda law, alpha, depth: list(enumerate_trees(law, depth)),
-    "enumerate_spined_trees": lambda law, alpha, depth: list(
-        enumerate_spined_trees(law, alpha, depth)
-    ),
 }
 
 

@@ -19,9 +19,7 @@ from brwlab import (
     count_outcomes,
     count_spined_outcomes,
     enumerate_trees,
-    generation_positions,
     load_law,
-    restrict,
     run_verify,
 )
 from brwlab.cli import _dispatch
@@ -96,10 +94,10 @@ def test_class_arrays_follow_enumeration_order(name, law):
     outcomes = [[t for t, _ in enumerate_trees(law, n)] for n in range(depth + 1)]
     for n, lv in enumerate(levels):
         assert np.array_equal(lv.p, [p for _, p in enumerate_trees(law, n)])
-        assert lv.z.tolist() == [len(generation_positions(law, t, n)) for t in outcomes[n]]
+        assert lv.z.tolist() == [len(ref.generation_positions(law, t, n)) for t in outcomes[n]]
         if n:
             index = {t: i for i, t in enumerate(outcomes[n - 1])}
-            assert lv.up.tolist() == [index[restrict(t, n - 1)] for t in outcomes[n]]
+            assert lv.up.tolist() == [index[ref.restrict(t, n - 1)] for t in outcomes[n]]
 
 
 def test_blocked_pair_stream_matches_one_block(monkeypatch):

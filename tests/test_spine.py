@@ -14,25 +14,19 @@ from brwlab import (
     Atom,
     FiniteLaw,
     GrowthCaps,
-    LevelOutOfRangeError,
     LogDivergentLaw,
     PopulationCapError,
-    generation_sizes,
     grow_spined_batch,
     grow_spined_tree,
     replicate_rng,
-    rn_log_weight,
-    sample_spine_walk,
-    spine_positions,
     spine_step_law,
     spine_walk_ends,
     tilted_mass,
 )
-from brwlab.oracle import generation_positions, ray_positions
 from brwlab.spine import _spine_brood, _spine_tables
-from conftest import binary_zero_law, coin_pair_law, quad_or_twin_law
-from occupation_reference import CounterStream
-from oracle_reference import enumerate_spined_trees
+from conftest import binary_zero_law, coin_pair_law, generation_sizes, quad_or_twin_law
+from occupation_reference import CounterStream, sample_spine_walk
+from oracle_reference import enumerate_spined_trees, generation_positions, ray_positions
 
 CAPS = GrowthCaps()
 
@@ -67,19 +61,12 @@ def test_spine_log_weight_formula(pair_law):
     alpha = 1.0
     log_m = math.log(tilted_mass(pair_law, alpha))
     spined = grow_spined_tree(pair_law, alpha, 7, CAPS, replicate_rng(30, 2))
-    pos = spine_positions(spined)
+    pos = spined.tree.position[spined.ray]
+    assert spined.spine_log_weight.shape == (8,)
     for k in range(8):
         want = -alpha * float(pos[k]) - k * log_m
-        assert rn_log_weight(spined, k) == pytest.approx(want, abs=1e-12)
-    assert rn_log_weight(spined, 0) == 0.0
-
-
-def test_rn_log_weight_range_check(pair_law):
-    spined = grow_spined_tree(pair_law, 1.0, 3, CAPS, replicate_rng(0, 0))
-    with pytest.raises(LevelOutOfRangeError):
-        rn_log_weight(spined, 4)
-    with pytest.raises(LevelOutOfRangeError):
-        rn_log_weight(spined, -1)
+        assert spined.spine_log_weight[k] == pytest.approx(want, abs=1e-12)
+    assert spined.spine_log_weight[0] == 0.0
 
 
 def test_binary_spined_tree_is_full(binary_law):
@@ -88,7 +75,7 @@ def test_binary_spined_tree_is_full(binary_law):
     assert np.all(spined.tree.position == 0.0)
     # weight reduces to -k log 2 when alpha * S vanishes
     for k in range(7):
-        assert rn_log_weight(spined, k) == pytest.approx(-k * math.log(2))
+        assert spined.spine_log_weight[k] == pytest.approx(-k * math.log(2))
 
 
 def test_spine_child_frequencies_match_step_law(pair_law):
@@ -157,12 +144,8 @@ def test_walk_agrees_with_spined_tree_marginal(pair_law):
     # the ray of a spined tree and the standalone walk have the same law;
     # compare mean final positions at matching sample sizes
     alpha, depth, n = 1.0, 6, 800
-    tree_final = np.array(
-        [
-            float(spine_positions(grow_spined_tree(pair_law, alpha, depth, CAPS, replicate_rng(7, r)))[-1])
-            for r in range(n)
-        ]
-    )
+    trees = [grow_spined_tree(pair_law, alpha, depth, CAPS, replicate_rng(7, r)) for r in range(n)]
+    tree_final = np.array([float(t.tree.position[t.ray[-1]]) for t in trees])
     walk_final = np.array(
         [float(sample_spine_walk(pair_law, alpha, depth, replicate_rng(1009, r))[-1]) for r in range(n)]
     )
