@@ -28,7 +28,7 @@ at one position are exchangeable, so one draw of atom counts per
 occupied position gives the law of the tree's positions (Athreya and
 Ney 1972; Biggins 1977).  While ``Z_n`` is small a replicate draws
 ``Z_n`` uniforms, one per particle, as ``grow_tree`` does, and the
-blocks of consecutive replicates come from one ``rng.counter_uniforms``
+blocks of consecutive replicates come from one ``rng.counter_words``
 call per chunk (see below); past ``_MULTINOMIAL_ABOVE`` it draws one
 ``multinomial`` over the atoms per occupied position, a chain of
 counter-stream binomials on sub-blocks of its block
@@ -46,8 +46,15 @@ to the chosen child.  The hook runs once per chunk, on the last two
 uniforms of each of its replicates' blocks.  The replicates equal
 ``grow_spined_tree`` in law, not bit for bit.
 
-Uniforms become broods in one place, ``_atoms``, for trees and batches
-alike, and spine broods in one place, the hook.
+Tree growth turns uniforms into atoms in ``_atoms``.  Batched growth of
+a finite law never forms a plain uniform: a particle's uniform ``(w >>
+11) * 2^-53`` reaches a cdf entry ``c`` exactly when its 64-bit counter
+word ``w`` reaches ``ceil(c * 2^53) << 11`` (``rng.word_thresholds``), so
+``_row_atoms`` counts each row's atoms with one compare and one
+``reduceat`` per threshold, and every particle takes the atom its uniform
+would.  Heavy-tail laws invert the uniforms of their words.  Spine
+broods come from the hook alone, on the only two words of a block that
+become uniforms.
 
 A batch whose frontier holds more than ``_BATCH_PARTICLES`` rows splits
 in two.  A generation draws its uniforms in chunks of consecutive
@@ -79,7 +86,15 @@ import numpy as np
 
 from .errors import DomainError, PopulationCapError, ResourceError
 from .offspring import FiniteLaw, Law, LogDivergentLaw, tilted_mass, validate_law
-from .rng import block_keys, counter_multinomials, counter_uniforms, replicate_keys
+from .rng import (
+    block_keys,
+    counter_multinomials,
+    counter_uniforms,
+    counter_words,
+    replicate_keys,
+    unit,
+    word_thresholds,
+)
 
 _NEG_INF = float("-inf")
 
@@ -134,19 +149,22 @@ def _brood_sizes(law: Law, ai: np.ndarray) -> np.ndarray:
     return (ai + 2).astype(np.int64)
 
 
-# up to this many atoms, counting the cdf entries at or below each uniform
-# beats a binary search: 1.8 ns per uniform for 2 atoms and 13 ns for 16,
-# against 23-46 ns for np.searchsorted (2-core Xeon, numpy 2.4)
-_SCAN_ATOMS = 32
+# up to this many atoms, counting the cdf entries reached beats a binary
+# search.  Batched growth counts a chunk's words per row and threshold, one
+# compare and one reduceat each: about 1.4 ns per word plus 15 ns per row
+# per threshold, against 35-60 ns per word for np.searchsorted and a
+# per-row bincount.  They break even at 12 atoms with 4 words per row, 32
+# with 32 and 40 with 320; the Monte Carlo runs hold 2 to 44 words per row.
+# Tree growth counts uniforms, 13 ns each for 16 atoms against 23-46 ns
+# for np.searchsorted (2-core Xeon, numpy 2.4).
+_SCAN_ATOMS = 16
 
 
 def _atoms(law: Law, u: np.ndarray) -> np.ndarray:
     """Atom index per parent, one uniform each: the number of cdf entries
-    at or below it, the last atom taking any rounding excess.
-
-    The one place where uniforms become broods: tree growth feeds it one
-    replicate's block, batched growth the blocks of many replicates
-    concatenated."""
+    at or below it, the last atom taking any rounding excess.  Tree growth
+    feeds it one replicate's block; batched growth compares counter words
+    with exact thresholds instead (``_grow_occupied``)."""
     if isinstance(law, LogDivergentLaw):
         return law._atoms(u)
     cdf = law._tables.cum_p
@@ -184,6 +202,20 @@ def _check_growth(depth: int, caps: GrowthCaps) -> None:
         raise DomainError(f"depth {depth} exceeds caps.max_depth {caps.max_depth}")
     if caps.max_nodes < 1:
         raise DomainError("caps.max_nodes must allow at least the root")
+
+
+def _check_positions(law: Law, depth: int) -> None:
+    """Refuse a run whose positions, sums of ``depth`` displacements, could
+    leave the float64 range, where ``inf - inf`` would write NaN: when
+    ``depth * max|x|``, with ``depth * 2^-52`` of room for rounding, does
+    not stay finite."""
+    if isinstance(law, FiniteLaw) and law._tables.flat_disp.size:
+        top = float(np.abs(law._tables.flat_disp).max())
+        if not math.isfinite(depth * top * (1.0 + depth * 2.0**-52)):
+            raise ResourceError(
+                f"positions could leave the float64 range: {depth} generations of "
+                f"displacements up to {top:g} in size; lower the depth"
+            )
 
 
 def _assemble_tree(
@@ -232,6 +264,7 @@ def _grow(
     already be validated.
     """
     _check_growth(depth, caps)
+    _check_positions(law, depth)
     parent_chunks = [np.array([-1], dtype=np.int64)]
     disp_chunks = [np.array([math.nan])]
     pos_chunks = [np.array([0.0])]
@@ -376,6 +409,38 @@ def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
     return spans
 
 
+def _row_atoms(
+    thresholds: np.ndarray,
+    atoms: int,
+    w: np.ndarray,
+    start: np.ndarray,
+    count: np.ndarray,
+    at: np.ndarray | None = None,
+    biased: np.ndarray | None = None,
+) -> np.ndarray:
+    """Atom counts, one row of ``atoms`` each, of rows whose particles hold
+    the words ``w``: row ``i`` the ``count[i] > 0`` words from ``start[i]``
+    on.  A word's atom index is the number of ``thresholds`` it reaches
+    (``rng.word_thresholds`` of the law's cdf), except that the particles
+    at ``at`` take the atoms ``biased``."""
+    if atoms > _SCAN_ATOMS:
+        ai = np.searchsorted(thresholds, w, side="right")
+        if at is not None:
+            ai[at] = biased
+        cell = np.repeat(np.arange(0, count.size * atoms, atoms), count) + ai
+        return np.bincount(cell, minlength=count.size * atoms).reshape(-1, atoms)
+    # reached[j]: a row's particles whose atom index is at least j; no word
+    # reaches an atom past the thresholds, but a biased particle may
+    reached = np.zeros((atoms + 1, count.size), dtype=np.int64)
+    reached[0] = count
+    for j in range(1, atoms):
+        reach = w >= thresholds[j - 1] if j <= thresholds.size else np.zeros(w.size, dtype=bool)
+        if at is not None:
+            reach[at] = biased >= j
+        np.add.reduceat(reach, start, dtype=np.int64, out=reached[j])
+    return (reached[:-1] - reached[1:]).T
+
+
 class BatchGrowth(NamedTuple):
     """What ``grow_occupation`` keeps of each replicate, rows in replicate
     order.
@@ -494,6 +559,8 @@ def grow_occupation(
     law = validate_law(law)
     log_m = None if alpha is None else math.log(tilted_mass(law, alpha))
     _check_growth(depth, caps)
+    if alpha is not None or spine_brood is not None:
+        _check_positions(law, depth)
     gens = tuple(range(depth + 1)) if generations is None else tuple(generations)
     column = np.full(depth + 1, -1, dtype=np.int64)
     column[list(gens)] = np.arange(len(gens))
@@ -559,9 +626,13 @@ def _grow_occupied(
         atoms = t.counts.size
         sizes = t.counts.tolist()
         p = np.diff(np.minimum(t.cum_p, 1.0), prepend=0.0)
+        # a word reaches thresholds[j] exactly when its uniform reaches
+        # cum_p[j]; its atom index is the number of thresholds it reaches
+        thresholds = word_thresholds(t.cum_p[:-1])
+        # mult[a, d]: children of atom a at displacement disp[d]
+        mult = t.counts[:, None]
         if positions:
-            # mult[a, d]: children of atom a at displacement disp[d]; sorted
-            # in Python, as np.unique would load numpy.ma
+            # sorted in Python, as np.unique would load numpy.ma
             disp = np.array(sorted(set(t.flat_disp.tolist())))
             mult = np.zeros((atoms, disp.size), dtype=np.int64)
             np.add.at(mult, (np.repeat(np.arange(atoms), t.counts),
@@ -607,31 +678,34 @@ def _grow_occupied(
         for lo, hi in _chunks(lengths):
             # one counter call per chunk of consecutive replicates, reduced
             # at once to the children of its rows
-            u = counter_uniforms(keys[lo:hi], lengths[lo:hi])
+            w = counter_words(keys[lo:hi], lengths[lo:hi])
             if spined:
                 end = np.cumsum(lengths[lo:hi])
-                atom[lo:hi], slot[lo:hi] = spine_brood(u[end - 2], u[end - 1])
-                plain = np.ones(u.size, dtype=bool)
+                atom[lo:hi], slot[lo:hi] = spine_brood(unit(w[end - 2]), unit(w[end - 1]))
+                plain = np.ones(w.size, dtype=bool)
                 plain[end - 2] = plain[end - 1] = False
-                u = u[plain]
-            if u.size == 0:
+                w = w[plain]
+            if w.size == 0:
                 continue
             rows = slice(edge[lo], edge[hi])
             mine = drawn[rows]
             count = b.count[rows][mine]
             start = np.cumsum(count) - count
-            ai = _atoms(law, u)
+            at = biased = None
             if spined:
                 # the spine is the first particle of its home row: its
                 # size-biased atom overrides the plain one
                 own = ~multi[lo:hi]
-                ai[start[(np.cumsum(mine) - 1)[home[lo:hi][own] - edge[lo]]]] = atom[lo:hi][own]
-            if disp.size == 1:
-                kids[rows][mine, 0] = np.add.reduceat(_brood_sizes(law, ai), start)
+                biased = atom[lo:hi][own]
+                at = start[(np.cumsum(mine) - 1)[home[lo:hi][own] - edge[lo]]]
+            if heavy:
+                ai = law._atoms(unit(w))
+                if spined:
+                    ai[at] = biased
+                kids[rows][mine, 0] = np.add.reduceat(ai + 2, start)
             else:
-                cell = np.repeat(np.arange(0, count.size * atoms, atoms), count) + ai
-                per_atom = np.bincount(cell, minlength=count.size * atoms)
-                kids[rows][mine] = per_atom.reshape(-1, atoms) @ mult
+                per_atom = _row_atoms(thresholds, atoms, w, start, count, at, biased)
+                kids[rows][mine] = per_atom @ mult
         totals = np.add.reduceat(kids.sum(axis=1), first)
         room = limit - b.nodes
         over = totals > room

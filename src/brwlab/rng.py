@@ -14,18 +14,24 @@ generation.  Uniform ``k`` of block ``g`` of replicate ``r`` is
 
 a pure function of ``(s, r, g, k)`` in the style of Random123 (Salmon et
 al. 2011) and SplitMix (Steele, Lea and Flood 2014): the uniforms of a
-block are the splitmix64 sequence started at its key.
-``replicate_keys`` gives the keys of many replicates, ``block_keys`` the
-keys of their block ``g``, and ``counter_uniforms`` concatenated blocks
-of given lengths, all in one numpy pass in wrapping ``uint64``
-arithmetic, so a whole batch draws a generation without a Python call
-per replicate.  A block that needs a ``multinomial`` draws it instead
-as a chain of binomials, each from its own sub-block: sub-block ``i`` of
-a block is derived from the block key as block ``i`` is from a
-replicate key, and a binomial is Hormann's BTRD, or inversion for small
-means, on the sub-block's uniforms (``binomials``,
-``counter_multinomials``).  A whole batch's rows take one vectorised
-pass per atom, with no generator and no Python loop per block.
+block are ``unit`` of its words, the splitmix64 sequence started at its
+key.  ``replicate_keys`` gives the keys of many replicates,
+``block_keys`` the keys of their block ``g``, and ``counter_words``
+concatenated blocks of given lengths (``counter_uniforms`` their
+uniforms), all in one numpy pass in wrapping ``uint64`` arithmetic, so
+a whole batch draws a generation without a Python call per replicate.
+Since ``u = k * 2^-53`` with ``k = w >> 11`` an integer and ``c * 2^53``
+exact for a float ``c``, ``u >= c`` holds exactly when ``w >=
+ceil(c * 2^53) << 11``: ``word_thresholds`` gives these thresholds of a
+cdf, so a word can be compared with a cdf without ever becoming a float.
+
+A block that needs a ``multinomial`` draws it instead as a chain of
+binomials, each from its own sub-block: sub-block ``i`` of a block is
+derived from the block key as block ``i`` is from a replicate key, and
+a binomial is Hormann's BTRD, or inversion for small means, on the
+sub-block's uniforms (``binomials``, ``counter_multinomials``).  A whole
+batch's rows take one vectorised pass per atom, with no generator and
+no Python loop per block.
 
 The tree API takes generators: ``replicate_rng(s, r)`` is numpy's
 ``default_rng(replicate_seed(s, r))``.  ``numpy.random`` is imported on
@@ -97,11 +103,11 @@ def block_keys(keys: np.ndarray, g: int) -> np.ndarray:
     return _splitmix64_inplace(keys ^ np.uint64(((g + 1) * _BLOCK_MULT) & _MASK))
 
 
-def counter_uniforms(keys: np.ndarray, lengths) -> np.ndarray:
-    """The first ``lengths[i]`` uniforms of the block with key ``keys[i]``,
-    for every ``i``, concatenated in order; lengths may be 0.
+def counter_words(keys: np.ndarray, lengths) -> np.ndarray:
+    """The first ``lengths[i]`` words of the block with key ``keys[i]``,
+    for every ``i``, concatenated in order as ``uint64``; lengths may be 0.
 
-    Uniform ``k`` of a block is its key's splitmix64 output ``k + 1``; with
+    Word ``k`` of a block is its key's splitmix64 output ``k + 1``; with
     ``start[i]`` the offset of block ``i``, its counter is ``keys[i] + (1 -
     start[i]) * gamma`` repeated, plus ``j * gamma`` at offset ``j``."""
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -112,9 +118,29 @@ def counter_uniforms(keys: np.ndarray, lengths) -> np.ndarray:
     z = np.arange(total, dtype=np.uint64)
     z *= _U_GOLDEN
     z += np.repeat(base, lengths)
-    z = _splitmix64_inplace(z)
-    z >>= np.uint64(11)
-    return z * 2.0**-53
+    return _splitmix64_inplace(z)
+
+
+def unit(words: np.ndarray) -> np.ndarray:
+    """The uniform ``(w >> 11) * 2^-53`` of each word."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def word_thresholds(cdf) -> np.ndarray:
+    """``ceil(c * 2^53) << 11`` of each entry ``c`` of a cdf, as ``uint64``,
+    so that ``w >= t`` exactly when ``unit(w) >= c``: ``unit(w) = k *
+    2^-53`` with ``k = w >> 11``, and ``c * 2^53`` is exact.  Entries at or
+    past 1, which no uniform reaches, are left out, so the result may be
+    shorter than ``cdf``; an entry at or below 0 gives 0."""
+    c = np.asarray(cdf, dtype=np.float64)
+    c = np.maximum(c[c < 1.0], 0.0)
+    return np.ceil(c * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
+def counter_uniforms(keys: np.ndarray, lengths) -> np.ndarray:
+    """``unit`` of ``counter_words``: the first ``lengths[i]`` uniforms of
+    the block with key ``keys[i]``, for every ``i``, concatenated."""
+    return unit(counter_words(keys, lengths))
 
 
 # the binomial stream: each binomial reads its own counter block, a
@@ -142,9 +168,7 @@ def _sub_keys(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _uniform(keys: np.ndarray, k: int) -> np.ndarray:
     """Uniform ``k`` of each block with the given keys."""
-    z = _splitmix64_inplace(keys + np.uint64(((k + 1) * _GOLDEN) & _MASK))
-    z >>= np.uint64(11)
-    return z * 2.0**-53
+    return unit(_splitmix64_inplace(keys + np.uint64(((k + 1) * _GOLDEN) & _MASK)))
 
 
 def _fc(k: np.ndarray) -> np.ndarray:

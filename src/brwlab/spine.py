@@ -44,7 +44,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .brw import _BATCH_REPLICATES, BatchGrowth, GrowthCaps, LabelledTree, _grow, grow_occupation
+from .brw import (
+    _BATCH_REPLICATES,
+    BatchGrowth,
+    GrowthCaps,
+    LabelledTree,
+    _check_positions,
+    _grow,
+    grow_occupation,
+)
 from .errors import DomainError, PopulationCapError
 from .offspring import (
     FiniteLaw,
@@ -238,6 +246,7 @@ def spine_walk_ends(
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth}")
     tables = _spine_tables(law, float(alpha))
+    _check_positions(law, depth)
     rows = max(1, min(_BATCH_REPLICATES, _WALK_UNIFORMS // max(1, 2 * depth)))
     ends = np.empty(replicates)
     for lo in range(0, replicates, rows):

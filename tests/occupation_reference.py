@@ -17,7 +17,9 @@ of ``Z_n + 2``, or the block's first two after a multinomial.  The
 budgets are read from ``brwlab.brw`` at call time, so a test that
 patches them patches both sides.
 
-Two scalar readings of the batched statistics ride along:
+``float_row_atoms`` is the float route by which the engine once counted
+a chunk's atoms per row, kept as the reference of its word route.  Two
+scalar readings of the batched statistics ride along:
 ``functional_value`` evaluates a functional of one replicate, and
 ``sample_spine_walk`` draws one spine walk from a generator.
 """
@@ -32,7 +34,7 @@ import numpy as np
 import brwlab.brw as brw
 import heavy_tail_reference
 from brwlab import FiniteLaw, GrowthCaps, validate_law
-from brwlab.rng import binomials, block_keys, counter_uniforms, replicate_seed, splitmix64
+from brwlab.rng import binomials, block_keys, counter_uniforms, replicate_seed, splitmix64, unit
 from brwlab.spine import _spine_tables, _walk
 
 _MASK = (1 << 64) - 1
@@ -95,6 +97,19 @@ def _brood(law, a: int) -> tuple[float, ...]:
     if isinstance(law, FiniteLaw):
         return law.atoms[a].displacements
     return (0.0,) * (a + 2)
+
+
+def float_row_atoms(law, words: np.ndarray, count: np.ndarray, at=None, biased=None):
+    """Atom counts per row by the float route: ``brw._atoms`` on each
+    word's uniform, the particles at ``at`` given the atoms ``biased``,
+    then one ``bincount`` over (row, atom) cells.  Row ``i`` holds the
+    next ``count[i]`` words."""
+    ai = brw._atoms(law, unit(words))
+    if at is not None:
+        ai[at] = biased
+    atoms = law._tables.counts.size
+    cell = np.repeat(np.arange(count.size) * atoms, count) + ai
+    return np.bincount(cell, minlength=count.size * atoms).reshape(-1, atoms)
 
 
 def grow_one(law, depth: int, caps: GrowthCaps, stream: CounterStream, alpha: float,

@@ -28,7 +28,9 @@ from brwlab import (
     martingale_trajectory,
     replicate_rng,
     tilted_mass,
+    validate_law,
 )
+from brwlab.rng import block_keys, counter_words, replicate_keys, word_thresholds
 from conftest import (
     binary_zero_law,
     coin_pair_law,
@@ -169,6 +171,47 @@ def test_atom_scan_matches_binary_search():
         probe = np.concatenate([u, cdf, np.nextafter(cdf, 0.0), [np.nextafter(1.0, 0.0)]])
         want = np.minimum(np.searchsorted(cdf, probe, side="right"), cdf.size - 1)
         assert np.array_equal(brw_mod._atoms(law, probe), want)
+
+
+# a law past the few-atom cutover, and one whose cdf reaches 1 two atoms
+# early, so that no plain word reaches its last two atoms
+WIDE = FiniteLaw(tuple(Atom(1 / 40, (0.1 * (a % 5),) * (a % 3)) for a in range(40)))
+EARLY_ONE = FiniteLaw((Atom(0.75, (0.0,)), Atom(0.25, (1.0, 1.0)), Atom(1e-17, (2.0,)),
+                       Atom(1e-17, ())))
+
+
+WORD_LAWS = {"coin_pair": coin_pair_law(), "quad_or_twin": quad_or_twin_law(),
+             "non_dyadic": NON_DYADIC, "wide": WIDE, "early_one": EARLY_ONE,
+             **{f"random{i}": law for i, law in enumerate(make_random_laws(5, 27))}}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_LAWS))
+def test_word_counts_match_the_float_route(name):
+    # every row's atom counts equal those of the float uniforms of the same
+    # words, on counter words, on the words at every threshold and one
+    # below it, and with spine particles given their own atoms
+    law = validate_law(WORD_LAWS[name])
+    atoms = len(law.atoms)
+    thresholds = word_thresholds(law._tables.cum_p[:-1])
+    assert (atoms > brw_mod._SCAN_ATOMS) == (name == "wide")
+    assert (thresholds.size < atoms - 1) == (name == "early_one")
+    edges = np.concatenate([thresholds, thresholds - np.uint64(1),
+                            np.array([0, 2**64 - 1], dtype=np.uint64)])
+    words = counter_words(block_keys(replicate_keys(6, np.arange(40)), 2), np.full(40, 100))
+    rng = np.random.default_rng(atoms)
+    for w in (edges, words, np.concatenate([words, edges])):
+        w = rng.permutation(w)
+        cut = np.sort(rng.choice(np.arange(1, w.size), size=w.size // 3, replace=False))
+        count = np.diff(cut, prepend=0, append=w.size)
+        start = np.cumsum(count) - count
+        got = brw_mod._row_atoms(thresholds, atoms, w, start, count)
+        assert np.array_equal(got, occupation_reference.float_row_atoms(law, w, count))
+        # a spine particle heads some rows, with any atom of the law
+        at = start[rng.random(count.size) < 0.5]
+        biased = rng.integers(0, atoms, at.size)
+        got = brw_mod._row_atoms(thresholds, atoms, w, start, count, at, biased)
+        assert np.array_equal(got, occupation_reference.float_row_atoms(law, w, count, at, biased))
+        assert np.array_equal(got.sum(axis=1), count)
 
 
 # (law, alpha, depth, max_nodes); depths reach frontiers past 10^4
@@ -312,20 +355,33 @@ def test_stop_threshold_stays_below_the_multinomial_budget():
     assert brw_mod._MULTINOMIAL_ABOVE >= mc_mod._ANALYTIC_SWITCH
 
 
+def test_positions_past_float64_are_refused_before_growth():
+    # 1e308 + 1e308 overflows, and inf - inf would be a NaN position; a run
+    # that tracks positions refuses such a law, one that counts does not
+    law = FiniteLaw((Atom(0.5, (1e308,)), Atom(0.5, (-1e308, 0.0))))
+    for grow in (lambda: grow_tree(law, 3, CAPS, replicate_rng(1, 0)),
+                 lambda: grow_occupation(law, 3, CAPS, 1, 5, 0.0)):
+        with pytest.raises(ResourceError, match="float64"):
+            grow()
+    assert grow_occupation(law, 3, CAPS, 1, 5).population[:, -1].min() >= 1
+    grown = grow_occupation(law, 1, CAPS, 1, 5, 0.0)  # one step stays finite
+    assert np.isfinite(grown.log_w).all()
+
+
 @pytest.mark.parametrize("case", ["stop", "positions"])
 def test_counter_calls_and_batches_keep_to_the_budget(case, pair_law, monkeypatch):
     # the budget bounds memory twice over: no counter call draws more
-    # uniforms than it, and no batch that grows a generation holds more
+    # words than it, and no batch that grows a generation holds more
     # frontier rows than it, unless one replicate does alone
     budget = 2**10
     monkeypatch.setattr(brw_mod, "_BATCH_PARTICLES", budget)
     calls, batches = [], []
-    uniforms, keys_of_block = brw_mod.counter_uniforms, brw_mod.block_keys
+    words, keys_of_block = brw_mod.counter_words, brw_mod.block_keys
 
     def counted(keys, lengths):
         lengths = np.asarray(lengths)
         calls.append((int(lengths.sum()), int(np.count_nonzero(lengths))))
-        return uniforms(keys, lengths)
+        return words(keys, lengths)
 
     def seen(keys, g):
         # block_keys is called at the top of each generation, where the
@@ -334,7 +390,7 @@ def test_counter_calls_and_batches_keep_to_the_budget(case, pair_law, monkeypatc
         batches.append((b.pos.size, b.ids.size))
         return keys_of_block(keys, g)
 
-    monkeypatch.setattr(brw_mod, "counter_uniforms", counted)
+    monkeypatch.setattr(brw_mod, "counter_words", counted)
     monkeypatch.setattr(brw_mod, "block_keys", seen)
     if case == "stop":
         grown = grow_occupation(pair_law, 30, CAPS, 5, 600, stop_above=256)

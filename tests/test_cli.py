@@ -440,6 +440,30 @@ def test_overflowing_tilt_gets_one_refusal_everywhere(capsys):
     assert json.loads(out)["profiles"][0]["classification"] == "MASS_INFINITE"
 
 
+_FAR_APART = '{"type":"finite","atoms":[{"p":0.5,"x":[1e308]},{"p":0.5,"x":[-1e308,0]}]}'
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--depth", "3", "--reps", "5"],
+    ["spine", "--depth", "3", "--reps", "5"],
+    ["mc", "--estimator", "mean_w", "--depth", "3", "--reps", "5"],
+    ["mc", "--estimator", "importance", "--functional", "min_z:2", "--depth", "3", "--reps", "5"],
+    ["mc", "--estimator", "spine_slope", "--depth", "3", "--reps", "5"],
+    ["mc", "--estimator", "triviality_scan", "--depth-grid", "1,2,3", "--reps", "5"],
+], ids=lambda args: args[0] if args[0] != "mc" else args[2])
+def test_positions_past_float64_are_refused(args, tmp_path, capsys):
+    # at alpha 0 the tilt is finite, but 1e308 + 1e308 overflows and
+    # inf - inf would write NaN into log W_n: refused before anything grows
+    model = tmp_path / "far.json"
+    model.write_text(_FAR_APART)
+    out = tmp_path / "out"
+    code, _, err = run_cli([*args, "--model", str(model), "--alpha", "0", "--seed", "1",
+                            "--out", str(out)], capsys)
+    assert code == 2, err
+    assert err.startswith("refused:") and "float64" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 _SINKING = '{"type": "finite", "atoms": [{"p": 0.5, "x": [-1, -1]}, {"p": 0.5, "x": [-1]}]}'
 
 

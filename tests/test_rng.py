@@ -23,6 +23,7 @@ from brwlab import (
     replicate_seed,
     splitmix64,
 )
+from brwlab.rng import counter_words, unit, word_thresholds
 
 MASK = (1 << 64) - 1
 
@@ -141,6 +142,55 @@ def test_counter_keys_reject_negative_ids_and_blocks():
         replicate_keys(0, [2, -1])
     with pytest.raises(ValueError):
         block_keys(replicate_keys(0, [2]), -1)
+
+
+# cdf entries at the edges of the uniforms' grid: 0, the least subnormal,
+# one below the grid's step, two ties with it, the largest uniform, 1 and a
+# cumulative sum rounded past 1
+CDF_ENTRIES = [0.0, 5e-324, 2.0**-60, 0.2, 0.5, 1 - 2.0**-53, 1.0, 1 + 2.0**-52]
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """The uniform of each counter word, as ``counter_uniforms`` makes it."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _assert_threshold_exact(c: float, words: np.ndarray) -> None:
+    """``w >= t`` exactly when ``unit(w) >= c``, for the threshold ``t`` of
+    ``c``, on the given words and on ``t - 1``, ``t``, ``t + 1``, 0 and
+    2^64 - 1; an entry that no uniform reaches has no threshold."""
+    t = word_thresholds([c])
+    assert np.array_equal(unit(words), _unit(words))
+    edges = [0, MASK]
+    if t.size:
+        edges += [int(t[0]) + d for d in (-1, 0, 1) if int(t[0]) + d >= 0]
+    for w in (words, np.array(edges, dtype=np.uint64)):
+        reached = _unit(w) >= c
+        if t.size:
+            assert np.array_equal(w >= t[0], reached), (c, w[(w >= t[0]) != reached][:3])
+        else:
+            assert not reached.any(), c
+
+
+def test_word_thresholds_are_exact_at_the_edges():
+    words = counter_words(block_keys(replicate_keys(3, np.arange(100)), 0), np.full(100, 1000))
+    assert words.size == 10**5
+    for c in CDF_ENTRIES:
+        _assert_threshold_exact(c, words)
+    # one threshold per entry below 1, in order
+    assert word_thresholds(CDF_ENTRIES).size == 6
+
+
+@given(st.floats(0.0, 1.0 + 2.0**-50))
+def test_word_thresholds_are_exact_for_any_entry(c):
+    _assert_threshold_exact(c, counter_words(block_keys(replicate_keys(4, [0]), 0), [64]))
+
+
+def test_counter_uniforms_are_the_units_of_the_words():
+    keys, lengths = block_keys(replicate_keys(2, [0, 1, 2]), 5), [3, 0, 4]
+    words = counter_words(keys, lengths)
+    assert words.dtype == np.uint64 and words.size == 7
+    assert counter_uniforms(keys, lengths).tolist() == _unit(words).tolist()
 
 
 # upper 10^-6 point of chi-square with 63 degrees of freedom

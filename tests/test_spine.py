@@ -159,9 +159,14 @@ def test_walk_agrees_with_spined_tree_marginal(pair_law):
 
 NON_DYADIC = FiniteLaw((Atom(0.3, ()), Atom(0.3, (0.1,)), Atom(0.4, (0.2, 0.7))))
 
+# no uniform reaches the last atom, whose plain cdf entry rounds to 1, but
+# the tilt at alpha = 20 gives it most of the size-biased mass
+EARLY_ONE = FiniteLaw((Atom(0.75, ()), Atom(0.25, (0.0, 0.0)), Atom(1e-17, (-2.0,))))
+
 # (law, alpha, depth, max_nodes); the cap of a few hundred nodes makes
 # some spined replicates hit it
 SPINED_CASES = {
+    "early_one": (EARLY_ONE, 20.0, 10, 1_000_000),
     "coin_pair": (coin_pair_law(), 1.0, 10, 1_000_000),
     "quad_or_twin": (quad_or_twin_law(), 5.0, 8, 1_000_000),
     "binary": (binary_zero_law(), 0.7, 11, 1_000_000),
