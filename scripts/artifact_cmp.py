@@ -9,13 +9,17 @@ estimator with ``--values-out``, heavy-tail ``classify``, ``spine`` and
 their domain, an ``importance`` run deep enough that its reference is a
 plain-law Monte Carlo, one node-cap refusal each for ``simulate`` and
 ``spine``, two validation refusals and two ``verify`` refusals (too many
-outcomes, an overflowing tilt), and the four commands of the benchmark's
+outcomes, an overflowing tilt), the four commands of the benchmark's
 mc_plain workload at its sizes, large enough that batches split and
-generations draw their uniforms in several chunks.  Each command runs
+generations draw their uniforms in several chunks, mc_spined's coin_pair
+``spine`` and ``importance`` (with ``--values-out``) at its sizes, and
+``simulate`` and ``spine`` in JSON and in CSV at alpha 0 and -1 on a law
+with negative displacements, ``models/signed.json``.  Each command runs
 once per tree, in a new interpreter with ``PYTHONPATH`` set to the tree's
 ``src``, from a fresh working directory that holds a copy of this
-repository's ``models/`` and, in ``corners/``, the corner laws, so both
-sides read the same files under the same relative paths.  The corner
+repository's ``models/`` with ``signed.json`` added and, in ``corners/``,
+the corner laws, so both sides read the same files under the same
+relative paths.  The corner
 laws' ``classify`` prints ``m``, the truncated mean that the lump at
 ``n_max`` enters, to the last digit, and one more child prints
 ``float.hex`` of every heavy-tail constant of the corner laws and of
@@ -45,6 +49,8 @@ _SAMPLE = ["--alpha", "1", "--depth", "8", "--reps", "5", "--seed", "1"]
 # (a, n_max): a just above one at the largest n_max, a at its limit at the
 # smallest, and the first n_max whose truncated mean takes the tail series
 _CORNERS = {"near-one": (1.0001, 10**7), "steep": (1000.0, 4), "past-head": (2.5, 4098)}
+# displacements of both signs, so positions and weights take negative values
+_SIGNED = {"type": "finite", "atoms": [{"p": 0.5, "x": [-1, 1]}, {"p": 0.5, "x": [-0.5]}]}
 _MC = {
     "mean_w": ["--alpha", "1", "--depth", "8"],
     "spine_slope": ["--alpha", "1", "--depth", "8"],
@@ -96,6 +102,16 @@ BATTERY: dict[str, list[str]] = {
        for name, args in _BENCH_PLAIN.items()},
     "bench-simulate": ["simulate", *_PAIR, "--alpha", "1", "--depth", "10", "--reps", "500",
                        "--seed", "701", "--out", "out"],
+    # mc_spined's coin_pair commands at the benchmark's sizes
+    "bench-spine": ["spine", *_PAIR, "--alpha", "1", "--depth", "12", "--reps", "200",
+                    "--seed", "701", "--out", "out"],
+    "bench-importance": ["mc", *_PAIR, "--estimator", "importance", "--functional", "min_z:2",
+                         "--alpha", "1", "--depth", "4", "--reps", "2000", "--seed", "701",
+                         "--out", "out", "--values-out", "values"],
+    **{f"signed-{cmd}-{alpha}-{fmt}": [cmd, "--model", "models/signed.json", "--alpha", alpha,
+                                       "--depth", "8", "--reps", "20", "--seed", "3",
+                                       "--format", fmt, "--out", "out"]
+       for cmd in ("simulate", "spine") for alpha in ("0", "-1") for fmt in ("json", "csv")},
 }
 
 # prints float.hex of every field of the heavy-tail constants of the laws
@@ -119,6 +135,7 @@ def run(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
     """Stdout, stderr, exit code and written files of ``python <argv>`` in
     ``work``."""
     shutil.copytree(REPO / "models", work / "models")
+    (work / "models" / "signed.json").write_text(json.dumps(_SIGNED))
     (work / "corners").mkdir()
     for name, (a, n_max) in _CORNERS.items():
         law = {"type": "log_divergent", "a": a, "n_max": n_max}

@@ -18,7 +18,11 @@ meets the rule for claiming one: B lower in at least nine tenths of the
 pairs, ties counting for neither, and the medians apart by more than the
 interquartile range of A's runs.  Every metric of the benchmark is better
 lower.  It also prints per side how many runs read ``correct: true`` and
-the totals of commands attempted and failed.
+the totals of commands attempted and failed.  Right after each run it
+reads the results file that the run wrote,
+``.perfbench_out/results/<workload>-seed<S>-trace0.json`` in the tree, and
+prints the side, pair, argv and failure text of every command that failed,
+so a failure can be rerun from its own ``--seed``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,15 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not proc.stdout.strip():
         raise SystemExit(f"{tree}: benchmark failed\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def failure_lines(side: str, pair: int, tree: Path, workload: str, seed: int) -> list[str]:
+    """One line per command that failed in the last run of ``tree``, read
+    from the results file that run wrote."""
+    path = tree / ".perfbench_out" / "results" / f"{workload}-seed{seed}-trace0.json"
+    errors = json.loads(path.read_text())["errors"]
+    return [f"{side} pair {pair} FAILED {argv}: {'; '.join(texts)}"
+            for argv, texts in errors.items()]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -94,6 +107,8 @@ def main() -> None:
     for i in range(args.pairs):
         for side in ("ab" if i % 2 == 0 else "ba"):
             runs[side].append(run(sides[side], args.workload, args.seed, args.seconds))
+            for line in failure_lines(side.upper(), i, sides[side], args.workload, args.seed):
+                print(line, flush=True)
         wall = {s: runs[s][-1]["metrics"]["wall_s"]["value"] for s in "ab"}
         print(f"pair {i}: wall_s A {wall['a']:.4f} B {wall['b']:.4f}", flush=True)
     print(f"A {sides['a']}\nB {sides['b']}\n{args.workload} seed {args.seed}, "

@@ -16,7 +16,8 @@ validated for compatibility; every subcommand runs on one thread.
 
 Artifacts: stdout by default, --out to write a file.  JSON renders
 non-finite floats as the strings "Infinity", "-Infinity", "NaN"; CSV
-uses Python float repr (shortest round-trip form).
+uses Python float repr (shortest round-trip form), formats each distinct
+value of a column once, and writes the bytes csv.writer would.
 """
 
 from __future__ import annotations
@@ -154,23 +155,36 @@ def _cell(v) -> str:
     return str(v)
 
 
-# cell types whose str() is their _cell text, which csv never quotes
-_PLAIN_CELLS = frozenset((int, float, bool, type(None)))
+def _column_texts(column) -> list[str]:
+    """The ``_cell`` texts of one column (see ``_csv_text``)."""
+    if not isinstance(column, np.ndarray):
+        return list(map(_cell, column))
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = list(map(_cell, distinct.view(column.dtype).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _csv_text(header: list[str], rows) -> str:
-    """``header`` and ``rows`` as ``csv.writer`` writes their ``_cell``
-    texts.  A table of plain numbers, bools and ``None`` is formatted
-    column by column, without a Python call per cell."""
+def _csv_text(columns: dict) -> str:
+    """``columns``, arrays or lists of cells, as ``csv.writer`` writes
+    their ``_cell`` texts under a header of their names.
+
+    A float's repr is the dear part of a cell, and long-format columns
+    repeat their values, so an array column formats each distinct value
+    once.  Float arrays are keyed on their bits, as a memo keyed on
+    values would merge ``0.0`` and ``-0.0``; over a list it would merge
+    ``0``, ``0.0`` and ``False`` too, so a list is formatted cell by cell.
+    Array texts (int, bool, float64) need no quoting; a list column may
+    hold strings, so its table goes through ``csv.writer``.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    columns = list(zip(*rows))
-    if all(_PLAIN_CELLS.issuperset(map(type, cells)) for cells in columns):
-        lines = list(map(",".join, zip(*(map(str, cells) for cells in columns))))
-        buf.write("\n".join(lines + [""]))
+    writer.writerow(columns)
+    rows = zip(*map(_column_texts, columns.values()))
+    if all(isinstance(c, np.ndarray) for c in columns.values()):
+        buf.write("\n".join([*map(",".join, rows), ""]))
     else:
-        writer.writerows(zip(*(map(_cell, cells) for cells in columns)))
+        writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -185,14 +199,15 @@ def _emit(text: str, out: str | None) -> None:
             raise DomainError(f"cannot write {out}: {e}") from None
 
 
-def _emit_rows(header: list[str], rows: list[tuple], out: str | None, fmt: str,
-               keys: list[str] | None = None) -> None:
-    """``rows`` as CSV under ``header``, or as a JSON list of objects keyed
-    by ``keys`` (``header`` by default)."""
+def _emit_table(columns: dict, out: str | None, fmt: str,
+                keys: list[str] | None = None) -> None:
+    """``columns`` as CSV under their names, or as a JSON list of row
+    objects keyed by ``keys`` (the names by default)."""
     if fmt == "csv":
-        _emit(_csv_text(header, rows), out)
+        _emit(_csv_text(columns), out)
     else:
-        _emit(_json_text([dict(zip(keys or header, row)) for row in rows]), out)
+        cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+        _emit(_json_text([dict(zip(keys or columns, row)) for row in zip(*cells)]), out)
 
 
 def _load_model(path: str):
@@ -328,16 +343,12 @@ def classify_cmd(model_path, alpha_text, out, fmt):
     if fmt == "json":
         _emit(_json_text({"model": model_path, "profiles": profiles}), out)
     else:
-        rows = [[p[k] for k in _PROFILE_FIELDS] for p in profiles]
-        _emit(_csv_text(_PROFILE_FIELDS, rows), out)
+        _emit(_csv_text({k: [p[k] for p in profiles] for k in _PROFILE_FIELDS}), out)
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-_VERIFY_FIELDS = ["check", "law", "alpha", "depth", "max_discrepancy", "outcomes", "pass"]
-
 
 @cli.command("verify")
 @click.option("--model", "model_path", default=None)
@@ -353,9 +364,11 @@ def verify_cmd(model_path, alpha_text, depth, out, fmt):
     if depth < 0:
         raise DomainError("--depth must be nonnegative")
     results = [res for a in alphas for res in run_verify(law, a, depth)]
-    rows = [(res.check, model_path, res.alpha, res.depth, res.max_discrepancy, res.outcomes,
-             res.passed) for res in results]
-    _emit_rows(_VERIFY_FIELDS, rows, out, fmt)
+    _emit_table({"check": [r.check for r in results], "law": [model_path] * len(results),
+                 "alpha": [r.alpha for r in results], "depth": [r.depth for r in results],
+                 "max_discrepancy": [r.max_discrepancy for r in results],
+                 "outcomes": [r.outcomes for r in results],
+                 "pass": [r.passed for r in results]}, out, fmt)
     if not all(res.passed for res in results):
         click.echo("error: identity check failure: this is an implementation bug", err=True)
         sys.exit(3)
@@ -364,13 +377,6 @@ def verify_cmd(model_path, alpha_text, depth, out, fmt):
 # ---------------------------------------------------------------------------
 # simulate and spine, and the options they share with mc
 # ---------------------------------------------------------------------------
-
-
-def _refuse_if(refusal: str | None) -> None:
-    """After the (partial) artifact is written, report a cap hit; exit 2."""
-    if refusal is not None:
-        click.echo(refusal, err=True)
-        sys.exit(2)
 
 
 def _run_options(fmt: str):
@@ -421,20 +427,19 @@ def simulate_cmd(out, fmt, **run):
     """
     law, alpha, depth, reps, seed, caps = _sampler_args(**run)
     grown = grow_occupation(law, depth, caps, seed, reps, alpha)
-    all_rows: list[tuple] = []
-    refusal = None
-    for r, capped_at in enumerate(grown.capped_at.tolist()):
-        last = depth if capped_at < 0 else capped_at - 1
-        rows = zip(grown.population[r, : last + 1].tolist(), grown.log_w[r, : last + 1].tolist())
-        all_rows.extend((r, n, z, w) for n, (z, w) in enumerate(rows))
-        if capped_at >= 0:
-            refusal = (
-                f"refused: replicate {r} hit max-nodes {caps.max_nodes} growing generation "
-                f"{capped_at}; partial trajectory written, later replicates dropped"
-            )
-            break
-    _emit_rows(["replicate", "n", "Z_n", "log_w"], all_rows, out, fmt)
-    _refuse_if(refusal)
+    keep = np.ones(grown.population.shape, dtype=bool)
+    capped = np.flatnonzero(grown.capped_at >= 0)
+    if capped.size:
+        r, capped_at = int(capped[0]), int(grown.capped_at[capped[0]])
+        keep[r + 1:] = False
+        keep[r, capped_at:] = False
+    replicate, n = np.nonzero(keep)
+    _emit_table({"replicate": replicate, "n": n, "Z_n": grown.population[keep],
+                 "log_w": grown.log_w[keep]}, out, fmt)
+    if capped.size:
+        click.echo(f"refused: replicate {r} hit max-nodes {caps.max_nodes} growing generation "
+                   f"{capped_at}; partial trajectory written, later replicates dropped", err=True)
+        sys.exit(2)
 
 
 @cli.command("spine")
@@ -451,20 +456,17 @@ def spine_cmd(out, fmt, **run):
     """
     law, alpha, depth, reps, seed, caps = _sampler_args(**run)
     grown, log_weight = grow_spined_batch(law, alpha, depth, caps, seed, reps)
-    all_rows: list[tuple] = []
-    refusal = None
-    for r, capped_at in enumerate(grown.capped_at.tolist()):
-        if capped_at >= 0:
-            refusal = (
-                f"refused: replicate {r} hit max-nodes {caps.max_nodes} at generation "
-                f"{capped_at}; run truncated before this replicate"
-            )
-            break
-        columns = (grown.ray_position[r], log_weight[r], grown.log_w[r])
-        all_rows.extend((r, k, *row) for k, row in enumerate(zip(*(c.tolist() for c in columns))))
-    _emit_rows(["replicate", "k", "S(v_k)", "spine_log_weight", "log_w"], all_rows, out, fmt,
-               keys=["replicate", "k", "S", "spine_log_weight", "log_w"])
-    _refuse_if(refusal)
+    keep = np.ones(grown.log_w.shape, dtype=bool)
+    capped = np.flatnonzero(grown.capped_at >= 0)
+    keep[capped[0] if capped.size else reps:] = False
+    replicate, k = np.nonzero(keep)
+    _emit_table({"replicate": replicate, "k": k, "S(v_k)": grown.ray_position[keep],
+                 "spine_log_weight": log_weight[keep], "log_w": grown.log_w[keep]}, out, fmt,
+                keys=["replicate", "k", "S", "spine_log_weight", "log_w"])
+    if capped.size:
+        click.echo(f"refused: replicate {capped[0]} hit max-nodes {caps.max_nodes} at generation "
+                   f"{grown.capped_at[capped[0]]}; run truncated before this replicate", err=True)
+        sys.exit(2)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +542,11 @@ def mc_cmd(
         grid = _parse_depth_grid(_require(depth_grid_text, "--depth-grid"))
         cfg = McConfig(reps, max(grid), seed, caps)
         report = mc_triviality_scan(law, alpha, grid, cfg, keep_values=keep)
-        payload, columns = _fields(report, _SCAN_KEYS), _fields(report, _SCAN_COLUMNS)
-        table = list(columns), zip(*columns.values())
-        values = ["replicate", "n", "log_w"], (
-            (rep, d, float(report.values[i, j]))
-            for i, rep in enumerate(report.kept)
-            for j, d in enumerate(report.grid)
-        )
+        payload, table = _fields(report, _SCAN_KEYS), _fields(report, _SCAN_COLUMNS)
+        if keep:
+            kept = np.array(report.kept, dtype=np.int64)
+            values = {"replicate": np.repeat(kept, len(grid)), "n": np.tile(grid, kept.size),
+                      "log_w": report.values.ravel()}
     else:
         depth = _require(depth, "--depth")
         cfg = McConfig(reps, depth, seed, caps)
@@ -562,13 +562,13 @@ def mc_cmd(
                 fn = parse_functional(_require(functional, "--functional"))
                 summary = mc_importance_identity(law, alpha, fn, cfg, keep_values=keep)
         payload = _fields(summary, _SUMMARY_KEYS)
-        table = list(payload), [list(payload.values())]
-        values = ["replicate", "value"], (
-            (rep, float(summary.values[i])) for i, rep in enumerate(summary.kept)
-        )
-    _emit(_json_text(payload) if fmt == "json" else _csv_text(*table), out)
+        table = {key: [value] for key, value in payload.items()}
+        if keep:
+            values = {"replicate": np.array(summary.kept, dtype=np.int64),
+                      "value": summary.values}
+    _emit(_json_text(payload) if fmt == "json" else _csv_text(table), out)
     if keep:
-        _emit(_csv_text(*values), values_out)
+        _emit(_csv_text(values), values_out)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The summary of ``scripts/bench_pairs.py`` on fixed benchmark results."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -46,3 +47,22 @@ def test_summary_needs_both_the_pairs_and_the_gap():
     assert bench_pairs.summary(a, b)[0].endswith("B lower in 10 of 10 pairs, gain rule not met")
     b = [_result(0.5 if i < 8 else 2.0, 1.0) for i in range(10)]
     assert bench_pairs.summary(a, b)[0].endswith("B lower in 8 of 10 pairs, gain rule not met")
+
+
+def test_failure_lines_name_each_failed_command(tmp_path):
+    # the results file of a run with two failed commands, trimmed to what is read
+    results = tmp_path / ".perfbench_out" / "results"
+    results.mkdir(parents=True)
+    argv = ["mc --model coin_pair.json --estimator importance --seed 11",
+            "spine --model heavy_tail.json --seed 12"]
+    report = {"workload": "mc_spined", "correct": False, "attempted": 40, "failed": 2,
+              "errors": {argv[0]: ["band failed: z 4.2"],
+                         argv[1]: ["exit code 2", "3 rows, expected 21"]}}
+    (results / "mc_spined-seed7-trace0.json").write_text(json.dumps(report))
+    assert bench_pairs.failure_lines("B", 3, tmp_path, "mc_spined", 7) == [
+        f"B pair 3 FAILED {argv[0]}: band failed: z 4.2",
+        f"B pair 3 FAILED {argv[1]}: exit code 2; 3 rows, expected 21",
+    ]
+    report["errors"] = {}
+    (results / "mc_spined-seed7-trace0.json").write_text(json.dumps(report))
+    assert bench_pairs.failure_lines("A", 0, tmp_path, "mc_spined", 7) == []

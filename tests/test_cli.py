@@ -12,8 +12,9 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import brwlab.cli as cli_mod
@@ -123,29 +124,42 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
 # simulate / spine artifacts
 # ---------------------------------------------------------------------------
 
+# two distinct NaN objects, so a memo keyed on the values cannot merge them by identity
 CSV_CELLS = [0, -7, 2**70, True, False, None, float("inf"), float("-inf"), float("nan"),
-             -0.0, 5e-324, 0.1, -1.2345678901234567e300]
+             float("nan"), 0.0, -0.0, 5e-324, 0.1, -1.2345678901234567e300]
 CSV_STRINGS = ["plain", "a, b", 'say "hi"', "two\nlines", "cr\rcell", "", "; tab\t"]
+# three NaN bit patterns (quiet, negative, signalling) beside both zeros
+CSV_FLOATS = [0.0, -0.0, 5e-324, 0.1, 1.0, -1.2345678901234567e300, float("inf"),
+              float("-inf"),
+              *np.array([0x7FF8 << 48, 0xFFF8 << 48, (0x7FF << 52) | 1], dtype=np.uint64)
+              .view(np.float64).tolist()]
 
 
-def _reference_csv(header, rows) -> str:
+def _reference_csv(columns: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
+    writer.writerow(columns)
+    cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    for row in zip(*cells):
         writer.writerow([cli_mod._cell(v) for v in row])
     return buf.getvalue()
 
 
-@given(st.lists(st.lists(st.sampled_from(CSV_CELLS), min_size=3, max_size=3), max_size=6),
-       st.lists(st.sampled_from(CSV_CELLS + CSV_STRINGS), min_size=3, max_size=3))
-def test_csv_text_matches_csv_writer(rows, mixed):
-    header = ["n", "note, with comma", "value"]
-    assert cli_mod._csv_text(header, rows) == _reference_csv(header, rows)
-    assert cli_mod._csv_text(header, iter(rows)) == _reference_csv(header, rows)
-    # a string cell, here or in a summary note, keeps csv quoting
-    assert cli_mod._csv_text(header, rows + [mixed]) == _reference_csv(header, rows + [mixed])
-
+@given(st.lists(st.tuples(st.sampled_from(CSV_CELLS), st.sampled_from(CSV_CELLS + CSV_STRINGS),
+                          st.sampled_from(CSV_FLOATS), st.integers(-2**63, 2**63 - 1),
+                          st.booleans()), max_size=8))
+@example(rows=[])
+def test_csv_text_matches_csv_writer(rows):
+    cells, mixed, x, count, flag = map(list, zip(*rows)) if rows else ([],) * 5
+    arrays = {"x": np.array(x, dtype=np.float64), "count": np.array(count, dtype=np.int64),
+              "flag": np.array(flag, dtype=bool)}
+    # a table of arrays is joined without csv.writer
+    assert cli_mod._csv_text(arrays) == _reference_csv(arrays)
+    # list columns mix 0, False, 0.0 and -0.0, and hold strings that need quoting
+    table = {"cell": cells, "note, with comma": mixed, **arrays}
+    assert cli_mod._csv_text(table) == _reference_csv(table)
+    if not rows:
+        assert cli_mod._csv_text(table) == 'cell,"note, with comma",x,count,flag\n'
 
 
 def test_simulate_csv_layout(capsys):
