@@ -14,12 +14,17 @@ mc_plain workload at its sizes, large enough that batches split and
 generations draw their uniforms in several chunks, mc_spined's coin_pair
 ``spine`` and ``importance`` (with ``--values-out``) at its sizes, and
 ``simulate`` and ``spine`` in JSON and in CSV at alpha 0 and -1 on a law
-with negative displacements, ``models/signed.json``.  Each command runs
-once per tree, in a new interpreter with ``PYTHONPATH`` set to the tree's
-``src``, from a fresh working directory that holds a copy of this
-repository's ``models/`` with ``signed.json`` added and, in ``corners/``,
-the corner laws, so both sides read the same files under the same
-relative paths.  The corner
+with negative displacements, ``models/signed.json``, and ``simulate``,
+``spine`` and ``mc mean_w`` ten generations deep on two laws whose
+positions multiply: ``models/collision.json``, where ``1e-16 + 1 == 1``
+puts two parents' children at one position, and
+``models/incommensurate.json``, whose displacements lie on no lattice
+``h * Z``.
+Each command runs once per tree, in a new interpreter with ``PYTHONPATH``
+set to the tree's ``src``, from a fresh working directory that holds a
+copy of this repository's ``models/`` with these three laws added and,
+in ``corners/``, the corner laws, so both sides read the same files
+under the same relative paths.  The corner
 laws' ``classify`` prints ``m``, the truncated mean that the lump at
 ``n_max`` enters, to the last digit, and one more child prints
 ``float.hex`` of every heavy-tail constant of the corner laws and of
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -51,6 +57,14 @@ _SAMPLE = ["--alpha", "1", "--depth", "8", "--reps", "5", "--seed", "1"]
 _CORNERS = {"near-one": (1.0001, 10**7), "steep": (1000.0, 4), "past-head": (2.5, 4098)}
 # displacements of both signs, so positions and weights take negative values
 _SIGNED = {"type": "finite", "atoms": [{"p": 0.5, "x": [-1, 1]}, {"p": 0.5, "x": [-0.5]}]}
+# positions that float addition merges (1e-16 + 1 == 1), and positions on
+# no lattice h * Z, so that a replicate's positions multiply
+_MULTIPLYING = {
+    "collision": {"type": "finite", "atoms": [{"p": 0.3, "x": []},
+                                              {"p": 0.7, "x": [0, 1e-16, 1]}]},
+    "incommensurate": {"type": "finite", "atoms": [
+        {"p": 0.25, "x": []}, {"p": 0.75, "x": [0, math.sqrt(2) - 1, math.sqrt(3) - 1]}]},
+}
 _MC = {
     "mean_w": ["--alpha", "1", "--depth", "8"],
     "spine_slope": ["--alpha", "1", "--depth", "8"],
@@ -112,6 +126,13 @@ BATTERY: dict[str, list[str]] = {
                                        "--depth", "8", "--reps", "20", "--seed", "3",
                                        "--format", fmt, "--out", "out"]
        for cmd in ("simulate", "spine") for alpha in ("0", "-1") for fmt in ("json", "csv")},
+    **{f"{name}-{cmd}": [cmd, "--model", f"models/{name}.json", "--alpha", "1", "--depth", "10",
+                         "--reps", "20", "--seed", "5", "--out", "out"]
+       for name in _MULTIPLYING for cmd in ("simulate", "spine")},
+    **{f"{name}-mean_w": ["mc", "--model", f"models/{name}.json", "--estimator", "mean_w",
+                          "--alpha", "1", "--depth", "10", "--reps", "200", "--seed", "5",
+                          "--out", "out", "--values-out", "values"]
+       for name in _MULTIPLYING},
 }
 
 # prints float.hex of every field of the heavy-tail constants of the laws
@@ -135,7 +156,8 @@ def run(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
     """Stdout, stderr, exit code and written files of ``python <argv>`` in
     ``work``."""
     shutil.copytree(REPO / "models", work / "models")
-    (work / "models" / "signed.json").write_text(json.dumps(_SIGNED))
+    for name, law in {"signed": _SIGNED, **_MULTIPLYING}.items():
+        (work / "models" / f"{name}.json").write_text(json.dumps(law))
     (work / "corners").mkdir()
     for name, (a, n_max) in _CORNERS.items():
         law = {"type": "log_divergent", "a": a, "n_max": n_max}

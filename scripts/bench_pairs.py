@@ -22,7 +22,12 @@ the totals of commands attempted and failed.  Right after each run it
 reads the results file that the run wrote,
 ``.perfbench_out/results/<workload>-seed<S>-trace0.json`` in the tree, and
 prints the side, pair, argv and failure text of every command that failed,
-so a failure can be rerun from its own ``--seed``.
+so a failure can be rerun from its own ``--seed``.  From the same file it
+takes each command's median ``op_s`` across the run's passes, as
+``wall_s`` sums them, and the summary prints per command, numbered in the
+order of the workload's pass (``perfbench/workloads.py``), each side's
+median of those over its runs, so that a change of ``wall_s`` can be
+traced to the commands that moved.
 """
 
 from __future__ import annotations
@@ -49,13 +54,24 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def failure_lines(side: str, pair: int, tree: Path, workload: str, seed: int) -> list[str]:
-    """One line per command that failed in the last run of ``tree``, read
-    from the results file that run wrote."""
+def results(tree: Path, workload: str, seed: int) -> dict:
+    """The results file that the last run of ``tree`` wrote."""
     path = tree / ".perfbench_out" / "results" / f"{workload}-seed{seed}-trace0.json"
-    errors = json.loads(path.read_text())["errors"]
+    return json.loads(path.read_text())
+
+
+def failure_lines(side: str, pair: int, tree: Path, workload: str, seed: int) -> list[str]:
+    """One line per command that failed in the last run of ``tree``."""
+    errors = results(tree, workload, seed)["errors"]
     return [f"{side} pair {pair} FAILED {argv}: {'; '.join(texts)}"
             for argv, texts in errors.items()]
+
+
+def command_medians(tree: Path, workload: str, seed: int) -> list[float]:
+    """Each command's median ``op_s`` across the passes of the last run of
+    ``tree``."""
+    passes = results(tree, workload, seed)["passes"]
+    return [statistics.median(ops) for ops in zip(*(p["op_s"] for p in passes))]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -82,6 +98,11 @@ def summary(a: list[dict], b: list[dict]) -> list[str]:
             f"B {qb[1]:.4g} (quartiles {qb[0]:.4g}-{qb[2]:.4g}), "
             f"B lower in {lower} of {pairs} pairs, gain rule {'met' if met else 'not met'}"
         )
+    for i, (ops_a, ops_b) in enumerate(zip(zip(*(r["op_s"] for r in a)),
+                                           zip(*(r["op_s"] for r in b)))):
+        med_a, med_b = statistics.median(ops_a), statistics.median(ops_b)
+        lines.append(f"command {i} op_s [s]: A {med_a:.4g}, B {med_b:.4g} "
+                     f"({100 * (med_b / med_a - 1):+.1f}%)")
     for side, runs in (("A", a), ("B", b)):
         correct = sum(r["correct"] for r in runs)
         attempted = sum(r["attempted"] for r in runs)
@@ -107,6 +128,7 @@ def main() -> None:
     for i in range(args.pairs):
         for side in ("ab" if i % 2 == 0 else "ba"):
             runs[side].append(run(sides[side], args.workload, args.seed, args.seconds))
+            runs[side][-1]["op_s"] = command_medians(sides[side], args.workload, args.seed)
             for line in failure_lines(side.upper(), i, sides[side], args.workload, args.seed):
                 print(line, flush=True)
         wall = {s: runs[s][-1]["metrics"]["wall_s"]["value"] for s in "ab"}

@@ -56,15 +56,22 @@ would.  Heavy-tail laws invert the uniforms of their words.  Spine
 broods come from the hook alone, on the only two words of a block that
 become uniforms.
 
-A batch whose frontier holds more than ``_BATCH_PARTICLES`` rows splits
-in two.  A generation draws its uniforms in chunks of consecutive
-replicates, each of at most ``_BATCH_PARTICLES`` uniforms unless one
+A batch keeps the sorted table of its distinct positions, and each row
+its index into it.  A generation scatters the children of its rows onto
+a grid of one cell per replicate and position of the next table, the
+distinct sums of an entry and a displacement, and reads the next
+frontier off the nonzero cells, replicate by replicate and positions
+ascending, with no sort over the rows.  One budget, ``_BATCH_PARTICLES``,
+bounds memory.  A batch whose next grid would hold more cells splits in
+two, each half keeping the table entries its rows use; the grid bounds
+the rows it leaves, too.  A generation draws its uniforms in chunks of
+consecutive replicates, each of at most the budget unless one
 replicate's block passes it alone, and reduces each chunk at once to the
 children of its rows, so the batch's arrays are sized by its rows and
-only a chunk holds one entry per particle.  Beyond that size one
-replicate's arrays amortise numpy's per-call cost on their own.  Peak
-memory is therefore a few such budgets plus one replicate's frontier or
-block, less than its grown tree would hold.
+grid and only a chunk holds one entry per particle.  Beyond that size
+one replicate's arrays amortise numpy's per-call cost on their own.
+Peak memory is therefore a few such budgets plus one replicate's
+frontier, grid or block, less than its grown tree would hold.
 
 The additive martingale along a grown tree is
 
@@ -76,8 +83,6 @@ batch, where an occupied position contributes ``-alpha * S +
 log(count)``.  Empty generations give ``-inf``, and trajectories keep
 running past extinction so downstream consumers see explicit zeros.
 """
-
-from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple, Sequence
@@ -250,7 +255,7 @@ def _grow(
     law: Law,
     depth: int,
     caps: GrowthCaps,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",  # quoted: np.random loads on first touch
     spine_brood: SpineBrood | None = None,
 ) -> tuple[LabelledTree, np.ndarray | None]:
     """The generation loop behind ``grow_tree`` and ``grow_spined_tree``.
@@ -317,7 +322,7 @@ def _grow(
 
 
 def grow_tree(
-    law: Law, depth: int, caps: GrowthCaps, rng: np.random.Generator
+    law: Law, depth: int, caps: GrowthCaps, rng: "np.random.Generator"
 ) -> LabelledTree:
     """Grow a tree to ``depth`` generations under the given law.
 
@@ -373,13 +378,13 @@ def martingale_trajectory(
 # batched growth
 # ---------------------------------------------------------------------------
 
-# A batch whose frontier holds more than _BATCH_PARTICLES rows splits in
-# two, and a generation draws its uniforms in chunks of consecutive
-# replicates of at most _BATCH_PARTICLES each (one replicate past it is a
-# chunk of its own); past that size one replicate's arrays already
-# amortise numpy's per-call cost.  A run starts batches of at most
-# _BATCH_REPLICATES roots, which keeps the replicate index of a batch's
-# rows below 2^15, as the int16 radix sort in _grow_occupied needs.
+# A batch whose next position grid would hold more than _BATCH_PARTICLES
+# cells splits in two, and a generation draws its uniforms in chunks of
+# consecutive replicates of at most _BATCH_PARTICLES each (one replicate
+# past it is a chunk of its own); past that size one replicate's arrays
+# already amortise numpy's per-call cost.  A run starts batches of at most
+# _BATCH_REPLICATES roots, so the keys and per-replicate arrays it holds at
+# once stay within a few budgets whatever its replicate count.
 _BATCH_PARTICLES = 1 << 15
 _BATCH_REPLICATES = 4096
 
@@ -441,6 +446,65 @@ def _row_atoms(
     return (reached[:-1] - reached[1:]).T
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a float array, ascending, by float equality
+    (``np.unique`` would load ``numpy.ma``)."""
+    v = np.sort(values, axis=None)
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = v[1:] != v[:-1]
+    return v[new]
+
+
+def _used(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``table`` that ``index`` points at, in order, and
+    ``index`` into them."""
+    used = np.zeros(table.size, dtype=bool)
+    used[index] = True
+    return table[used], (np.cumsum(used) - 1)[index]
+
+
+def _grid(
+    rows: np.ndarray,
+    table: np.ndarray,
+    index: np.ndarray,
+    kids: np.ndarray,
+    disp: np.ndarray,
+    columns: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Children of a batch merged by position, and each replicate's total.
+
+    The replicates hold ``rows`` rows each, and the row at ``table[index[k]]``
+    has ``kids[k, d]`` children at that position plus ``disp[d]``, one of
+    the sorted ``columns``.  The grid holds one cell per replicate and
+    column, replicate by replicate: the replicate's children there."""
+    width = columns.size
+    step = np.searchsorted(columns, table[:, None] + disp)
+    first = np.arange(0, rows.size * width, width)
+    cell = np.repeat(first, rows)
+    grid = np.zeros(rows.size * width, dtype=np.int64)
+    for d, column in enumerate(step.T):
+        # add.at, not +=: float addition can round two rows onto one column
+        np.add.at(grid, cell + column[index], kids[:, d])
+    return grid, np.add.reduceat(grid, first)
+
+
+def _occupied(
+    grid: np.ndarray, columns: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The frontier of the ``live`` replicates of a ``_grid`` over
+    ``columns``, whose other cells it zeroes: their rows each, then per
+    row, replicate by replicate and positions ascending, its particle
+    count, and the columns cut to the positions in use with each row's
+    index into them."""
+    grid.reshape(live.size, columns.size)[~live] = 0
+    first = np.arange(0, grid.size, columns.size)
+    occupied = grid != 0
+    flat = np.flatnonzero(occupied)
+    rows = np.add.reduceat(occupied, first, dtype=np.int64)
+    table, index = _used(columns, flat - np.repeat(first, rows))
+    return rows[live], grid[flat], table, index
+
+
 class BatchGrowth(NamedTuple):
     """What ``grow_occupation`` keeps of each replicate, rows in replicate
     order.
@@ -473,7 +537,9 @@ class _Batch(NamedTuple):
     """Live replicates of a batch, in replicate order: ``z`` particles,
     ``nodes`` tree nodes so far and ``rows`` frontier rows each.  A row is
     one occupied position with its particle count, laid out replicate by
-    replicate, positions ascending within a replicate.  Spined batches also
+    replicate, positions ascending within a replicate.  ``table`` holds the
+    batch's distinct positions, ascending, and ``index`` each row's entry
+    in it: ``pos`` is ``table[index]``.  Spined batches also
     keep each replicate's spine position, which is the position of exactly
     one of its rows, the spine's home row."""
 
@@ -484,13 +550,16 @@ class _Batch(NamedTuple):
     rows: np.ndarray
     pos: np.ndarray
     count: np.ndarray
+    table: np.ndarray
+    index: np.ndarray
     spine: np.ndarray | None = None
 
     def take(self, keep: np.ndarray) -> "_Batch":
         row = np.repeat(keep, self.rows)
+        table, index = _used(self.table, self.index[row])
         spine = None if self.spine is None else self.spine[keep]
         return _Batch(self.ids[keep], self.keys[keep], self.z[keep], self.nodes[keep],
-                      self.rows[keep], self.pos[row], self.count[row], spine)
+                      self.rows[keep], self.pos[row], self.count[row], table, index, spine)
 
     def halves(self) -> tuple["_Batch", "_Batch"]:
         first = np.arange(self.ids.size) < self.ids.size // 2
@@ -518,7 +587,10 @@ def grow_occupation(
 
     A replicate's frontier is its occupied positions with their particle
     counts, positions merged by exact float equality, so the cost of a
-    generation follows the occupied positions, not the particles.
+    generation follows the occupied positions, not the particles.  A batch
+    merges its children on a grid of one cell per replicate and distinct
+    position of the batch's next generation, splitting in two before the
+    grid would pass ``_BATCH_PARTICLES`` cells.
     Replicate ``r`` draws the counter stream keyed
     ``rng.replicate_keys(seed, first_id + r)`` (a batch's keys come from
     one call), and in each non-empty generation ``g`` its block ``g``.
@@ -611,10 +683,11 @@ def _grow_occupied(
     be validated.
 
     Batches of at most ``_BATCH_REPLICATES`` roots grow depth first;
-    their keys are derived once per root batch, and a batch whose frontier
-    holds more than ``_BATCH_PARTICLES`` rows splits in two first: the
-    budget bounds a generation's arrays through its rows, save the
-    uniforms, which come in ``_chunks`` of at most the budget."""
+    their keys are derived once per root batch, and a batch whose next
+    ``_grid`` would hold more than ``_BATCH_PARTICLES`` cells splits in two
+    first: the budget bounds a generation's arrays through its grid and
+    rows, save the uniforms, which come in ``_chunks`` of at most the
+    budget."""
     capped_at = np.full(replicates, -1, dtype=np.int64)
     stops: dict[int, tuple[int, int, float]] = {}
     heavy = isinstance(law, LogDivergentLaw)
@@ -632,8 +705,7 @@ def _grow_occupied(
         # mult[a, d]: children of atom a at displacement disp[d]
         mult = t.counts[:, None]
         if positions:
-            # sorted in Python, as np.unique would load numpy.ma
-            disp = np.array(sorted(set(t.flat_disp.tolist())))
+            disp = _sorted_distinct(t.flat_disp)
             mult = np.zeros((atoms, disp.size), dtype=np.int64)
             np.add.at(mult, (np.repeat(np.arange(atoms), t.counts),
                              np.searchsorted(disp, t.flat_disp)), 1)
@@ -644,9 +716,10 @@ def _grow_occupied(
             return np.zeros(b.ids.size, dtype=bool)
         return b.z > _MULTINOMIAL_ABOVE + _MULTINOMIAL_CELL * atoms * b.rows
 
-    def children(b: _Batch, g: int) -> _Batch:
-        """Generation ``g + 1`` of ``b``, recorded; replicates that stop,
-        hit the cap or die out are dropped."""
+    def children(b: _Batch, g: int, table: np.ndarray) -> _Batch:
+        """Generation ``g + 1`` of ``b``, whose positions are among the
+        sorted ``table``, recorded; replicates that stop, hit the cap or
+        die out are dropped."""
         if stop_above is not None and (b.z > stop_above).any():
             over = b.z > stop_above
             u = counter_uniforms(block_keys(b.keys[over], g), np.ones(over.sum(), dtype=np.int64))
@@ -655,8 +728,7 @@ def _grow_occupied(
             b = b.take(~over)
             if b.ids.size == 0:
                 return b
-        first = np.cumsum(b.rows) - b.rows
-        edge = np.append(first, b.pos.size)  # replicates lo..hi own rows edge[lo]:edge[hi]
+        edge = np.append(0, np.cumsum(b.rows))  # replicates lo..hi own rows edge[lo]:edge[hi]
         multi = multinomial(b)
         keys = block_keys(b.keys, g)
         drawn = np.repeat(~multi, b.rows)  # rows whose particles draw uniforms
@@ -702,14 +774,15 @@ def _grow_occupied(
                 ai = law._atoms(unit(w))
                 if spined:
                     ai[at] = biased
-                kids[rows][mine, 0] = np.add.reduceat(ai + 2, start)
+                broods = np.add.reduceat(ai + 2, start)[:, None]
             else:
-                per_atom = _row_atoms(thresholds, atoms, w, start, count, at, biased)
-                kids[rows][mine] = per_atom @ mult
-        totals = np.add.reduceat(kids.sum(axis=1), first)
-        room = limit - b.nodes
-        over = totals > room
+                broods = _row_atoms(thresholds, atoms, w, start, count, at, biased) @ mult
+            if mine.all():
+                kids[rows] = broods
+            else:
+                kids[rows][mine] = broods
         many = np.flatnonzero(multi)
+        room = limit - b.nodes
         if many.size:
             # one multinomial per replicate over its rows, drawn from its block
             n_rows = b.rows[many]
@@ -721,13 +794,17 @@ def _grow_occupied(
             # Z_{n+1} in Python integers, so a count past int64 cannot wrap
             total = [sum(n * size for n, size in zip(row, sizes)) for row in per_atom.tolist()]
             fits = np.array([z <= r for z, r in zip(total, room[many].tolist())])
+            kept = np.repeat(fits, n_rows)
+            kids[np.flatnonzero(np.repeat(multi, b.rows))[kept]] = draws[kept] @ mult
+            if spined:
+                kids[home[many[fits]]] += mult[atom[many[fits]]]
+        if disp.size == 1:
+            totals = kids[:, 0]  # one row per replicate
+        else:
+            grid, totals = _grid(b.rows, b.table, b.index, kids, disp, table)
+        over = totals > room
+        if many.size:
             over[many] = ~fits
-            totals[many[fits]] = [z for z, f in zip(total, fits.tolist()) if f]
-            if disp.size > 1:
-                kept = np.repeat(fits, n_rows)
-                kids[np.flatnonzero(np.repeat(multi, b.rows))[kept]] = draws[kept] @ mult
-                if spined:
-                    kids[home[many[fits]]] += mult[atom[many[fits]]]
         if over.any():
             if caps.max_nodes > _COUNT_LIMIT:
                 # which replicate passes first depends on the batch order,
@@ -737,34 +814,22 @@ def _grow_occupied(
                     "counts that large are not represented, lower the depth"
                 )
             capped_at[b.ids[over]] = g + 1
-            kids[np.repeat(over, b.rows)] = 0
         live = (totals > 0) & ~over
         z = totals[live]
         if disp.size == 1:
-            rows, pos, count = np.ones(z.size, dtype=np.int64), b.pos[live] + disp[0], z
+            # one row per replicate, at the table's one position
+            rows, count = np.ones(z.size, dtype=np.int64), z
+            index = np.zeros(z.size, dtype=np.int64)
         else:
-            owner = np.repeat(np.arange(b.ids.size), b.rows * disp.size)
-            pos = (b.pos[:, None] + disp).ravel()
-            count = kids.ravel()
-            keep = count > 0
-            owner, pos, count = owner[keep], pos[keep], count[keep]
-            # by replicate, then position: a radix sort on the replicate
-            # index, which a batch keeps below 2^15
-            order = np.argsort(pos)
-            order = order[np.argsort(owner[order].astype(np.int16), kind="stable")]
-            owner, pos, count = owner[order], pos[order], count[order]
-            new = np.ones(pos.size, dtype=bool)
-            new[1:] = (owner[1:] != owner[:-1]) | (pos[1:] != pos[:-1])
-            at = np.flatnonzero(new)
-            owner, pos, count = owner[at], pos[at], np.add.reduceat(count, at)
-            rows = np.bincount(owner, minlength=b.ids.size)[live]
+            rows, count, table, index = _occupied(grid, table, live)
         spine = None
         if spined:
             # the ray moves by the chosen child's displacement, the same
             # float its row was placed at
             step = 0.0 if heavy else t.flat_disp[t.offsets[atom] + slot]
             spine = (b.spine + step)[live]
-        nb = _Batch(b.ids[live], b.keys[live], z, b.nodes[live] + z, rows, pos, count, spine)
+        nb = _Batch(b.ids[live], b.keys[live], z, b.nodes[live] + z, rows, table[index], count,
+                    table, index, spine)
         record(nb, g + 1)
         return nb
 
@@ -772,16 +837,18 @@ def _grow_occupied(
         ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
         ones = np.ones(ids.size, dtype=np.int64)
         root = _Batch(ids, replicate_keys(seed, ids + first_id), ones, ones, ones,
-                      np.zeros(ids.size), ones, np.zeros(ids.size) if spined else None)
+                      np.zeros(ids.size), ones, np.zeros(1), np.zeros(ids.size, dtype=np.int64),
+                      np.zeros(ids.size) if spined else None)
         record(root, 0)
         pending = [(0, root)]
         while pending:
             g, b = pending.pop()
             if g == depth or b.ids.size == 0:
                 continue
-            if b.ids.size > 1 and b.pos.size > _BATCH_PARTICLES:
+            table = _sorted_distinct(b.table[:, None] + disp)
+            if b.ids.size > 1 and b.ids.size * table.size > _BATCH_PARTICLES:
                 first, second = b.halves()
                 pending += [(g, second), (g, first)]
             else:
-                pending.append((g + 1, children(b, g)))
+                pending.append((g + 1, children(b, g, table)))
     return capped_at, stops

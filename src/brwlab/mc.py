@@ -45,8 +45,6 @@ mean-of-W and importance runs that discarded any replicate: the
 discarded trees are the largest ones, so the estimate is biased.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple, Sequence

@@ -49,8 +49,6 @@ fixed order and reports the first failure; gaps within 1e-9 of zero are
 reported as boundary cases rather than resolved by noise.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from enum import Enum

@@ -45,8 +45,6 @@ Identity checks use tolerance 1e-10 (probability products amplify
 rounding) while plain mass sums use 1e-12.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

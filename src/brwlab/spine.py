@@ -36,8 +36,6 @@ take the run's seed; replicate ``r`` draws the counter stream keyed
 ``rng.replicate_keys(seed, r)``.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
@@ -157,7 +155,7 @@ class SpinedTree(NamedTuple):
 
 
 def grow_spined_tree(
-    law: Law, alpha: float, depth: int, caps: GrowthCaps, rng: np.random.Generator
+    law: Law, alpha: float, depth: int, caps: GrowthCaps, rng: "np.random.Generator"
 ) -> SpinedTree:
     """Grow a (tree, ray) pair of ``depth`` generations under the
     size-biased measure.

@@ -18,7 +18,9 @@ budgets are read from ``brwlab.brw`` at call time, so a test that
 patches them patches both sides.
 
 ``float_row_atoms`` is the float route by which the engine once counted
-a chunk's atoms per row, kept as the reference of its word route.  Two
+a chunk's atoms per row, kept as the reference of its word route, and
+``sort_merge`` the sort by which it once merged a generation's children
+by replicate and position, kept as the reference of its position grid.  Two
 scalar readings of the batched statistics ride along:
 ``functional_value`` evaluates a functional of one replicate, and
 ``sample_spine_walk`` draws one spine walk from a generator.
@@ -110,6 +112,34 @@ def float_row_atoms(law, words: np.ndarray, count: np.ndarray, at=None, biased=N
     atoms = law._tables.counts.size
     cell = np.repeat(np.arange(count.size) * atoms, count) + ai
     return np.bincount(cell, minlength=count.size * atoms).reshape(-1, atoms)
+
+
+def sort_merge(rows, pos, kids, disp, over):
+    """``(totals, rows, positions, counts)`` of the next frontier of a
+    batch, by sorting: the replicates hold ``rows`` rows each, row ``k``
+    at ``pos[k]`` with ``kids[k, d]`` children at ``pos[k] + disp[d]``.
+    ``totals`` holds every replicate's children; the frontier drops the
+    replicates with none and those marked ``over``.  Every (row,
+    displacement) pair with children is sorted by replicate, then
+    position, with a radix pass on the replicate index as int16, and
+    equal neighbours are summed."""
+    first = np.cumsum(rows) - rows
+    totals = np.add.reduceat(kids.sum(axis=1), first)
+    kids = np.where(np.repeat(over, rows)[:, None], 0, kids)
+    live = (totals > 0) & ~over
+    owner = np.repeat(np.arange(rows.size), rows * disp.size)
+    pos = (pos[:, None] + disp).ravel()
+    count = kids.ravel()
+    keep = count > 0
+    owner, pos, count = owner[keep], pos[keep], count[keep]
+    order = np.argsort(pos)
+    order = order[np.argsort(owner[order].astype(np.int16), kind="stable")]
+    owner, pos, count = owner[order], pos[order], count[order]
+    new = np.ones(pos.size, dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (pos[1:] != pos[:-1])
+    at = np.flatnonzero(new)
+    owner, pos, count = owner[at], pos[at], np.add.reduceat(count, at)
+    return totals, np.bincount(owner, minlength=rows.size)[live], pos, count
 
 
 def grow_one(law, depth: int, caps: GrowthCaps, stream: CounterStream, alpha: float,

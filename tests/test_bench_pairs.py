@@ -10,11 +10,14 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def _result(wall: float, setup: float, correct: bool = True, failed: int = 0) -> dict:
-    """The last stdout line of one ``perfbench/run.py`` run, parsed."""
+def _result(wall: float, setup: float, correct: bool = True, failed: int = 0,
+            op_s: tuple[float, ...] = (0.02, 0.01)) -> dict:
+    """The last stdout line of one ``perfbench/run.py`` run, parsed, with
+    the per-command medians of its passes added as ``op_s``."""
     return {"correct": correct, "attempted": 40, "failed": failed,
             "metrics": {"wall_s": {"value": wall, "unit": "s"},
-                        "setup_s": {"value": setup, "unit": "s"}}}
+                        "setup_s": {"value": setup, "unit": "s"}},
+            "op_s": list(op_s)}
 
 
 def test_summary_applies_the_gain_rule():
@@ -34,6 +37,8 @@ def test_summary_applies_the_gain_rule():
         "B lower in 9 of 10 pairs, gain rule met",
         "setup_s [s]: A 0.18 (quartiles 0.18-0.18), B 0.175 (quartiles 0.17-0.19), "
         "B lower in 5 of 10 pairs, gain rule not met",
+        "command 0 op_s [s]: A 0.02, B 0.02 (+0.0%)",
+        "command 1 op_s [s]: A 0.01, B 0.01 (+0.0%)",
         "A: 10 of 10 runs correct, 0 failed of 400 attempted",
         "B: 9 of 10 runs correct, 2 failed of 400 attempted",
     ]
@@ -66,3 +71,24 @@ def test_failure_lines_name_each_failed_command(tmp_path):
     report["errors"] = {}
     (results / "mc_spined-seed7-trace0.json").write_text(json.dumps(report))
     assert bench_pairs.failure_lines("A", 0, tmp_path, "mc_spined", 7) == []
+
+
+def test_summary_prints_each_commands_median():
+    # three runs a side: command 0 falls by a quarter in the median, the
+    # outlying 0.09 of B's last run notwithstanding; command 1 does not move
+    a = [_result(0.1, 0.2, op_s=ops) for ops in [(0.040, 0.010), (0.044, 0.012), (0.042, 0.011)]]
+    b = [_result(0.1, 0.2, op_s=ops) for ops in [(0.030, 0.011), (0.0315, 0.010), (0.09, 0.011)]]
+    assert bench_pairs.summary(a, b)[2:4] == [
+        "command 0 op_s [s]: A 0.042, B 0.0315 (-25.0%)",
+        "command 1 op_s [s]: A 0.011, B 0.011 (+0.0%)",
+    ]
+
+
+def test_command_medians_read_the_passes(tmp_path):
+    # each command's median over the passes of one run, from its results file
+    results = tmp_path / ".perfbench_out" / "results"
+    results.mkdir(parents=True)
+    report = {"errors": {}, "passes": [{"op_s": [0.5, 0.01, 2.0]}, {"op_s": [0.3, 0.03, 1.0]},
+                                       {"op_s": [0.4, 0.02, 9.0]}]}
+    (results / "mc_threads-seed5-trace0.json").write_text(json.dumps(report))
+    assert bench_pairs.command_medians(tmp_path, "mc_threads", 5) == [0.4, 0.02, 2.0]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import brwlab.brw as brw_mod
 import brwlab.mc as mc_mod
@@ -214,6 +216,68 @@ def test_word_counts_match_the_float_route(name):
         assert np.array_equal(got.sum(axis=1), count)
 
 
+# displacement sets of the merge test: a quarter grid, non-dyadic steps,
+# negative steps, and steps where 1e-16 + 1 == 1, so that two rows of one
+# replicate round onto one position
+MERGE_DISPS = {
+    "quarter": (-0.5, 0.25, 0.75, 2.0),
+    "non_dyadic": (0.1, 0.2, 0.7),
+    "negative": (-1.0, -0.3, 0.0, 0.6),
+    "collision": (0.0, 1e-16, 1.0),
+}
+
+
+@st.composite
+def frontiers(draw):
+    """A batch's frontier, ``(rows, pos, kids, disp, over)``: replicates
+    at positions reached in up to three steps, each with its sorted
+    distinct positions and random children per (row, displacement), and
+    some replicates marked capped."""
+    disp = np.array(MERGE_DISPS[draw(st.sampled_from(sorted(MERGE_DISPS)))])
+    level, pool = {0.0}, {0.0}
+    for _ in range(3):
+        level = {x + d for x in level for d in disp.tolist()}
+        pool |= level
+    pool = sorted(pool)
+    reps = draw(st.integers(1, 5))
+    pos = [sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True)))
+           for _ in range(reps)]
+    rows = np.array([len(p) for p in pos])
+    width, total = disp.size, int(rows.sum())
+    kids = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                                  min_size=total, max_size=total)))
+    over = np.array(draw(st.lists(st.booleans(), min_size=reps, max_size=reps)))
+    return rows, np.concatenate(pos), kids.reshape(-1, width), disp, over
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontiers())
+@example((np.array([2]), np.array([0.0, 1e-16]), np.array([[1, 0, 1], [0, 0, 1]]),
+          np.array([0.0, 1e-16, 1.0]), np.array([False])))
+def test_grid_merge_matches_the_sort_merge(frontier):
+    # the next frontier read off the position grid, rows, positions,
+    # counts and totals, equals the one the engine once found by sorting,
+    # where two rows round onto one position too
+    rows, pos, kids, disp, over = frontier
+    table = brw_mod._sorted_distinct(pos)
+    columns = brw_mod._sorted_distinct(table[:, None] + disp)
+    grid, totals = brw_mod._grid(rows, table, np.searchsorted(table, pos), kids, disp, columns)
+    live = (totals > 0) & ~over
+    n_rows, count, used, index = brw_mod._occupied(grid, columns, live)
+    want = occupation_reference.sort_merge(rows, pos, kids, disp, over)
+    assert totals.tolist() == want[0].tolist()
+    assert n_rows.tolist() == want[1].tolist()
+    assert used[index].tobytes() == want[2].tobytes()
+    assert count.tolist() == want[3].tolist()
+    assert used.tobytes() == np.unique(want[2]).tobytes()
+
+
+# six displacements no two of which are rationally related, so that
+# positions rarely meet and a batch's position table outgrows the budget
+NON_LATTICE = FiniteLaw((Atom(0.3, ()), Atom(0.3, (0.0, math.sqrt(2))),
+                         Atom(0.4, (math.sqrt(3) - 1, math.pi / 4, math.e / 3,
+                                    math.sqrt(5) / 7))))
+
 # (law, alpha, depth, max_nodes); depths reach frontiers past 10^4
 # particles, caps of a few hundred nodes make replicates hit them
 PARITY_CASES = {
@@ -222,6 +286,7 @@ PARITY_CASES = {
     "binary": (binary_zero_law(), 0.7, 11, 1_000_000),
     "heavy_tail": (LogDivergentLaw(1.5, n_max=100), 0.0, 3, 1_000_000),
     "non_dyadic": (NON_DYADIC, 0.5, 14, 1_000_000),
+    "non_lattice": (NON_LATTICE, 0.5, 8, 1_000_000),
     "cap_hit": (coin_pair_law(), 1.0, 10, 450),
 }
 
@@ -368,15 +433,16 @@ def test_positions_past_float64_are_refused_before_growth():
     assert np.isfinite(grown.log_w).all()
 
 
-@pytest.mark.parametrize("case", ["stop", "positions"])
+@pytest.mark.parametrize("case", ["stop", "positions", "non_lattice"])
 def test_counter_calls_and_batches_keep_to_the_budget(case, pair_law, monkeypatch):
-    # the budget bounds memory twice over: no counter call draws more
-    # words than it, and no batch that grows a generation holds more
-    # frontier rows than it, unless one replicate does alone
+    # the budget bounds memory three times over: no counter call draws
+    # more words than it, and no batch that grows a generation holds more
+    # frontier rows or position grid cells than it, unless one replicate
+    # does alone; a batch's table holds exactly its positions, halves too
     budget = 2**10
     monkeypatch.setattr(brw_mod, "_BATCH_PARTICLES", budget)
-    calls, batches = [], []
-    words, keys_of_block = brw_mod.counter_words, brw_mod.block_keys
+    calls, batches, splits = [], [], []
+    words, keys_of_block, halves = brw_mod.counter_words, brw_mod.block_keys, brw_mod._Batch.halves
 
     def counted(keys, lengths):
         lengths = np.asarray(lengths)
@@ -385,23 +451,40 @@ def test_counter_calls_and_batches_keep_to_the_budget(case, pair_law, monkeypatc
 
     def seen(keys, g):
         # block_keys is called at the top of each generation, where the
-        # batch being grown is the caller's local ``b``
-        b = sys._getframe(1).f_locals["b"]
-        batches.append((b.pos.size, b.ids.size))
+        # batch being grown is the caller's local ``b`` and the columns of
+        # its grid are ``table``
+        frame = sys._getframe(1).f_locals
+        b = frame["b"]
+        assert np.array_equal(b.table, np.unique(b.pos))
+        batches.append((b.pos.size, b.ids.size, b.ids.size * frame["table"].size))
         return keys_of_block(keys, g)
+
+    def split(b):
+        parts = halves(b)
+        assert all(np.array_equal(part.table, np.unique(part.pos)) for part in parts)
+        splits.append((b.table.size, *(part.table.size for part in parts)))
+        return parts
 
     monkeypatch.setattr(brw_mod, "counter_words", counted)
     monkeypatch.setattr(brw_mod, "block_keys", seen)
+    monkeypatch.setattr(brw_mod._Batch, "halves", split)
     if case == "stop":
         grown = grow_occupation(pair_law, 30, CAPS, 5, 600, stop_above=256)
         assert grown.stops
-    else:
+    elif case == "positions":
         grown = grow_occupation(pair_law, 14, CAPS, 5, 600, alpha=1.0)
         assert (grown.population[:, -1] > brw_mod._MULTINOMIAL_ABOVE).any()
+    else:
+        grown = grow_occupation(NON_LATTICE, 8, CAPS, 5, 600, alpha=1.0)
+        # the halves' tables shed positions that only the other half holds
+        assert any(min(first, second) < whole for whole, first, second in splits)
+        assert max(cells for _, reps, cells in batches if reps == 1) > budget
     assert max(total for total, _ in calls) > budget // 2
     assert all(total <= budget or blocks == 1 for total, blocks in calls)
-    assert max(rows for rows, _ in batches) > budget // 2
-    assert all(rows <= budget or reps == 1 for rows, reps in batches)
+    assert max(rows for rows, _, _ in batches) > budget // 2
+    assert all(rows <= budget or reps == 1 for rows, reps, _ in batches)
+    assert max(cells for _, _, cells in batches) > budget // 2
+    assert all(cells <= budget or reps == 1 for _, reps, cells in batches)
 
 
 def test_results_do_not_depend_on_the_budget(pair_law, monkeypatch, capsys):
