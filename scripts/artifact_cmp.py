@@ -10,16 +10,19 @@ their domain, an ``importance`` run deep enough that its reference is a
 plain-law Monte Carlo, one node-cap refusal each for ``simulate`` and
 ``spine``, two validation refusals and two ``verify`` refusals (too many
 outcomes, an overflowing tilt), the four commands of the benchmark's
-mc_plain workload at its sizes, large enough that batches split and
-generations draw their uniforms in several chunks, mc_spined's coin_pair
-``spine`` and ``importance`` (with ``--values-out``) at its sizes, and
-``simulate`` and ``spine`` in JSON and in CSV at alpha 0 and -1 on a law
-with negative displacements, ``models/signed.json``, and ``simulate``,
+mc_plain workload at its sizes, large enough that generations draw their
+uniforms in several chunks, mc_spined's coin_pair ``spine`` and
+``importance`` (with ``--values-out``) at its sizes, and ``simulate``
+and ``spine`` in JSON and in CSV at alpha 0 and -1 on a law with
+negative displacements, ``models/signed.json``, and ``simulate``,
 ``spine`` and ``mc mean_w`` ten generations deep on two laws whose
 positions multiply: ``models/collision.json``, where ``1e-16 + 1 == 1``
 puts two parents' children at one position, and
 ``models/incommensurate.json``, whose displacements lie on no lattice
-``h * Z``.
+``h * Z``.  One more ``mc mean_w`` on the incommensurate law, with 2,000
+replicates, is the one command whose batches pass the position budget
+and are cut in halves (7 times, where the 200-replicate run and every
+other command halve none).
 Each command runs once per tree, in a new interpreter with ``PYTHONPATH``
 set to the tree's ``src``, from a fresh working directory that holds a
 copy of this repository's ``models/`` with these three laws added and,
@@ -133,6 +136,9 @@ BATTERY: dict[str, list[str]] = {
                           "--alpha", "1", "--depth", "10", "--reps", "200", "--seed", "5",
                           "--out", "out", "--values-out", "values"]
        for name in _MULTIPLYING},
+    "incommensurate-halving": ["mc", "--model", "models/incommensurate.json", "--estimator",
+                               "mean_w", "--alpha", "1", "--depth", "10", "--reps", "2000",
+                               "--seed", "5", "--out", "out", "--values-out", "values"],
 }
 
 # prints float.hex of every field of the heavy-tail constants of the laws

@@ -103,12 +103,14 @@ from .rng import (
 
 _NEG_INF = float("-inf")
 
+# deepest generation any growth or walk may be asked for
+_MAX_DEPTH = 100_000
+
 
 class GrowthCaps(NamedTuple):
     """Hard resource limits for tree growth."""
 
     max_nodes: int = 1_000_000
-    max_depth: int = 100_000
 
 
 class LabelledTree:
@@ -203,8 +205,8 @@ def _offspring_displacements(
 def _check_growth(depth: int, caps: GrowthCaps) -> None:
     if depth < 0:
         raise DomainError(f"depth must be nonnegative, got {depth}")
-    if depth > caps.max_depth:
-        raise DomainError(f"depth {depth} exceeds caps.max_depth {caps.max_depth}")
+    if depth > _MAX_DEPTH:
+        raise DomainError(f"depth {depth} exceeds the depth limit {_MAX_DEPTH}")
     if caps.max_nodes < 1:
         raise DomainError("caps.max_nodes must allow at least the root")
 

@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes (exhaustive): 0 success; 1 any validation failure, including
-malformed flags and model files; 2 resource refusal (enumeration too
-large, node cap hit, excessive Monte Carlo discards, tilted-mass
-overflow or underflow to zero, fixed-point non-convergence), with
+malformed flags and model files; 2 resource refusal, any ``ResourceError``
+(enumeration too large, node cap hit, excessive Monte Carlo discards,
+tilted-mass overflow or underflow to zero, fixed-point non-convergence), with
 partial artifacts written and flagged on stderr where they exist; 3 an
 exact identity check failed, which signals an implementation bug, never
 a property of the law under study.
@@ -39,12 +39,9 @@ from .brw import GrowthCaps, grow_occupation, grow_tree, martingale_trajectory  
 from .errors import (
     BrwError,
     DomainError,
-    MassOverflowError,
-    NoConvergenceError,
     ResourceError,
     TooLargeError,
     ValidationError,
-    ZeroMassError,
 )
 from .mc import (
     McConfig,
@@ -295,7 +292,7 @@ def _dispatch(argv=None) -> int:
     except ValidationError as e:
         click.echo(f"error: {e}", err=True)
         return 1
-    except (ResourceError, MassOverflowError, ZeroMassError, NoConvergenceError) as e:
+    except ResourceError as e:
         click.echo(f"refused: {e}", err=True)
         return 2
     except BrwError as e:
@@ -535,39 +532,34 @@ def mc_cmd(
     if workers < 1:
         raise DomainError("--workers must be >= 1")
     caps = _caps(max_nodes)
-    keep = values_out is not None
 
     if estimator == "triviality_scan":
         alpha = _single_alpha(_require(alpha_text, "--alpha"))
         grid = _parse_depth_grid(_require(depth_grid_text, "--depth-grid"))
         cfg = McConfig(reps, max(grid), seed, caps)
-        report = mc_triviality_scan(law, alpha, grid, cfg, keep_values=keep)
+        report = mc_triviality_scan(law, alpha, grid, cfg)
         payload, table = _fields(report, _SCAN_KEYS), _fields(report, _SCAN_COLUMNS)
-        if keep:
-            kept = np.array(report.kept, dtype=np.int64)
-            values = {"replicate": np.repeat(kept, len(grid)), "n": np.tile(grid, kept.size),
-                      "log_w": report.values.ravel()}
+        values = {"replicate": np.repeat(report.kept, len(grid)),
+                  "n": np.tile(grid, report.kept.size), "log_w": report.values.ravel()}
     else:
         depth = _require(depth, "--depth")
         cfg = McConfig(reps, depth, seed, caps)
         if estimator == "extinction":
-            summary = mc_extinction(law, cfg, keep_values=keep)
+            summary = mc_extinction(law, cfg)
         else:
             alpha = _single_alpha(_require(alpha_text, "--alpha"))
             if estimator == "mean_w":
-                summary = mc_mean_w(law, alpha, cfg, keep_values=keep)
+                summary = mc_mean_w(law, alpha, cfg)
             elif estimator == "spine_slope":
-                summary = mc_spine_slope(law, alpha, cfg, keep_values=keep)
+                summary = mc_spine_slope(law, alpha, cfg)
             else:
                 fn = parse_functional(_require(functional, "--functional"))
-                summary = mc_importance_identity(law, alpha, fn, cfg, keep_values=keep)
+                summary = mc_importance_identity(law, alpha, fn, cfg)
         payload = _fields(summary, _SUMMARY_KEYS)
         table = {key: [value] for key, value in payload.items()}
-        if keep:
-            values = {"replicate": np.array(summary.kept, dtype=np.int64),
-                      "value": summary.values}
+        values = {"replicate": summary.kept, "value": summary.values}
     _emit(_json_text(payload) if fmt == "json" else _csv_text(table), out)
-    if keep:
+    if values_out is not None:
         _emit(_csv_text(values), values_out)
 
 

@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
 Each class corresponds to one failure mode of the public operations.  The
-command line tool maps them onto exit codes: validation problems exit 1,
-resource refusals (enumeration too large, population cap) exit 2.
+command line tool maps them onto exit codes by class: every
+``ValidationError`` exits 1, and every ``ResourceError`` exits 2.  The
+refusals are ``TooLargeError`` (enumeration too large),
+``PopulationCapError`` (node cap hit), ``ExcessiveDiscardError`` (too
+many Monte Carlo replicates capped), ``NoConvergenceError`` (fixed-point
+iteration did not settle), ``MassOverflowError`` and ``ZeroMassError``
+(tilted mass out of the float range), and plain ``ResourceError`` (a
+count past ``2^62``, positions past the float64 range).
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class ExcessiveDiscardError(ResourceError):
         self.replicates = replicates
 
 
-class NoConvergenceError(BrwError):
+class NoConvergenceError(ResourceError):
     """Fixed-point iteration did not meet its tolerance within the cap."""
 
     def __init__(self, last_iterate: float, iterations: int):
@@ -88,9 +94,9 @@ class NoConvergenceError(BrwError):
         self.iterations = iterations
 
 
-class MassOverflowError(BrwError):
+class MassOverflowError(ResourceError):
     """A tilted sum exceeded the floating-point range."""
 
 
-class ZeroMassError(BrwError):
+class ZeroMassError(ResourceError):
     """The tilted mass vanished, so size-biasing is undefined."""

@@ -101,6 +101,16 @@ def _safe_exp(x: float) -> float:
         return float("inf")
 
 
+def _exps(x: np.ndarray) -> np.ndarray:
+    """``_safe_exp`` of each entry.  ``math.exp``, not ``np.exp``, which
+    differs from it in the last bit on about 5% of inputs: every artifact
+    that holds a mean_w or importance value would move."""
+    try:
+        return np.array(list(map(math.exp, x.tolist())))
+    except OverflowError:
+        return np.array([_safe_exp(v) for v in x.tolist()])
+
+
 class _McConfigFields(NamedTuple):
     replicates: int
     depth: int
@@ -132,10 +142,10 @@ class McSummary(NamedTuple):
     master_seed: int
     reference: float | None
     passed: bool | None
+    kept: np.ndarray  # int64 ids of the kept replicates
+    values: np.ndarray  # float64 value of each kept replicate
     unreliable: bool = False
     note: str = ""
-    kept: tuple[int, ...] = ()
-    values: np.ndarray | None = None
     band_se: float | None = None  # standard error the band is 4 of
 
 
@@ -148,13 +158,12 @@ def _screen(cfg: McConfig, capped: np.ndarray) -> tuple[np.ndarray, int]:
     return np.flatnonzero(~capped), discarded
 
 
-def _mean_se(values: Sequence[float]) -> tuple[float, float, int]:
-    arr = np.asarray(values, dtype=np.float64)
-    n = arr.size
+def _mean_se(values: np.ndarray) -> tuple[float, float, int]:
+    n = values.size
     if n == 0:
         raise DomainError("no replicates survived; nothing to estimate")
-    est = float(np.mean(arr))
-    se = float(np.std(arr, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    est = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     return est, se, n
 
 
@@ -162,12 +171,12 @@ def _band(estimate: float, reference: float, se: float) -> bool:
     return abs(estimate - reference) <= 4.0 * se
 
 
-def _summary(estimator, law_values, discarded, cfg, reference, kept, keep_values,
+def _summary(estimator, values, discarded, cfg, reference, kept,
              unreliable=False, note="", se_extra=0.0, exact_se=None) -> McSummary:
-    """Summary of ``law_values``; the band is four times ``exact_se`` or,
-    without it, the sample standard error, each combined with
-    ``se_extra`` (a Monte Carlo reference's)."""
-    est, se, n = _mean_se(law_values)
+    """Summary of the float64 ``values`` of the replicates ``kept``; the
+    band is four times ``exact_se`` or, without it, the sample standard
+    error, each combined with ``se_extra`` (a Monte Carlo reference's)."""
+    est, se, n = _mean_se(values)
     passed = band_se = None
     if reference is not None and math.isfinite(reference):
         band_se = math.hypot(se if exact_se is None else exact_se, se_extra)
@@ -183,8 +192,8 @@ def _summary(estimator, law_values, discarded, cfg, reference, kept, keep_values
         passed=passed,
         unreliable=unreliable,
         note=note,
-        kept=tuple(kept),
-        values=np.asarray(law_values, dtype=np.float64) if keep_values else None,
+        kept=kept,
+        values=values,
         band_se=band_se,
     )
 
@@ -194,7 +203,7 @@ def _summary(estimator, law_values, discarded, cfg, reference, kept, keep_values
 # ---------------------------------------------------------------------------
 
 
-def mc_mean_w(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) -> McSummary:
+def mc_mean_w(law: Law, alpha: float, cfg: McConfig) -> McSummary:
     """Sample mean of ``W_depth``; reference ``E[W_n] = 1`` exactly.
 
     Discarded replicates are the largest trees, so any discard biases
@@ -204,7 +213,7 @@ def mc_mean_w(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) 
     grown = grow_occupation(law, cfg.depth, cfg.caps, cfg.master_seed, cfg.replicates, alpha,
                             generations=(cfg.depth,))
     kept, discarded = _screen(cfg, grown.capped_at >= 0)
-    values = [_safe_exp(x) for x in grown.log_w[kept, 0].tolist()]
+    values = _exps(grown.log_w[kept, 0])
     notes = []
     if profile.classification is not Classification.NONTRIVIAL:
         notes.append(
@@ -216,11 +225,11 @@ def mc_mean_w(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) 
             f"{discarded} capped replicates discarded: they are the largest "
             "trees, so the estimate is biased low"
         )
-    return _summary("mean_w", values, discarded, cfg, 1.0, kept.tolist(), keep_values,
+    return _summary("mean_w", values, discarded, cfg, 1.0, kept,
                     unreliable=bool(notes), note="; ".join(notes))
 
 
-def mc_spine_slope(law: Law, alpha: float, cfg: McConfig, keep_values: bool = False) -> McSummary:
+def mc_spine_slope(law: Law, alpha: float, cfg: McConfig) -> McSummary:
     """Mean of ``S(xi_depth)/depth`` over distinguished-ray walks; the
     reference is the drift ``-m'(alpha)/m(alpha)``."""
     law = validate_law(law)
@@ -231,12 +240,10 @@ def mc_spine_slope(law: Law, alpha: float, cfg: McConfig, keep_values: bool = Fa
     _check_growth(cfg.depth, cfg.caps)
     drift = -tilted_derivative(law, alpha) / m
     ends = spine_walk_ends(law, alpha, cfg.depth, cfg.master_seed, cfg.replicates)
-    values = (ends / cfg.depth).tolist()
-    return _summary("spine_slope", values, 0, cfg, drift, range(cfg.replicates),
-                    keep_values)
+    return _summary("spine_slope", ends / cfg.depth, 0, cfg, drift, np.arange(cfg.replicates))
 
 
-def mc_extinction(law: Law, cfg: McConfig, keep_values: bool = False) -> McSummary:
+def mc_extinction(law: Law, cfg: McConfig) -> McSummary:
     """Fraction of replicates extinct by ``depth``; reference is the exact
     ``depth``-fold pgf iterate at 0.
 
@@ -250,7 +257,7 @@ def mc_extinction(law: Law, cfg: McConfig, keep_values: bool = False) -> McSumma
     law = validate_law(law)
     # growth counts only and is never capped by nodes: at most
     # _ANALYTIC_SWITCH parents per generation draw broods
-    uncapped = GrowthCaps(max_nodes=sys.maxsize, max_depth=cfg.caps.max_depth)
+    uncapped = GrowthCaps(max_nodes=sys.maxsize)
     _check_growth(cfg.depth, uncapped)
     f_iter = [0.0]
     for _ in range(cfg.depth):
@@ -261,10 +268,9 @@ def mc_extinction(law: Law, cfg: McConfig, keep_values: bool = False) -> McSumma
     extinct = grown.population[:, 0] == 0
     for r, (g, z, u) in grown.stops.items():
         extinct[r] = u < f_iter[cfg.depth - g] ** z
-    values = extinct.astype(np.float64).tolist()
     q = f_iter[cfg.depth]
-    return _summary("extinction", values, 0, cfg, q, range(cfg.replicates), keep_values,
-                    exact_se=math.sqrt(q * (1.0 - q) / cfg.replicates))
+    return _summary("extinction", extinct.astype(np.float64), 0, cfg, q,
+                    np.arange(cfg.replicates), exact_se=math.sqrt(q * (1.0 - q) / cfg.replicates))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +296,8 @@ class TrivialityReport(NamedTuple):
     verdict: str
     classification: str
     agrees: bool
-    values: np.ndarray | None = None  # (replicate, grid) log_w matrix
-    kept: tuple[int, ...] = ()
+    values: np.ndarray  # float64 (kept replicate, grid depth) log_w matrix
+    kept: np.ndarray  # int64 ids of the kept replicates
 
 
 def _median(values: np.ndarray) -> float:
@@ -320,7 +326,6 @@ def mc_triviality_scan(
     alpha: float,
     grid: Sequence[int],
     cfg: McConfig,
-    keep_values: bool = False,
 ) -> TrivialityReport:
     """Survivor-median ``log W_n`` over a depth grid, with a coarse verdict.
 
@@ -375,8 +380,8 @@ def mc_triviality_scan(
         verdict=verdict,
         classification=cls.name,
         agrees=agrees,
-        values=matrix if keep_values else None,
-        kept=tuple(kept.tolist()),
+        values=matrix,
+        kept=kept,
     )
 
 
@@ -422,16 +427,6 @@ def parse_functional(text: str) -> Functional:
         f"unknown functional {text!r}; expected one, indicator_z:K, min_z:K "
         "or exp_neg_max:B"
     )
-
-
-def _exps(x: np.ndarray) -> np.ndarray:
-    """``_safe_exp`` of each entry.  ``math.exp``, not ``np.exp``, which
-    differs from it in the last bit on about 5% of inputs: every artifact
-    that holds an importance value would move."""
-    try:
-        return np.array(list(map(math.exp, x.tolist())))
-    except OverflowError:
-        return np.array([_safe_exp(v) for v in x.tolist()])
 
 
 def _functional_values(fn: Functional, z: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -493,7 +488,6 @@ def mc_importance_identity(
     alpha: float,
     functional: Functional,
     cfg: McConfig,
-    keep_values: bool = False,
 ) -> McSummary:
     """Sample ``E_sized[F(T)/W_n]`` and compare against its exact value.
 
@@ -526,11 +520,11 @@ def mc_importance_identity(
     )
     if exact_ref:
         ref, sd = _exact_reference(law, alpha, functional, cfg.depth)
-        exact_se = sd / math.sqrt(len(values)) if math.isfinite(sd) else None
+        exact_se = sd / math.sqrt(values.size) if math.isfinite(sd) else None
         band = "" if exact_se is None else f", band se {exact_se:.3g} from the exact variance"
         notes = [f"reference: exhaustive enumeration of E[F; alive]{band}",
                  *_importance_discards(discarded, 0)]
-        return _summary(name, values, discarded, cfg, ref, kept.tolist(), keep_values,
+        return _summary(name, values, discarded, cfg, ref, kept,
                         unreliable=len(notes) > 1, note="; ".join(notes), exact_se=exact_se)
 
     plain = grow_occupation(law, cfg.depth, cfg.caps, cfg.master_seed, cfg.replicates, alpha,
@@ -541,6 +535,6 @@ def mc_importance_identity(
     notes = [f"reference: plain-law Monte Carlo of E[F; alive], se {ref_se:.3g}",
              *_importance_discards(discarded, ref_discarded)]
     return _summary(
-        name, values, discarded + ref_discarded, cfg, ref, kept.tolist(), keep_values,
+        name, values, discarded + ref_discarded, cfg, ref, kept,
         unreliable=len(notes) > 1, note="; ".join(notes), se_extra=ref_se,
     )

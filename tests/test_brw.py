@@ -128,8 +128,8 @@ def test_population_cap_carries_partial_tree(binary_law):
 
 
 def test_depth_above_cap_is_refused(binary_law):
-    with pytest.raises(DomainError):
-        grow_tree(binary_law, 11, GrowthCaps(max_depth=10), replicate_rng(0, 0))
+    with pytest.raises(DomainError, match="exceeds the depth limit"):
+        grow_tree(binary_law, brw_mod._MAX_DEPTH + 1, CAPS, replicate_rng(0, 0))
 
 
 def test_heavy_law_grows(heavy_law):
@@ -500,7 +500,7 @@ def test_results_do_not_depend_on_the_budget(pair_law, monkeypatch, capsys):
     for budget in (1, 64, brw_mod._BATCH_PARTICLES):
         with monkeypatch.context() as patch:
             patch.setattr(brw_mod, "_BATCH_PARTICLES", budget)
-            extinct = mc_mod.mc_extinction(pair_law, cfg, keep_values=True).values.tolist()
+            extinct = mc_mod.mc_extinction(pair_law, cfg).values.tolist()
             with pytest.raises(ResourceError) as refused:
                 grow_occupation(pair_law, 95, GrowthCaps(max_nodes=2**63 - 1), 3, 40, 1.0)
             code = _dispatch(deep)

@@ -18,7 +18,19 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import brwlab.cli as cli_mod
-from brwlab import CheckResult, McSummary, classify, load_law
+from brwlab import (
+    CheckResult,
+    GrowthCaps,
+    MassOverflowError,
+    McConfig,
+    McSummary,
+    NoConvergenceError,
+    ResourceError,
+    ZeroMassError,
+    classify,
+    load_law,
+    mc_triviality_scan,
+)
 from brwlab.cli import _dispatch
 
 REPO = Path(__file__).resolve().parent.parent
@@ -303,7 +315,7 @@ def test_mc_extinction_depth_past_the_cap_exits_one(capsys):
         capsys,
     )
     assert code == 1
-    assert "depth 200000 exceeds caps.max_depth 100000" in err
+    assert "depth 200000 exceeds the depth limit 100000" in err
 
 
 def test_mc_spine_slope_depth_past_the_cap_exits_one(capsys):
@@ -315,7 +327,7 @@ def test_mc_spine_slope_depth_past_the_cap_exits_one(capsys):
         capsys,
     )
     assert code == 1
-    assert "depth 200000 exceeds caps.max_depth 100000" in err
+    assert "depth 200000 exceeds the depth limit 100000" in err
 
 
 def test_mc_help_keeps_estimator_names_whole(capsys):
@@ -359,7 +371,8 @@ def test_mc_importance_requires_functional(capsys):
 def test_mc_statistical_failure_keeps_exit_zero(capsys, monkeypatch):
     fake = McSummary(
         estimator="mean_w", estimate=2.0, se=0.01, n=100, discarded=0,
-        master_seed=1, reference=1.0, passed=False,
+        master_seed=1, reference=1.0, passed=False, kept=np.arange(100),
+        values=np.full(100, 2.0),
     )
     monkeypatch.setattr(cli_mod, "mc_mean_w", lambda *a, **k: fake)
     code, out, _ = run_cli(
@@ -387,6 +400,29 @@ def test_mc_values_out(capsys, tmp_path):
     lines = values.read_text().strip().split("\n")
     assert lines[0] == "replicate,value"
     assert len(lines) == 51
+
+
+def test_mc_triviality_scan_values_out(capsys, tmp_path):
+    # one row per kept replicate and grid depth, replicate-major; the
+    # 900-node cap discards two of 200 replicates, so the kept ids skip
+    values = tmp_path / "values.csv"
+    code, out, _ = run_cli(
+        [
+            "mc", "--estimator", "triviality_scan", "--model", MODEL, "--alpha", "1",
+            "--depth-grid", "2,6,10", "--reps", "200", "--seed", "2", "--max-nodes", "900",
+            "--values-out", str(values),
+        ],
+        capsys,
+    )
+    assert code == 0
+    cfg = McConfig(200, 10, 2, GrowthCaps(max_nodes=900))
+    report = mc_triviality_scan(load_law(MODEL), 1.0, (2, 6, 10), cfg)
+    assert report.discarded == 2 and json.loads(out)["n"] == report.n == report.kept.size
+    rows = list(csv.DictReader(io.StringIO(values.read_text())))
+    assert len(rows) == 3 * report.kept.size
+    assert [int(row["replicate"]) for row in rows] == np.repeat(report.kept, 3).tolist()
+    assert [int(row["n"]) for row in rows] == [2, 6, 10] * report.kept.size
+    assert [float(row["log_w"]) for row in rows] == report.values.ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +528,28 @@ def test_overflowing_exp_neg_max_is_a_resource_refusal(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("refused:") and "exp_neg_max:100" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [
+    MassOverflowError("tilted mass m(-1000) overflows"),
+    ZeroMassError("tilted mass m(1) underflows to 0"),
+    NoConvergenceError(0.25, 10_000),
+], ids=lambda error: type(error).__name__)
+def test_refusal_classes_exit_two(error, capsys, monkeypatch):
+    # the class decides the exit code: every refusal is a ResourceError
+    assert isinstance(error, ResourceError)
+
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "mc_mean_w", refuse)
+    code, _, err = run_cli(
+        ["mc", "--estimator", "mean_w", "--model", MODEL, "--alpha", "1", "--depth", "2",
+         "--reps", "10", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"refused: {error}\n"
 
 
 def test_out_of_memory_is_a_resource_refusal(capsys, monkeypatch):

@@ -155,8 +155,7 @@ def test_extinction_band_takes_the_exact_bernoulli_error(critical_law):
     # sqrt(q_n (1 - q_n) / n) of the pgf reference wide, and se stays the
     # sample's
     for seed in range(40):
-        s = mc_extinction(critical_law, McConfig(replicates=100, depth=1000, master_seed=seed),
-                          keep_values=True)
+        s = mc_extinction(critical_law, McConfig(replicates=100, depth=1000, master_seed=seed))
         q = s.reference
         assert s.band_se == math.sqrt(q * (1 - q) / 100)
         assert s.se == float(np.std(s.values, ddof=1) / 10)
@@ -365,7 +364,7 @@ def test_mean_w_with_discards_is_unreliable(pair_law):
     # which biases E[W] low even though the classification is NONTRIVIAL.
     # Seed 1 is the lowest master seed whose run discards exactly two
     cfg = McConfig(replicates=400, depth=10, master_seed=1, caps=GrowthCaps(max_nodes=900))
-    s = mc_mean_w(pair_law, 1.0, cfg, keep_values=True)
+    s = mc_mean_w(pair_law, 1.0, cfg)
     assert s.discarded == 2 and s.n == 398
     assert s.unreliable
     assert "2 capped replicates discarded" in s.note
@@ -374,9 +373,9 @@ def test_mean_w_with_discards_is_unreliable(pair_law):
 
 def test_summary_records_values_when_asked(pair_law):
     cfg = McConfig(replicates=50, depth=3, master_seed=6)
-    s = mc_mean_w(pair_law, 1.0, cfg, keep_values=True)
-    assert s.values is not None and len(s.values) == 50
-    assert len(s.kept) == 50
+    s = mc_mean_w(pair_law, 1.0, cfg)
+    assert s.values.dtype == np.float64 and s.values.shape == (50,)
+    assert s.kept.dtype == np.int64 and s.kept.tolist() == list(range(50))
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +385,11 @@ def test_summary_records_values_when_asked(pair_law):
 
 def test_spine_slope_values_are_the_per_replicate_walks(quad_law):
     cfg = McConfig(replicates=60, depth=25, master_seed=11)
-    s = mc_spine_slope(quad_law, 5.0, cfg, keep_values=True)
+    s = mc_spine_slope(quad_law, 5.0, cfg)
     want = [float(sample_spine_walk(quad_law, 5.0, 25, CounterStream(11, r))[-1]) / 25
             for r in range(60)]
     assert s.values.tolist() == want
-    assert s.kept == tuple(range(60)) and s.discarded == 0
+    assert s.kept.tolist() == list(range(60)) and s.discarded == 0
 
 
 @pytest.mark.parametrize("text", ["one", "indicator_z:2", "min_z:2", "exp_neg_max:1"])
@@ -400,8 +399,7 @@ def test_importance_values_are_the_per_tree_values(pair_law, text):
     # samples equal their replicates grown alone by the occupation
     # reference, the size-biased one with the spine's broods
     fn, depth, reps, caps = parse_functional(text), 5, 40, GrowthCaps()
-    s = mc_importance_identity(pair_law, 1.0, fn, McConfig(reps, depth, 13, caps),
-                               keep_values=True)
+    s = mc_importance_identity(pair_law, 1.0, fn, McConfig(reps, depth, 13, caps))
     log_m = classify(pair_law, 1.0).log_m
     hook = partial(_spine_brood, pair_law, _spine_tables(pair_law, 1.0))
     sized = []
@@ -434,7 +432,7 @@ def test_importance_with_discards_is_unreliable(pair_law):
     # replicate, a size-biased one: replicate 302
     fn = parse_functional("min_z:2")
     cfg = McConfig(replicates=400, depth=8, master_seed=1, caps=GrowthCaps(max_nodes=350))
-    s = mc_importance_identity(pair_law, 1.0, fn, cfg, keep_values=True)
+    s = mc_importance_identity(pair_law, 1.0, fn, cfg)
     assert s.discarded == 1 and s.n == 399 and 302 not in s.kept
     assert s.unreliable
     assert "1 capped replicates discarded (1 size-biased, 0 plain reference)" in s.note
