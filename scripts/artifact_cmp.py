@@ -9,7 +9,13 @@ estimator with ``--values-out``, heavy-tail ``classify``, ``spine`` and
 their domain, an ``importance`` run deep enough that its reference is a
 plain-law Monte Carlo, one node-cap refusal each for ``simulate`` and
 ``spine``, two validation refusals and two ``verify`` refusals (too many
-outcomes, an overflowing tilt), the four commands of the benchmark's
+outcomes, an overflowing tilt), four ``verify`` runs whose top-level
+(outcome, ray) pairs come in more than one block or take steps that are
+not dyadic (``models/binary.json`` at depth 17, 131,072 pairs in two
+blocks; coin_pair at depth 5, 5,632,640 pairs, at alpha 0, 1 and -0.5;
+quad_or_twin at alpha 0, 1, -0.5 and 5 to depth 2; and
+``models/non_dyadic.json``, atoms ``[]``, ``[0.1]`` and ``[0.2, 0.7]``,
+at depth 3), the four commands of the benchmark's
 mc_plain workload at its sizes, large enough that generations draw their
 uniforms in several chunks, mc_spined's coin_pair ``spine`` and
 ``importance`` (with ``--values-out``) at its sizes, and ``simulate``
@@ -25,7 +31,7 @@ and are cut in halves (7 times, where the 200-replicate run and every
 other command halve none).
 Each command runs once per tree, in a new interpreter with ``PYTHONPATH``
 set to the tree's ``src``, from a fresh working directory that holds a
-copy of this repository's ``models/`` with these three laws added and,
+copy of this repository's ``models/`` with these four laws added and,
 in ``corners/``, the corner laws, so both sides read the same files
 under the same relative paths.  The corner
 laws' ``classify`` prints ``m``, the truncated mean that the lump at
@@ -60,6 +66,9 @@ _SAMPLE = ["--alpha", "1", "--depth", "8", "--reps", "5", "--seed", "1"]
 _CORNERS = {"near-one": (1.0001, 10**7), "steep": (1000.0, 4), "past-head": (2.5, 4098)}
 # displacements of both signs, so positions and weights take negative values
 _SIGNED = {"type": "finite", "atoms": [{"p": 0.5, "x": [-1, 1]}, {"p": 0.5, "x": [-0.5]}]}
+# steps that are not dyadic, so ray positions round: (0.1 + 0.2) - 0.1 != 0.2
+_NON_DYADIC = {"type": "finite", "atoms": [{"p": 0.3, "x": []}, {"p": 0.3, "x": [0.1]},
+                                           {"p": 0.4, "x": [0.2, 0.7]}]}
 # positions that float addition merges (1e-16 + 1 == 1), and positions on
 # no lattice h * Z, so that a replicate's positions multiply
 _MULTIPLYING = {
@@ -110,6 +119,14 @@ BATTERY: dict[str, list[str]] = {
                      "--seed", "1", "--max-nodes", "40", "--out", "out"],
     "spine-cap": ["spine", *_PAIR, "--alpha", "1", "--depth", "12", "--reps", "5",
                   "--seed", "1", "--max-nodes", "40", "--out", "out"],
+    # verify runs whose top-level (outcome, ray) pairs stream in many blocks
+    # of oracle._PAIR_BLOCK (65,536): binary at depth 17 has 131,072 pairs,
+    # coin_pair at depth 5 has 5,632,640
+    **{f"verify-{name}": ["verify", "--model", f"models/{name}.json", "--alpha", alphas,
+                          "--depth", depth, "--out", "out"]
+       for name, alphas, depth in (("binary", "1", "17"), ("coin_pair", "0,1,-0.5", "5"),
+                                   ("quad_or_twin", "0,1,-0.5,5", "2"),
+                                   ("non_dyadic", "0,1,-0.5", "3"))},
     "verify-too-large": ["verify", *_PAIR, "--alpha", "1", "--depth", "9"],
     "verify-overflow": ["verify", *_PAIR, "--alpha=-1000", "--depth", "2"],
     "simulate-no-seed": ["simulate", *_PAIR, "--alpha", "1", "--depth", "3", "--reps", "2"],
@@ -162,7 +179,7 @@ def run(tree: Path, argv: list[str], work: Path) -> dict[str, bytes]:
     """Stdout, stderr, exit code and written files of ``python <argv>`` in
     ``work``."""
     shutil.copytree(REPO / "models", work / "models")
-    for name, law in {"signed": _SIGNED, **_MULTIPLYING}.items():
+    for name, law in {"signed": _SIGNED, "non_dyadic": _NON_DYADIC, **_MULTIPLYING}.items():
         (work / "models" / f"{name}.json").write_text(json.dumps(law))
     (work / "corners").mkdir()
     for name, (a, n_max) in _CORNERS.items():

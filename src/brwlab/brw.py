@@ -541,7 +541,7 @@ class _Batch(NamedTuple):
     one occupied position with its particle count, laid out replicate by
     replicate, positions ascending within a replicate.  ``table`` holds the
     batch's distinct positions, ascending, and ``index`` each row's entry
-    in it: ``pos`` is ``table[index]``.  Spined batches also
+    in it; ``pos`` gathers the rows' positions.  Spined batches also
     keep each replicate's spine position, which is the position of exactly
     one of its rows, the spine's home row."""
 
@@ -550,18 +550,21 @@ class _Batch(NamedTuple):
     z: np.ndarray
     nodes: np.ndarray
     rows: np.ndarray
-    pos: np.ndarray
     count: np.ndarray
     table: np.ndarray
     index: np.ndarray
     spine: np.ndarray | None = None
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self.table[self.index]
 
     def take(self, keep: np.ndarray) -> "_Batch":
         row = np.repeat(keep, self.rows)
         table, index = _used(self.table, self.index[row])
         spine = None if self.spine is None else self.spine[keep]
         return _Batch(self.ids[keep], self.keys[keep], self.z[keep], self.nodes[keep],
-                      self.rows[keep], self.pos[row], self.count[row], table, index, spine)
+                      self.rows[keep], self.count[row], table, index, spine)
 
     def halves(self) -> tuple["_Batch", "_Batch"]:
         first = np.arange(self.ids.size) < self.ids.size // 2
@@ -650,7 +653,7 @@ def grow_occupation(
         if b.ids.size == 0:
             return
         if n == depth and max_position is not None:
-            max_position[b.ids] = b.pos[np.cumsum(b.rows) - 1]
+            max_position[b.ids] = b.table[b.index[np.cumsum(b.rows) - 1]]
         j = column[n]
         if j < 0:
             return
@@ -748,7 +751,7 @@ def _grow_occupied(
             slot = np.zeros(b.ids.size, dtype=np.int64)
         # kids[row, d]: children at position pos[row] + disp[d]; with one
         # displacement a replicate has one row, and its Z_{n+1} says it all
-        kids = np.zeros((b.pos.size, disp.size), dtype=np.int64)
+        kids = np.zeros((b.count.size, disp.size), dtype=np.int64)
         for lo, hi in _chunks(lengths):
             # one counter call per chunk of consecutive replicates, reduced
             # at once to the children of its rows
@@ -830,16 +833,16 @@ def _grow_occupied(
             # float its row was placed at
             step = 0.0 if heavy else t.flat_disp[t.offsets[atom] + slot]
             spine = (b.spine + step)[live]
-        nb = _Batch(b.ids[live], b.keys[live], z, b.nodes[live] + z, rows, table[index], count,
-                    table, index, spine)
+        nb = _Batch(b.ids[live], b.keys[live], z, b.nodes[live] + z, rows, count, table, index,
+                    spine)
         record(nb, g + 1)
         return nb
 
     for lo in range(0, replicates, _BATCH_REPLICATES):
         ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
         ones = np.ones(ids.size, dtype=np.int64)
-        root = _Batch(ids, replicate_keys(seed, ids + first_id), ones, ones, ones,
-                      np.zeros(ids.size), ones, np.zeros(1), np.zeros(ids.size, dtype=np.int64),
+        root = _Batch(ids, replicate_keys(seed, ids + first_id), ones, ones, ones, ones,
+                      np.zeros(1), np.zeros(ids.size, dtype=np.int64),
                       np.zeros(ids.size) if spined else None)
         record(root, 0)
         pending = [(0, root)]

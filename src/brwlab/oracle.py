@@ -35,7 +35,8 @@ probability.  Both are carried as logarithms, with ``log pick = -alpha x
 streamed in blocks of at most ``_PAIR_BLOCK``: each carries its outcome
 class, log probability, end position and a link to the pair one level
 down, which yields its step displacement per level.  The pairs of the
-lower levels are materialized.
+lower levels are materialized.  One walk of the top-level pairs feeds
+both pair checks, ``spine_density`` and ``spine_step_mean``.
 
 Enumeration is doubly exponential in depth, so every entry point first
 counts outcomes exactly (integers, clamped at 10^18 for reporting) and
@@ -136,9 +137,10 @@ def _next_outcomes(
 
 
 def enumerate_trees(
-    law: FiniteLaw, depth: int, cap: int = ENUM_CAP
+    law: FiniteLaw, depth: int, cap: int | None = None
 ) -> Iterator[tuple[Outcome, float]]:
-    """Every depth-``depth`` outcome exactly once, with its probability.
+    """Every depth-``depth`` outcome exactly once, with its probability,
+    refused past ``cap`` outcomes (``ENUM_CAP`` when not given).
 
     Deterministic order: atom index ascending at each node, child
     combinations lexicographic.  Levels below the top are materialized
@@ -147,7 +149,7 @@ def enumerate_trees(
     """
     law = _require_finite(law)
     _require_depth(depth)
-    _preflight(count_outcomes(law, depth), cap)
+    _preflight(count_outcomes(law, depth), ENUM_CAP if cap is None else cap)
     level = [(None, 1.0)]
     for _ in range(depth - 1):
         level = list(_next_outcomes(law, level))
@@ -406,25 +408,6 @@ def _martingale(e: _Enumeration) -> CheckResult:
     return _result("martingale", e.alpha, e.depth, disc, outcomes, IDENTITY_TOL)
 
 
-def _spine_density(e: _Enumeration) -> CheckResult:
-    top = e.levels[e.depth]
-    disc, outcomes, masses = 0.0, 0, []
-    for block in e.top_rays():
-        outcomes += block.cls.size
-        lhs = np.exp(block.log_q)
-        rhs = np.exp(
-            top.log_p[block.cls] - e.alpha * block.end - e.depth * e.log_m
-        )
-        disc = max(disc, _max_abs(lhs - rhs))
-        masses.append(float(lhs.sum()))
-    mass_gap = abs(math.fsum(masses) - 1.0)
-    disc = max(disc, mass_gap)  # mass held to the tighter 1e-12 below
-    passed = disc <= IDENTITY_TOL and mass_gap <= MASS_TOL
-    return CheckResult(
-        "spine_density", e.alpha, e.depth, disc, outcomes, IDENTITY_TOL, passed
-    )
-
-
 def _tree_density(e: _Enumeration) -> CheckResult:
     top = e.levels[e.depth]
     disc = _max_abs(np.exp(top.log_r) - top.p * e.w(e.depth))
@@ -448,28 +431,40 @@ def _inverse_martingale(e: _Enumeration) -> CheckResult:
     return _result("inverse_martingale", e.alpha, e.depth, disc, outcomes, IDENTITY_TOL)
 
 
-def _spine_step_mean(e: _Enumeration, k: int | None) -> CheckResult:
+def _pair_checks(e: _Enumeration, k: int | None) -> tuple[CheckResult, CheckResult]:
+    """``spine_density`` and ``spine_step_mean`` (at every level, or at
+    ``k`` alone) from one walk of the top-level pairs."""
+    top = e.levels[e.depth]
     levels = range(e.depth) if k is None else [k]
     drift = classify(e.law, e.alpha).drift
     expected = dict(spine_step_law(e.law, e.alpha))
     values = e.step_values
+    density, outcomes, masses = 0.0, 0, []
     # one per-value mass vector per block and level, added exactly across blocks
     parts: dict[int, list[np.ndarray]] = {j: [] for j in levels}
-    outcomes = 0
     for block in e.top_rays():
         outcomes += block.cls.size
         q = np.exp(block.log_q)
+        rhs = np.exp(top.log_p[block.cls] - e.alpha * block.end - e.depth * e.log_m)
+        density = max(density, _max_abs(q - rhs))
+        masses.append(float(q.sum()))
         for j, codes in enumerate(e.steps(block)):
             if j in parts:
                 parts[j].append(np.bincount(codes, weights=q, minlength=len(values)))
-    disc = 0.0
+    mass_gap = abs(math.fsum(masses) - 1.0)
+    density = max(density, mass_gap)  # mass held to the tighter 1e-12 below
+    passed = density <= IDENTITY_TOL and mass_gap <= MASS_TOL
+    step = 0.0
     for j in levels:
-        masses = [math.fsum(col) for col in zip(*parts[j])]
-        mean = math.fsum(x * q for x, q in zip(values, masses))
-        disc = max(disc, abs(mean - drift))
-        for x, q in zip(values, masses):
-            disc = max(disc, abs(q - expected.get(x, 0.0)))
-    return _result("spine_step_mean", e.alpha, e.depth, disc, outcomes, IDENTITY_TOL)
+        mass = [math.fsum(col) for col in zip(*parts[j])]
+        mean = math.fsum(x * m for x, m in zip(values, mass))
+        step = max(step, abs(mean - drift))
+        for x, m in zip(values, mass):
+            step = max(step, abs(m - expected.get(x, 0.0)))
+    return (
+        CheckResult("spine_density", e.alpha, e.depth, density, outcomes, IDENTITY_TOL, passed),
+        _result("spine_step_mean", e.alpha, e.depth, step, outcomes, IDENTITY_TOL),
+    )
 
 
 def _enumeration(law: FiniteLaw, alpha: float, depth: int, pairs: bool) -> _Enumeration:
@@ -505,7 +500,7 @@ def check_martingale(law: FiniteLaw, alpha: float, depth: int) -> CheckResult:
 def check_spine_density(law: FiniteLaw, alpha: float, depth: int) -> CheckResult:
     """Size-biased pair probability equals plain probability times
     ``exp(-alpha S(xi_n)) / m^n``; total size-biased mass is 1."""
-    return _spine_density(_enumeration(law, alpha, depth, pairs=True))
+    return _pair_checks(_enumeration(law, alpha, depth, pairs=True), None)[0]
 
 
 def check_tree_density(law: FiniteLaw, alpha: float, depth: int) -> CheckResult:
@@ -543,17 +538,12 @@ def check_spine_step_mean(
     """
     if k is not None and not 0 <= k < depth:
         raise DomainError(f"spine level {k} outside 0..{depth - 1}")
-    return _spine_step_mean(_enumeration(law, alpha, depth, pairs=True), k)
+    return _pair_checks(_enumeration(law, alpha, depth, pairs=True), k)[1]
 
 
 def run_verify(law: FiniteLaw, alpha: float, depth: int) -> list[CheckResult]:
     """All six exact identity checks, fixed order, on one shared enumeration."""
     e = _enumeration(law, alpha, depth, pairs=True)
-    return [
-        _spine_density(e),
-        _tree_density(e),
-        _unit_mean(e),
-        _martingale(e),
-        _inverse_martingale(e),
-        _spine_step_mean(e, None),
-    ]
+    density, step = _pair_checks(e, None)
+    return [density, _tree_density(e), _unit_mean(e), _martingale(e),
+            _inverse_martingale(e), step]

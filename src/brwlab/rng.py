@@ -95,12 +95,17 @@ def replicate_keys(master_seed: int, ids) -> np.ndarray:
     return _splitmix64_inplace(state)
 
 
-def block_keys(keys: np.ndarray, g: int) -> np.ndarray:
+def block_keys(keys: np.ndarray, g) -> np.ndarray:
     """Keys of block ``g`` (generation ``g``) of the replicates with the
-    given keys."""
-    if g < 0:
+    given keys, or, for an array ``g``, of block ``g[i]`` of the key
+    ``keys[i]``.  The arithmetic runs on arrays: numpy warns on a wrapping
+    ``uint64`` scalar product."""
+    g = np.atleast_1d(np.asarray(g, dtype=np.int64))
+    if g.size and g.min() < 0:
         raise ValueError("block index must be nonnegative")
-    return _splitmix64_inplace(keys ^ np.uint64(((g + 1) * _BLOCK_MULT) & _MASK))
+    z = g.astype(np.uint64) + np.uint64(1)
+    z *= np.uint64(_BLOCK_MULT)
+    return _splitmix64_inplace(keys ^ z)
 
 
 def counter_words(keys: np.ndarray, lengths) -> np.ndarray:
@@ -153,17 +158,6 @@ _FC = np.array([0.08106146679532726, 0.04134069595540929, 0.02767792568499834,
                 0.02079067210376509, 0.01664469118982119, 0.01387612882307075,
                 0.01189670994589177, 0.01041126526197209, 0.009255462182712733,
                 0.008330563433362871])
-
-
-def _sub_keys(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Keys of sub-blocks ``index[i]`` of the blocks with keys ``keys[i]``,
-    derived as ``block_keys`` derives block ``g``, one index per key.
-    The arithmetic runs on arrays: numpy warns on a wrapping ``uint64``
-    scalar product."""
-    z = index.astype(np.uint64) + np.uint64(1)
-    z *= np.uint64(_BLOCK_MULT)
-    z ^= keys
-    return _splitmix64_inplace(z)
 
 
 def _uniform(keys: np.ndarray, k: int) -> np.ndarray:
@@ -325,7 +319,7 @@ def counter_multinomials(keys: np.ndarray, counts: np.ndarray, rows, p) -> np.nd
     Row ``j`` of a block is a chain of conditional binomials: cell ``c``
     is ``binomials`` of the count not yet placed, at ``p[c] / (1 - p[0] -
     ... - p[c-1])`` clamped to [0, 1], drawn from sub-block ``j * len(p) +
-    c`` of the block key (``_sub_keys``); the last cell takes the
+    c`` of the block key (``block_keys``); the last cell takes the
     remainder, so a row sums to its count.  A sub-block is a counter
     stream of its own, so a binomial reads no uniform of another cell, nor
     of the block itself, whose first two a spine takes."""
@@ -338,7 +332,7 @@ def counter_multinomials(keys: np.ndarray, counts: np.ndarray, rows, p) -> np.nd
     left = counts.copy()
     rest = 1.0
     for c, pc in enumerate(np.asarray(p, dtype=np.float64).tolist()[:-1]):
-        draw = binomials(_sub_keys(row_keys, index + c), left, pc / rest if rest > 0 else 1.0)
+        draw = binomials(block_keys(row_keys, index + c), left, pc / rest if rest > 0 else 1.0)
         out[:, c] = draw
         left -= draw
         rest -= pc

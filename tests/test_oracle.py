@@ -103,13 +103,28 @@ def test_negative_depth_is_refused_everywhere(pair_law, name):
         _ENTRIES[name](pair_law, 1.0, -1)
 
 
-@pytest.mark.parametrize("check", _CHECKS, ids=lambda check: check.__name__)
-def test_checks_read_the_cap_when_called(pair_law, check, monkeypatch):
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+def test_checks_read_the_cap_when_called(pair_law, name, monkeypatch):
     # 26 outcomes at depth 3
     monkeypatch.setattr(oracle, "ENUM_CAP", 10)
     with pytest.raises(TooLargeError) as info:
-        check(pair_law, 1.0, 3)
+        _ENTRIES[name](pair_law, 1.0, 3)
     assert info.value.cap == 10
+
+
+def test_run_verify_walks_the_top_pairs_once(pair_law, monkeypatch):
+    # the top level holds the exponential share of the pairs: both pair
+    # checks fold over one stream of its blocks
+    depth, walks = 3, []
+    blocks = oracle._Enumeration._ray_blocks
+
+    def counted(self, k, lower):
+        walks.append(k)
+        return blocks(self, k, lower)
+
+    monkeypatch.setattr(oracle._Enumeration, "_ray_blocks", counted)
+    run_verify(pair_law, 1.0, depth)
+    assert walks.count(depth) == 1
 
 
 @pytest.mark.parametrize("check", _CHECKS, ids=lambda check: check.__name__)
