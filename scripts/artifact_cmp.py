@@ -17,10 +17,11 @@ quad_or_twin at alpha 0, 1, -0.5 and 5 to depth 2; and
 ``models/non_dyadic.json``, atoms ``[]``, ``[0.1]`` and ``[0.2, 0.7]``,
 at depth 3), the four commands of the benchmark's
 mc_plain workload at its sizes, large enough that generations draw their
-uniforms in several chunks, mc_spined's coin_pair ``spine`` and
-``importance`` (with ``--values-out``) at its sizes, and ``simulate``
-and ``spine`` in JSON and in CSV at alpha 0 and -1 on a law with
-negative displacements, ``models/signed.json``, and ``simulate``,
+uniforms in several chunks, c03's extinction run (coin_pair, depth 30,
+100,000 replicates, so four root batches of at most 32,768), mc_spined's
+coin_pair ``spine`` and ``importance`` (with ``--values-out``) at its
+sizes, and ``simulate`` and ``spine`` in JSON and in CSV at alpha 0 and
+-1 on a law with negative displacements, ``models/signed.json``, and ``simulate``,
 ``spine`` and ``mc mean_w`` ten generations deep on two laws whose
 positions multiply: ``models/collision.json``, where ``1e-16 + 1 == 1``
 puts two parents' children at one position, and
@@ -134,6 +135,11 @@ BATTERY: dict[str, list[str]] = {
                          "--reps", "10", "--seed", "1"],
     **{f"bench-{name}": ["mc", *args, "--seed", "701", "--out", "out", "--values-out", "values"]
        for name, args in _BENCH_PLAIN.items()},
+    # c03's extinction run: 100,000 replicates, more than one root batch
+    # holds (brw._BATCH_PARTICLES, 32,768)
+    "c03-extinction": ["mc", *_PAIR, "--estimator", "extinction", "--depth", "30",
+                       "--reps", "100000", "--seed", "3", "--out", "out",
+                       "--values-out", "values"],
     "bench-simulate": ["simulate", *_PAIR, "--alpha", "1", "--depth", "10", "--reps", "500",
                        "--seed", "701", "--out", "out"],
     # mc_spined's coin_pair commands at the benchmark's sizes

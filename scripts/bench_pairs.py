@@ -4,11 +4,15 @@ compare their end-to-end metrics.
     python scripts/bench_pairs.py --a ../parent --b . --workload mc_plain \
         --seed 2029 --pairs 10 --seconds 25
 
-Each run is ``perfbench/run.py --workload W --seed S --seconds T`` of the
-tree itself, started from the tree's root, so each side runs its own,
-unchanged benchmark on its own sources.  Before each run the script
-deletes that tree's ``src/brwlab/__pycache__`` and nothing else, so both
-sides compile brwlab from source, whatever state the trees were left in.
+First the script copies both trees into two sibling directories, ``a``
+and ``b``, of one temporary directory, leaving out ``.git``,
+``.perfbench_out`` and every ``__pycache__``, so that where a tree sits
+cannot tell the sides apart; the copies go when the script ends.  Each run
+is ``perfbench/run.py --workload W --seed S --seconds T`` of a copy,
+started from its root, so each side runs its own, unchanged benchmark on
+its own sources.  Before each run the script deletes that copy's
+``src/brwlab/__pycache__`` and nothing else, so both sides compile brwlab
+from source.
 Pair ``i`` runs side A first when ``i`` is even and side B first when it
 is odd.
 
@@ -20,7 +24,7 @@ interquartile range of A's runs.  Every metric of the benchmark is better
 lower.  It also prints per side how many runs read ``correct: true`` and
 the totals of commands attempted and failed.  Right after each run it
 reads the results file that the run wrote,
-``.perfbench_out/results/<workload>-seed<S>-trace0.json`` in the tree, and
+``.perfbench_out/results/<workload>-seed<S>-trace0.json`` in the copy, and
 prints the side, pair, argv and failure text of every command that failed,
 so a failure can be rerun from its own ``--seed``.  From the same file it
 takes each command's median ``op_s`` across the run's passes, as
@@ -38,7 +42,17 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+
+def copy_trees(trees: dict[str, Path], parent: Path) -> dict[str, Path]:
+    """Copies of ``trees``, side ``s`` at ``parent / s``, without ``.git``,
+    ``.perfbench_out`` or bytecode."""
+    ignore = shutil.ignore_patterns(".git", ".perfbench_out", "__pycache__")
+    for side, tree in trees.items():
+        shutil.copytree(tree, parent / side, ignore=ignore)
+    return {side: parent / side for side in trees}
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -112,6 +126,22 @@ def summary(a: list[dict], b: list[dict]) -> list[str]:
     return lines
 
 
+def pairs(sides: dict[str, Path], workload: str, seed: int, count: int,
+          seconds: float) -> dict[str, list[dict]]:
+    """Each side's runs of ``count`` alternating pairs, failures printed as
+    they come."""
+    runs: dict[str, list[dict]] = {"a": [], "b": []}
+    for i in range(count):
+        for side in ("ab" if i % 2 == 0 else "ba"):
+            runs[side].append(run(sides[side], workload, seed, seconds))
+            runs[side][-1]["op_s"] = command_medians(sides[side], workload, seed)
+            for line in failure_lines(side.upper(), i, sides[side], workload, seed):
+                print(line, flush=True)
+        wall = {s: runs[s][-1]["metrics"]["wall_s"]["value"] for s in "ab"}
+        print(f"pair {i}: wall_s A {wall['a']:.4f} B {wall['b']:.4f}", flush=True)
+    return runs
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--a", type=Path, required=True, help="source tree of side A, the parent")
@@ -123,17 +153,11 @@ def main() -> None:
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("give at least one pair")
-    sides = {"a": args.a.resolve(), "b": args.b.resolve()}
-    runs: dict[str, list[dict]] = {"a": [], "b": []}
-    for i in range(args.pairs):
-        for side in ("ab" if i % 2 == 0 else "ba"):
-            runs[side].append(run(sides[side], args.workload, args.seed, args.seconds))
-            runs[side][-1]["op_s"] = command_medians(sides[side], args.workload, args.seed)
-            for line in failure_lines(side.upper(), i, sides[side], args.workload, args.seed):
-                print(line, flush=True)
-        wall = {s: runs[s][-1]["metrics"]["wall_s"]["value"] for s in "ab"}
-        print(f"pair {i}: wall_s A {wall['a']:.4f} B {wall['b']:.4f}", flush=True)
-    print(f"A {sides['a']}\nB {sides['b']}\n{args.workload} seed {args.seed}, "
+    trees = {"a": args.a.resolve(), "b": args.b.resolve()}
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = pairs(copy_trees(trees, Path(tmp)), args.workload, args.seed, args.pairs,
+                     args.seconds)
+    print(f"A {trees['a']}\nB {trees['b']}\n{args.workload} seed {args.seed}, "
           f"{args.pairs} pairs of {args.seconds:g} s runs")
     print("\n".join(summary(runs["a"], runs["b"])))
 

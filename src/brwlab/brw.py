@@ -62,14 +62,16 @@ a grid of one cell per replicate and position of the next table, the
 distinct sums of an entry and a displacement, and reads the next
 frontier off the nonzero cells, replicate by replicate and positions
 ascending, with no sort over the rows.  One budget, ``_BATCH_PARTICLES``,
-bounds memory.  A batch whose next grid would hold more cells splits in
-two, each half keeping the table entries its rows use; the grid bounds
-the rows it leaves, too.  A generation draws its uniforms in chunks of
-consecutive replicates, each of at most the budget unless one
-replicate's block passes it alone, and reduces each chunk at once to the
-children of its rows, so the batch's arrays are sized by its rows and
-grid and only a chunk holds one entry per particle.  Beyond that size
-one replicate's arrays amortise numpy's per-call cost on their own.
+bounds memory.  A run starts batches of at most that many replicates, as
+many as a grid of one cell per replicate allows, and a batch whose next
+grid would hold more cells splits in two, each half keeping the table
+entries its rows use; the grid bounds the rows it leaves, too.  A
+generation draws its uniforms in chunks of consecutive replicates, each
+of at most the budget unless one replicate's block passes it alone, and
+reduces each chunk at once to the children of its rows, so the batch's
+arrays are sized by its rows and grid and only a chunk holds one entry
+per particle.  Beyond that size one replicate's arrays amortise numpy's
+per-call cost on their own.
 Peak memory is therefore a few such budgets plus one replicate's
 frontier, grid or block, less than its grown tree would hold.
 
@@ -380,15 +382,15 @@ def martingale_trajectory(
 # batched growth
 # ---------------------------------------------------------------------------
 
-# A batch whose next position grid would hold more than _BATCH_PARTICLES
-# cells splits in two, and a generation draws its uniforms in chunks of
-# consecutive replicates of at most _BATCH_PARTICLES each (one replicate
-# past it is a chunk of its own); past that size one replicate's arrays
-# already amortise numpy's per-call cost.  A run starts batches of at most
-# _BATCH_REPLICATES roots, so the keys and per-replicate arrays it holds at
-# once stay within a few budgets whatever its replicate count.
+# A run starts batches of at most _BATCH_PARTICLES roots, a batch whose
+# next position grid would hold more than _BATCH_PARTICLES cells splits in
+# two, and a generation draws its uniforms in chunks of consecutive
+# replicates of at most _BATCH_PARTICLES each (one replicate past it is a
+# chunk of its own); past that size one replicate's arrays already amortise
+# numpy's per-call cost.  A grid holds at least one cell per replicate, so
+# the one budget also bounds the keys and per-replicate arrays a run holds
+# at once, whatever its replicate count.
 _BATCH_PARTICLES = 1 << 15
-_BATCH_REPLICATES = 4096
 
 # An occupation replicate-generation draws its broods with one multinomial
 # call once Z_n passes _MULTINOMIAL_ABOVE plus _MULTINOMIAL_CELL per
@@ -592,10 +594,11 @@ def grow_occupation(
 
     A replicate's frontier is its occupied positions with their particle
     counts, positions merged by exact float equality, so the cost of a
-    generation follows the occupied positions, not the particles.  A batch
-    merges its children on a grid of one cell per replicate and distinct
-    position of the batch's next generation, splitting in two before the
-    grid would pass ``_BATCH_PARTICLES`` cells.
+    generation follows the occupied positions, not the particles.  A batch,
+    at most ``_BATCH_PARTICLES`` replicates at the root, merges its
+    children on a grid of one cell per replicate and distinct position of
+    the batch's next generation, splitting in two before the grid would
+    pass ``_BATCH_PARTICLES`` cells.
     Replicate ``r`` draws the counter stream keyed
     ``rng.replicate_keys(seed, first_id + r)`` (a batch's keys come from
     one call), and in each non-empty generation ``g`` its block ``g``.
@@ -687,7 +690,7 @@ def _grow_occupied(
     Without ``positions`` all particles stay at 0.  ``law`` must already
     be validated.
 
-    Batches of at most ``_BATCH_REPLICATES`` roots grow depth first;
+    Batches of at most ``_BATCH_PARTICLES`` roots grow depth first;
     their keys are derived once per root batch, and a batch whose next
     ``_grid`` would hold more than ``_BATCH_PARTICLES`` cells splits in two
     first: the budget bounds a generation's arrays through its grid and
@@ -838,8 +841,8 @@ def _grow_occupied(
         record(nb, g + 1)
         return nb
 
-    for lo in range(0, replicates, _BATCH_REPLICATES):
-        ids = np.arange(lo, min(lo + _BATCH_REPLICATES, replicates))
+    for lo in range(0, replicates, _BATCH_PARTICLES):
+        ids = np.arange(lo, min(lo + _BATCH_PARTICLES, replicates))
         ones = np.ones(ids.size, dtype=np.int64)
         root = _Batch(ids, replicate_keys(seed, ids + first_id), ones, ones, ones, ones,
                       np.zeros(1), np.zeros(ids.size, dtype=np.int64),

@@ -226,7 +226,23 @@ def _load_model(path: str):
 _FORMATS = click.Choice(["json", "csv"])
 
 
-@click.group(name="brwlab")
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color)
+        ctx.exit()
+
+
+# Every command states the text of its --help option and adds it where
+# click adds its own, last.  Click builds its own on a process's first
+# command and looks the text up with gettext, which imports locale and
+# searches for message catalogs that brwlab does not ship, about a
+# millisecond; --help reads the same either way.
+_help_option = click.option("--help", is_flag=True, expose_value=False, is_eager=True,
+                            callback=_show_help, help="Show this message and exit.")
+
+
+@_help_option
+@click.group(name="brwlab", add_help_option=False)
 def cli():
     """Branching random walk laboratory: classification, exact identity
     verification, trajectory simulation and seeded Monte Carlo."""
@@ -321,7 +337,8 @@ _PROFILE_FIELDS = [
 ]
 
 
-@cli.command("classify")
+@_help_option
+@cli.command("classify", add_help_option=False)
 @click.option("--model", "model_path", default=None, help="Model JSON path.")
 @click.option("--alpha", "alpha_text", default=None, help="Alpha list or a:b:n grid.")
 @click.option("--out", default=None, help="Output path (default stdout).")
@@ -347,7 +364,8 @@ def classify_cmd(model_path, alpha_text, out, fmt):
 # verify
 # ---------------------------------------------------------------------------
 
-@cli.command("verify")
+@_help_option
+@cli.command("verify", add_help_option=False)
 @click.option("--model", "model_path", default=None)
 @click.option("--alpha", "alpha_text", default=None)
 @click.option("--depth", type=int, default=None)
@@ -411,7 +429,8 @@ def _sampler_args(model_path, alpha_text, depth, reps, seed, max_nodes, workers)
     return law, alpha, depth, reps, seed, _caps(max_nodes)
 
 
-@cli.command("simulate")
+@_help_option
+@cli.command("simulate", add_help_option=False)
 @_run_options(fmt="csv")
 def simulate_cmd(out, fmt, **run):
     """Grow plain-law replicates; long-format per-generation trajectory
@@ -439,7 +458,8 @@ def simulate_cmd(out, fmt, **run):
         sys.exit(2)
 
 
-@cli.command("spine")
+@_help_option
+@cli.command("spine", add_help_option=False)
 @_run_options(fmt="csv")
 def spine_cmd(out, fmt, **run):
     """Grow size-biased (tree, ray) pairs; per-level ray artifact.
@@ -495,7 +515,8 @@ def _fields(record, keys: dict[str, str]) -> dict:
     return {key: getattr(record, field) for key, field in keys.items()}
 
 
-@cli.command("mc")
+@_help_option
+@cli.command("mc", add_help_option=False)
 @_run_options(fmt="json")
 @click.option("--depth-grid", "depth_grid_text", default=None)
 @click.option("--estimator", default=None, help=", ".join(_ESTIMATORS))

@@ -43,7 +43,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .brw import (
-    _BATCH_REPLICATES,
     BatchGrowth,
     GrowthCaps,
     LabelledTree,
@@ -223,8 +222,8 @@ def _walk(law: Law, tables: _SpineTables, u: np.ndarray) -> np.ndarray:
     return out
 
 
-# spine_walk_ends draws walks in blocks of about this many uniforms, and of
-# at most brw._BATCH_REPLICATES walks
+# spine_walk_ends draws walks in blocks of about this many uniforms, so at
+# most 32,768 walks at depth >= 1
 _WALK_UNIFORMS = 1 << 16
 
 
@@ -245,7 +244,7 @@ def spine_walk_ends(
         raise DomainError(f"depth must be nonnegative, got {depth}")
     tables = _spine_tables(law, float(alpha))
     _check_positions(law, depth)
-    rows = max(1, min(_BATCH_REPLICATES, _WALK_UNIFORMS // max(1, 2 * depth)))
+    rows = max(1, _WALK_UNIFORMS // max(1, 2 * depth))
     ends = np.empty(replicates)
     for lo in range(0, replicates, rows):
         hi = min(lo + rows, replicates)

@@ -92,3 +92,24 @@ def test_command_medians_read_the_passes(tmp_path):
                                        {"op_s": [0.4, 0.02, 9.0]}]}
     (results / "mc_threads-seed5-trace0.json").write_text(json.dumps(report))
     assert bench_pairs.command_medians(tmp_path, "mc_threads", 5) == [0.4, 0.02, 2.0]
+
+
+def test_copy_trees_sit_side_by_side_without_state(tmp_path):
+    # both copies are siblings of one parent; the version control, benchmark
+    # output and bytecode of the trees stay behind
+    trees = {}
+    for side in ("parent", "change"):
+        tree = tmp_path / "trees" / side
+        for name in ("src/brwlab/cli.py", "src/brwlab/__pycache__/cli.cpython-311.pyc",
+                     "perfbench/run.py", "perfbench/__pycache__/run.cpython-311.pyc",
+                     ".git/HEAD", ".perfbench_out/results/mc_plain-seed1-trace0.json"):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(f"{side} {name}")
+        trees["a" if side == "parent" else "b"] = tree
+    copies = bench_pairs.copy_trees(trees, tmp_path / "copies")
+    assert copies == {"a": tmp_path / "copies" / "a", "b": tmp_path / "copies" / "b"}
+    for side, copy in copies.items():
+        files = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+        assert files == ["perfbench/run.py", "src/brwlab/cli.py"]
+        assert (copy / "src/brwlab/cli.py").read_text() == (
+            (trees[side] / "src/brwlab/cli.py").read_text())

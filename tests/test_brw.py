@@ -397,7 +397,7 @@ def test_batch_records_chosen_generations_and_counts_only(pair_law):
 
 
 def test_batch_stop_draws_the_next_uniform(pair_law, monkeypatch):
-    monkeypatch.setattr(brw_mod, "_BATCH_REPLICATES", 7)  # several root batches
+    monkeypatch.setattr(brw_mod, "_BATCH_PARTICLES", 7)  # several root batches
     grown = grow_occupation(pair_law, 12, CAPS, 8, 40, stop_above=5)
     assert grown.stops
     for r, (g, z, u) in grown.stops.items():
@@ -411,6 +411,24 @@ def test_batch_stop_draws_the_next_uniform(pair_law, monkeypatch):
         tree = grow_tree(pair_law, 12, CAPS, CounterStream(8, r))
         assert max(generation_sizes(tree)[:-1]) <= 5
         assert list(grown.population[r]) == generation_sizes(tree)
+
+
+def test_one_root_batch_per_budget_of_replicates(pair_law, monkeypatch):
+    # roots are bounded by the cell budget alone: 5,000 count-only
+    # replicates are one root batch, whose keys come from one call
+    calls = []
+    keys = brw_mod.replicate_keys
+
+    def counted(seed, ids):
+        calls.append(len(ids))
+        return keys(seed, ids)
+
+    monkeypatch.setattr(brw_mod, "replicate_keys", counted)
+    grow_occupation(pair_law, 3, CAPS, 8, 5000)
+    assert calls == [5000]
+    calls.clear()
+    grow_occupation(pair_law, 3, CAPS, 8, 2 * brw_mod._BATCH_PARTICLES + 1)
+    assert calls == [brw_mod._BATCH_PARTICLES, brw_mod._BATCH_PARTICLES, 1]
 
 
 def test_stop_threshold_stays_below_the_multinomial_budget():
@@ -505,7 +523,7 @@ def test_results_do_not_depend_on_the_budget(pair_law, monkeypatch, capsys):
                 grow_occupation(pair_law, 95, GrowthCaps(max_nodes=2**63 - 1), 3, 40, 1.0)
             code = _dispatch(deep)
             stopped = [grow_occupation(pair_law, 12, CAPS, 8, 40, stop_above=5)]
-            patch.setattr(brw_mod, "_BATCH_REPLICATES", 7)
+            patch.setattr(brw_mod, "_BATCH_PARTICLES", 7)  # several root batches
             stopped.append(grow_occupation(pair_law, 12, CAPS, 8, 40, stop_above=5))
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("refused:") and "2^62" in err

@@ -851,6 +851,152 @@ def test_entry_point_round_trip():
         assert sub in proc.stdout
 
 
+# The help texts of the group and of each command, as click built them when
+# it added each command's --help option itself, at 80 columns
+_RUN_OPTIONS = """\
+  --model TEXT
+  --alpha TEXT
+  --depth INTEGER
+  --reps INTEGER
+  --seed INTEGER
+  --max-nodes INTEGER
+  --workers INTEGER
+  --out TEXT
+  --format [json|csv]
+"""
+_HELP_TEXTS = {
+    "": """\
+Usage: brwlab [OPTIONS] COMMAND [ARGS]...
+
+  Branching random walk laboratory: classification, exact identity
+  verification, trajectory simulation and seeded Monte Carlo.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  classify  Tilted-mass profile and martingale-limit classification per...
+  mc        Seeded Monte Carlo estimators with reference values and...
+  simulate  Grow plain-law replicates; long-format per-generation...
+  spine     Grow size-biased (tree, ray) pairs; per-level ray artifact.
+  verify    Run all six exact identity checks by exhaustive enumeration.
+""",
+    "classify": """\
+Usage: brwlab classify [OPTIONS]
+
+  Tilted-mass profile and martingale-limit classification per alpha.
+
+Options:
+  --model TEXT         Model JSON path.
+  --alpha TEXT         Alpha list or a:b:n grid.
+  --out TEXT           Output path (default stdout).
+  --format [json|csv]  json or csv.
+  --help               Show this message and exit.
+""",
+    "verify": """\
+Usage: brwlab verify [OPTIONS]
+
+  Run all six exact identity checks by exhaustive enumeration.
+
+Options:
+  --model TEXT
+  --alpha TEXT
+  --depth INTEGER
+  --out TEXT
+  --format [json|csv]
+  --help               Show this message and exit.
+""",
+    "simulate": """\
+Usage: brwlab simulate [OPTIONS]
+
+  Grow plain-law replicates; long-format per-generation trajectory artifact.
+
+  A replicate that hits the node cap (counted in tree nodes) contributes the
+  generations it completed; the run stops there, flags it on stderr, and exits
+  2.  Replicates grow as occupation measures, in batches on one thread;
+  --workers is validated but has no effect.
+
+Options:
+""" + _RUN_OPTIONS + """\
+  --help               Show this message and exit.
+""",
+    "spine": """\
+Usage: brwlab spine [OPTIONS]
+
+  Grow size-biased (tree, ray) pairs; per-level ray artifact.
+
+  Columns: ray position, cumulative log change-of-measure weight along the
+  ray, and the embedded tree's log martingale value.  A replicate that hits
+  the node cap is flagged and the run exits 2 (a partial spined tree has no
+  consistent reading, so it contributes no rows, and later replicates are
+  dropped).  Replicates grow in batches on one thread; --workers is validated
+  but has no effect.
+
+Options:
+""" + _RUN_OPTIONS + """\
+  --help               Show this message and exit.
+""",
+    "mc": """\
+Usage: brwlab mc [OPTIONS]
+
+  Seeded Monte Carlo estimators with reference values and 4-sigma bands.
+
+  A failed band is reported in the payload (exit stays 0); identity failures
+  are the verify subcommand's business.  Every estimator runs its replicates
+  in batches on one thread; --workers is validated but has no effect.
+
+Options:
+""" + _RUN_OPTIONS + """\
+  --depth-grid TEXT
+  --estimator TEXT     mean_w, spine_slope, extinction, triviality_scan,
+                       importance
+  --functional TEXT    importance estimator statistic.
+  --values-out TEXT    Also write per-replicate values CSV.
+  --help               Show this message and exit.
+""",
+}
+
+
+def _run_child(code: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+                                         "COLUMNS": "80"})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_help_texts_stay_byte_for_byte():
+    # each command states its --help option's text; every help page reads
+    # as it did when click added the option itself
+    code = ("import contextlib, io, json, sys\nfrom brwlab.cli import _dispatch\n"
+            "sys.argv[0] = 'brwlab'\ntexts = {}\n"
+            "for name in sys.argv[1:]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert _dispatch([*name.split(), '--help']) == 0\n"
+            "    texts[name] = out.getvalue()\n"
+            "print(json.dumps(texts))")
+    assert json.loads(_run_child(code, *_HELP_TEXTS)) == _HELP_TEXTS
+
+
+def test_commands_load_no_locale():
+    # click looks up the text of its own --help option with gettext, which
+    # imports locale; no command may pay for that lookup
+    runs = [["classify", "--model", MODEL, "--alpha", "1"],
+            ["verify", "--model", MODEL, "--alpha", "1", "--depth", "2"],
+            ["simulate", "--model", MODEL, "--alpha", "1", "--depth", "3", "--reps", "3",
+             "--seed", "1"],
+            ["spine", "--model", MODEL, "--alpha", "1", "--depth", "3", "--reps", "3",
+             "--seed", "1"],
+            ["mc", "--model", MODEL, "--estimator", "extinction", "--depth", "5", "--reps", "30",
+             "--seed", "1"]]
+    code = ("import contextlib, io, json, sys\nfrom brwlab.cli import _dispatch\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [_dispatch(args) for args in {runs!r}]\n"
+            "print(json.dumps([codes, 'locale' in sys.modules]))")
+    assert json.loads(_run_child(code)) == [[0] * 5, False]
+
+
 # ---------------------------------------------------------------------------
 # totality: every argv ends in a documented exit code and message
 # ---------------------------------------------------------------------------
